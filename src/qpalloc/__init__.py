@@ -21,7 +21,7 @@ from .metrics import MetricReport, lpips_to_db, metric_report, ms_ssim, psnr, ss
 from .stepnet import (ModelWeights, StepMap, infer_step_map, load_weights,
                       make_random_weights, read_step_map, save_weights,
                       softplus, write_step_map)
-from .toysim import RdPoint, ToyCodecConfig, encode_image, golomb_bits
+from .toysim import RdPoint, encode_image, golomb_bits
 
 __all__ = [
     "__version__",
@@ -35,5 +35,5 @@ __all__ = [
     "ModelWeights", "StepMap", "infer_step_map", "load_weights",
     "make_random_weights", "read_step_map", "save_weights",
     "softplus", "write_step_map",
-    "RdPoint", "ToyCodecConfig", "encode_image", "golomb_bits",
+    "RdPoint", "encode_image", "golomb_bits",
 ]

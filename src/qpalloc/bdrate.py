@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import CurveError, FormatError, OverlapError
 
@@ -144,6 +143,7 @@ def _mean_curve_value(x: np.ndarray, y: np.ndarray, lo: float, hi: float,
     if mode == "cubic":
         return _fit_cubic(x, y).integrate(lo, hi) / (hi - lo)
     if mode == "pchip":
+        from scipy.interpolate import PchipInterpolator
         return float(PchipInterpolator(x, y).integrate(lo, hi)) / (hi - lo)
     raise ValueError(f"unknown interpolation mode {mode!r}")
 

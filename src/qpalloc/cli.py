@@ -2,9 +2,7 @@
 
 Every command is deterministic: the same inputs and flags produce
 byte-identical outputs (run manifests carry no timestamps). Outputs are
-written atomically, so failures leave no partial files. Environment
-variables never change results; QPALLOC_NO_NUMBA only selects the
-pure-numpy kernels, which are bit-identical to the jitted ones.
+written atomically, so failures leave no partial files.
 
 Exit codes:
     0  success

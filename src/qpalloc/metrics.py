@@ -4,8 +4,10 @@ SSIM uses the classic 11x11 Gaussian window (sigma 1.5, K1 0.01,
 K2 0.03, L 255) with valid-region filtering and no padding. MS-SSIM is
 the five-scale product with exponents (0.0448, 0.2856, 0.3001, 0.2363,
 0.1333): the contrast-structure mean enters at every scale, the
-luminance mean only at the coarsest. Three-channel images score each
-channel and average.
+luminance mean only at the coarsest. Each scale's contrast-structure
+mean is clamped at 0 before its fractional power, as TensorFlow's
+``ssim_multiscale`` does, so anti-correlated images score 0 rather than
+a negative number. Three-channel images score each channel and average.
 
 LPIPS values are never computed here; they arrive from files and only
 the dB conversion -10*log10(v) is provided.
@@ -131,14 +133,18 @@ def _ms_ssim_plane(x: np.ndarray, y: np.ndarray) -> float:
         if scale > 0:
             x, y = _down2(x), _down2(y)
         lum, cs = _ssim_terms(x, y)
-        value *= cs ** weight
+        value *= max(cs, 0.0) ** weight
         if scale == len(_MSSSIM_WEIGHTS) - 1:
             value *= lum ** weight
     return value
 
 
 def ms_ssim(a: RasterImage, b: RasterImage) -> float:
-    """Five-scale MS-SSIM, averaged over channels for color images."""
+    """Five-scale MS-SSIM in [0, 1], averaged over channels for color images.
+
+    A negative contrast-structure mean at any scale is clamped to 0, so
+    the score of that plane is 0.
+    """
     _check_pair(a, b)
     if min(a.width, a.height) < _MSSSIM_MIN_DIM:
         raise ValueError(

@@ -3,9 +3,9 @@
 The network maps an RGB image to a positive step map at 1/16 spatial
 resolution: a strided convolutional stem, residual blocks, and a single
 channel head passed through softplus. Weights travel in the text QSNW1
-format; arithmetic is float32 with a fixed accumulation order, so the
-same image and weights always produce the same bits. The softplus head
-runs in float64.
+format. Convolutions run in float32 as one matrix product per kernel
+tap; the same image and weights give byte-identical results run to run
+on one host. The softplus head runs in float64.
 
 No trained weights ship with the package. ``make_random_weights`` builds
 a seeded instance of the reference layer plan for tests and demos;
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._fileio import atomic_write_text
 from .errors import FormatError, InferenceError
 from .imageio import RasterImage
@@ -249,8 +248,10 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
 
     Output dims are ceil(input/stride); the total pad per axis is
     max((out-1)*stride + k - in, 0) with floor(pad/2) on the leading
-    side. Accumulation order is fixed: input channel, kernel row, kernel
-    column.
+    side. Each kernel tap (row, column) adds one float32 matrix product
+    of its (out, in) weights with the strided input window, taps in
+    row-major order, onto the bias. The same input and layer give
+    byte-identical results run to run on one host.
     """
     if x.ndim != 3 or x.shape[0] != layer.in_channels:
         raise InferenceError(
@@ -264,8 +265,14 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     pad_w = max((out_w - 1) * s + k - w, 0)
     padded = np.pad(x, ((0, 0), (pad_h // 2, pad_h - pad_h // 2),
                         (pad_w // 2, pad_w - pad_w // 2)), mode="edge")
-    return _kernels.conv2d_core(np.ascontiguousarray(padded), layer.weights,
-                                layer.bias, s, out_h, out_w)
+    out = np.empty((layer.out_channels, out_h * out_w), np.float32)
+    out[:] = layer.bias[:, None]
+    for kr in range(k):
+        for kc in range(k):
+            window = padded[:, kr:kr + s * (out_h - 1) + 1:s,
+                            kc:kc + s * (out_w - 1) + 1:s]
+            out += layer.weights[:, :, kr, kc] @ window.reshape(layer.in_channels, -1)
+    return out.reshape(layer.out_channels, out_h, out_w)
 
 
 def softplus(x):

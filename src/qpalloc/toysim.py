@@ -19,13 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .alloc import BlockAllocation
 from .errors import GridMismatchError
 from .imageio import BlockGrid, block_partition
 
 __all__ = [
-    "ToyCodecConfig",
     "RdPoint",
     "TU_SIZE",
     "dct8_forward",
@@ -52,15 +50,6 @@ DCT_BASIS = _dct_basis()
 
 
 @dataclass(frozen=True)
-class ToyCodecConfig:
-    tu_size: int = TU_SIZE
-
-    def __post_init__(self):
-        if self.tu_size != TU_SIZE:
-            raise ValueError("the toy codec transform unit is fixed at 8x8")
-
-
-@dataclass(frozen=True)
 class RdPoint:
     """One operating point: rate in bits/pixel, MSE, PSNR, per-block bits."""
 
@@ -75,7 +64,7 @@ def dct8_forward(block: np.ndarray) -> np.ndarray:
     block = np.asarray(block, np.float64)
     if block.shape != (TU_SIZE, TU_SIZE):
         raise ValueError(f"expected an 8x8 block, got {block.shape}")
-    return _kernels.dct_forward_blocks(block[None], DCT_BASIS)[0]
+    return DCT_BASIS @ block @ DCT_BASIS.T
 
 
 def dct8_inverse(coeffs: np.ndarray) -> np.ndarray:
@@ -83,7 +72,7 @@ def dct8_inverse(coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, np.float64)
     if coeffs.shape != (TU_SIZE, TU_SIZE):
         raise ValueError(f"expected an 8x8 block, got {coeffs.shape}")
-    return _kernels.dct_inverse_blocks(coeffs[None], DCT_BASIS)[0]
+    return DCT_BASIS.T @ coeffs @ DCT_BASIS
 
 
 def qstep(qp: int) -> float:
@@ -112,6 +101,20 @@ def golomb_bits(level: int) -> int:
     return 2 * ((m + 1).bit_length() - 1) + 1
 
 
+def _code_blocks(coeffs: np.ndarray, qsteps: np.ndarray):
+    """Quantize each 8x8 coefficient block, returning (bits, dequantized).
+
+    Levels round half away from zero; each level costs golomb_bits(level),
+    computed exactly from the frexp exponent of m + 1.
+    """
+    q = qsteps[:, None, None]
+    levels = np.copysign(np.floor(np.abs(coeffs) / q + 0.5), coeffs)
+    m = np.where(levels > 0, 2.0 * levels - 1.0, -2.0 * levels)
+    _, exponents = np.frexp(m + 1.0)
+    bits = np.sum(2 * (exponents - 1) + 1, axis=(1, 2)).astype(np.int64)
+    return bits, levels * q
+
+
 def _qp_grid(plane_shape: tuple[int, int], qp_map) -> tuple[BlockGrid, np.ndarray]:
     h, w = plane_shape
     if isinstance(qp_map, BlockAllocation):
@@ -125,9 +128,11 @@ def _qp_grid(plane_shape: tuple[int, int], qp_map) -> tuple[BlockGrid, np.ndarra
     return grid, np.full((grid.blocks_y, grid.blocks_x), int(qp_map), np.int64)
 
 
-def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int,
-                 cfg: ToyCodecConfig = ToyCodecConfig()):
+def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
     """Encode a luma plane under a per-block QP map (or one scalar QP).
+
+    Every block QP must lie in [0, 63], the range AllocConfig enforces
+    for the base QP; anything else raises ValueError.
 
     Returns (RdPoint, reconstruction). The reconstruction is uint8,
     rounded half-up and clipped; distortion is the MSE against it, and
@@ -140,6 +145,9 @@ def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int,
     if h < TU_SIZE or w < TU_SIZE:
         raise ValueError(f"plane {w}x{h} smaller than one {TU_SIZE}x{TU_SIZE} unit")
     grid, qp_blocks = _qp_grid((h, w), qp_map)
+    if qp_blocks.min() < 0 or qp_blocks.max() > 63:
+        raise ValueError(f"block QPs span [{qp_blocks.min()}, {qp_blocks.max()}], "
+                         "outside [0, 63]")
     if grid.block_size % TU_SIZE:
         raise ValueError("block size must be a multiple of the transform unit")
 
@@ -159,9 +167,9 @@ def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int,
     tu_qps = qp_blocks[block_rows, block_cols]
 
     qsteps = np.power(2.0, (tu_qps - 4) / 6.0)
-    coeffs = _kernels.dct_forward_blocks(np.ascontiguousarray(tus), DCT_BASIS)
-    tu_bits, dequant = _kernels.code_blocks(coeffs, qsteps)
-    recon_tus = _kernels.dct_inverse_blocks(dequant, DCT_BASIS)
+    coeffs = DCT_BASIS @ tus @ DCT_BASIS.T
+    tu_bits, dequant = _code_blocks(coeffs, qsteps)
+    recon_tus = DCT_BASIS.T @ dequant @ DCT_BASIS
 
     recon = (recon_tus.reshape(tu_y, tu_x, TU_SIZE, TU_SIZE)
              .transpose(0, 2, 1, 3).reshape(plane.shape))[:h, :w]

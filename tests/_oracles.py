@@ -2,7 +2,8 @@
 
 These deliberately take different numeric routes than the production
 code (full 2-D kernels through scipy.signal.correlate2d, plain Python
-loops) so that agreement actually checks something.
+loops, scalar-weighted accumulation) so that agreement actually checks
+something.
 """
 
 import numpy as np
@@ -52,6 +53,27 @@ def reference_ms_ssim(a: RasterImage, b: RasterImage) -> float:
                 value *= lum ** weight
         scores.append(value)
     return float(np.mean(scores))
+
+
+def reference_conv2d(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+                     stride: int, out_h: int, out_w: int) -> np.ndarray:
+    """Fixed-order float32 convolution of an already padded input.
+
+    Sums one scalar weight times one strided input plane at a time, in
+    input channel, kernel row, kernel column order, onto the bias.
+    """
+    out = np.empty((weights.shape[0], out_h, out_w), np.float32)
+    out[:] = bias[:, None, None]
+    n_in = weights.shape[1]
+    k = weights.shape[2]
+    for i in range(n_in):
+        for kr in range(k):
+            for kc in range(k):
+                window = padded[i,
+                                kr:kr + stride * (out_h - 1) + 1:stride,
+                                kc:kc + stride * (out_w - 1) + 1:stride]
+                out += weights[:, i, kr, kc][:, None, None] * window[None]
+    return out
 
 
 def noisy_variant(img: RasterImage, sigma: float, seed: int) -> RasterImage:

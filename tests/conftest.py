@@ -2,13 +2,6 @@ import numpy as np
 import pytest
 
 from qpalloc import RasterImage, make_random_weights
-from qpalloc import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    """Compile the jitted kernels once so timed tests measure math, not JIT."""
-    _kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

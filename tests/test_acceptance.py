@@ -2,8 +2,7 @@
 
 Each test prints a PASS line with its measured detail once its
 assertions hold, so `pytest tests/test_acceptance.py -v -s` gives one
-line per criterion. Timed criteria assert their wall-clock budget;
-the jitted kernels are warmed by the session fixture first.
+line per criterion. Timed criteria assert their wall-clock budget.
 """
 
 import contextlib

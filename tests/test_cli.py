@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +10,11 @@ import pytest
 from qpalloc.cli import main
 from qpalloc.gridfile import read_grid_file
 from qpalloc.imageio import RasterImage, load_ppm, save_ppm
-from qpalloc.stepnet import save_weights
+from qpalloc.stepnet import make_random_weights, save_weights
 
 from conftest import textured_pixels
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -316,3 +322,46 @@ class TestSimulateCommand:
         qpmap.write_text("QPMAP 1\n1 1 64 32\n0\n")
         assert run("simulate", ppm_64, "--qpmap", qpmap, "--qp", 37,
                    tmp_path / "x")[0] == 2
+
+    @pytest.mark.parametrize("qp_arg,qpmap_text", [
+        (-50, None),
+        (None, "QPMAP 1\n1 1 64 32\n-200\n"),
+        (None, "QPMAP 1\n1 1 64 999\n0\n"),
+    ], ids=["scalar-qp", "offset", "base-qp"])
+    def test_out_of_range_qp_is_exit_2(self, run, tmp_path, ppm_64, qp_arg, qpmap_text):
+        argv = ["simulate", ppm_64]
+        if qp_arg is not None:
+            argv += ["--qp", qp_arg]
+        if qpmap_text is not None:
+            qpmap = tmp_path / "bad.qpmap"
+            qpmap.write_text(qpmap_text)
+            argv += ["--qpmap", qpmap]
+        code, _, err = run(*argv, tmp_path / "x")
+        assert code == 2
+        assert "outside [0, 63]" in err
+        assert not list(tmp_path.glob("x.*"))
+
+
+def test_outputs_byte_identical_across_blas_threads(tmp_path):
+    """stepmap and simulate, each run in fresh processes under one and
+    two OpenBLAS threads, write the same bytes every time."""
+    image = tmp_path / "img.ppm"
+    weights = tmp_path / "net.qsnw"
+    save_ppm(RasterImage(pixels=textured_pixels(128, 128, seed=21)), image)
+    save_weights(make_random_weights(seed=3, width=16), weights)
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+    def outputs(threads: str, tag: str) -> dict:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        prefix = tmp_path / tag
+        for argv in (["stepmap", image, weights, f"{prefix}.qsmap"],
+                     ["simulate", image, "--qp", "27", prefix]):
+            proc = subprocess.run([sys.executable, "-m", "qpalloc.cli", *map(str, argv)],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        return {suffix: Path(f"{prefix}{suffix}").read_bytes()
+                for suffix in (".qsmap", ".rd.csv", ".bits", ".recon.ppm")}
+
+    first = outputs("1", "t1")
+    assert outputs("2", "t2a") == first
+    assert outputs("2", "t2b") == first

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,17 @@ class TestMsSsim:
             assert cur_ms <= prev_ms + 1e-12
             assert 0.0 <= cur_ms <= 1.0
             prev_psnr, prev_ms = cur_psnr, cur_ms
+
+    def test_inverted_image_scores_in_unit_range(self):
+        # the negated plane has a negative contrast-structure mean at
+        # every scale, which must clamp to 0, not go complex
+        a = RasterImage(pixels=np.random.default_rng(0)
+                        .integers(0, 256, (200, 200, 1)).astype(np.uint8))
+        b = RasterImage(pixels=255 - a.pixels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = ms_ssim(a, b)
+        assert 0.0 <= value <= 1.0
 
 
 class TestLpipsToDb:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from scipy.fft import dctn
 
-from qpalloc import _kernels
 from qpalloc.alloc import BlockAllocation, lambda_adapt, linearity_fit, block_mean_step
 from qpalloc.errors import GridMismatchError
 from qpalloc.imageio import block_partition
 from qpalloc.stepnet import StepMap
-from qpalloc.toysim import (ToyCodecConfig, dct8_forward, dct8_inverse,
+from qpalloc.toysim import (DCT_BASIS, dct8_forward, dct8_inverse,
                             dequantize, encode_image, golomb_bits, qstep,
                             quantize)
 
@@ -46,6 +46,20 @@ class TestDct:
     def test_wrong_size(self):
         with pytest.raises(ValueError):
             dct8_forward(np.zeros((4, 4)))
+
+    def test_batched_matches_scipy_dctn(self):
+        rng = np.random.default_rng(2)
+        tus = rng.uniform(0, 255, (300, 8, 8))
+        coeffs = DCT_BASIS @ tus @ DCT_BASIS.T
+        np.testing.assert_allclose(coeffs, dctn(tus, axes=(1, 2), norm="ortho"),
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(DCT_BASIS.T @ coeffs @ DCT_BASIS, tus,
+                                   rtol=0, atol=1e-9)
+
+    def test_single_block_matches_scipy_dctn(self):
+        block = np.random.default_rng(3).uniform(-128, 128, (8, 8))
+        np.testing.assert_allclose(dct8_forward(block), dctn(block, norm="ortho"),
+                                   rtol=0, atol=1e-9)
 
 
 class TestQuantizer:
@@ -149,24 +163,16 @@ class TestEncode:
         with pytest.raises(ValueError, match="smaller"):
             encode_image(np.zeros((4, 4), np.uint8), 32)
 
-    def test_backends_bit_identical(self, monkeypatch, textured_luma):
-        if not _kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable")
+    @pytest.mark.parametrize("qp", [-1, 64])
+    def test_scalar_qp_out_of_range(self, textured_luma, qp):
+        with pytest.raises(ValueError, match=r"outside \[0, 63\]"):
+            encode_image(textured_luma, qp)
+
+    def test_block_qp_out_of_range(self, textured_luma):
         grid = block_partition(128, 128, 64)
-        allocation = allocation_with_offsets(grid, 32, [-4, -1, 2, 4])
-        fast, recon_fast = encode_image(textured_luma, allocation)
-        monkeypatch.setattr(_kernels, "USE_NUMBA", False)
-        slow, recon_slow = encode_image(textured_luma, allocation)
-        assert np.array_equal(fast.per_block_bits, slow.per_block_bits)
-        assert np.array_equal(recon_fast, recon_slow)
-        assert fast.rate == slow.rate and fast.distortion == slow.distortion
-
-
-class TestConfig:
-    def test_tu_size_is_fixed(self):
-        assert ToyCodecConfig().tu_size == 8
-        with pytest.raises(ValueError):
-            ToyCodecConfig(tu_size=16)
+        allocation = allocation_with_offsets(grid, 62, [0, 0, 0, 2])
+        with pytest.raises(ValueError, match=r"outside \[0, 63\]"):
+            encode_image(textured_luma, allocation)
 
 
 class TestLinearityEcho:
