@@ -1,28 +1,67 @@
-"""Atomic file writes: write to a sibling temp file, then rename.
+"""Shared file plumbing: atomic writes and strict integer tokens.
 
-A failed write never leaves a partial output at the target path; the
-OS-level cause is wrapped in OutputIOError so the CLI can classify it.
+A write goes to a uniquely named sibling temp file, is fsynced, then
+renamed over the target, and the directory is fsynced so the rename
+survives a crash. A failed or concurrent write never leaves a partial
+output at the target path; the OS-level cause is wrapped in
+OutputIOError so the CLI can classify it.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 from .errors import OutputIOError
+
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def parse_ints(tokens: list[str]) -> list[int]:
+    """Decimal integer tokens, ASCII ``-?[0-9]+`` only.
+
+    Raises ValueError for anything else, including the ``+5`` and ``1_0``
+    spellings that int() would accept.
+    """
+    for token in tokens:
+        if _INT_TOKEN.fullmatch(token) is None:
+            raise ValueError(f"not an integer: {token!r}")
+    return [int(token) for token in tokens]
+
+
+def _create_sibling(target: str) -> tuple[int, str]:
+    # O_EXCL on a fresh name: no writer can share it, and with mode 0o666
+    # the kernel applies the umask just as open() would
+    while True:
+        name = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+        try:
+            return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
+        except FileExistsError:
+            continue
 
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
     target = os.fspath(path)
-    tmp = target + ".tmp"
+    tmp = None
     try:
-        with open(tmp, "wb") as fh:
+        fd, tmp = _create_sibling(target)
+        with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, target)
-    except OSError as exc:
+        tmp = None
+        dir_fd = os.open(os.path.dirname(target) or ".", os.O_RDONLY)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         raise OutputIOError(f"cannot write {target}: {exc}") from exc
 
 

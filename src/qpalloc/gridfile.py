@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text
+from ._fileio import atomic_write_text, parse_ints
 from .errors import FormatError
 
 INT_TAGS = frozenset({"QPMAP", "BITS"})
@@ -68,7 +68,7 @@ def read_grid_file(path: str | os.PathLike, expect_tag: str | None = None) -> Gr
     if expect_tag is not None and tag != expect_tag:
         raise FormatError(f"{path}: expected a {expect_tag} file, found {tag}")
     try:
-        bx, by, block_size, base_qp = (int(t) for t in tokens[2:6])
+        bx, by, block_size, base_qp = parse_ints(tokens[2:6])
     except ValueError as exc:
         raise FormatError(f"{path}: bad header line") from exc
     if bx < 1 or by < 1 or block_size < 1:
@@ -78,11 +78,13 @@ def read_grid_file(path: str | os.PathLike, expect_tag: str | None = None) -> Gr
         raise FormatError(f"{path}: expected {bx * by} values, found {len(body)}")
     try:
         if tag in INT_TAGS:
-            values = np.array([int(t) for t in body], dtype=np.int64)
+            values = np.array(parse_ints(body), dtype=np.int64)
         else:
             values = np.array([float(t) for t in body], dtype=np.float64)
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric grid value") from exc
+    except OverflowError as exc:
+        raise FormatError(f"{path}: grid value outside the 64-bit integer range") from exc
     if tag in FLOAT_TAGS and not np.all(np.isfinite(values)):
         raise FormatError(f"{path}: non-finite grid value")
     return GridFile(tag=tag, blocks_x=bx, blocks_y=by, block_size=block_size,

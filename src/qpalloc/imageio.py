@@ -134,7 +134,7 @@ def load_ppm(path: str | os.PathLike) -> RasterImage:
     """Load a binary P6 portable pixmap with maxval 255.
 
     Distinct errors for a missing file, wrong magic, unsupported maxval,
-    and a truncated pixel payload.
+    a truncated pixel payload, and bytes after the payload.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -168,11 +168,16 @@ def load_ppm(path: str | os.PathLike) -> RasterImage:
         raise FormatError(f"{path}: invalid dimensions {width}x{height}")
 
     pos += 1  # single whitespace byte after maxval
-    payload = data[pos:pos + width * height * 3]
-    if len(payload) != width * height * 3:
+    expected = width * height * 3
+    payload = data[pos:]
+    if len(payload) < expected:
         raise FormatError(
-            f"{path}: truncated payload, expected {width * height * 3} bytes "
+            f"{path}: truncated payload, expected {expected} bytes "
             f"but found {len(payload)}")
+    if len(payload) > expected:
+        raise FormatError(
+            f"{path}: {len(payload) - expected} bytes after the {expected}-byte "
+            f"pixel payload")
     pixels = np.frombuffer(payload, np.uint8).reshape(height, width, 3).copy()
     return RasterImage(pixels=pixels)
 

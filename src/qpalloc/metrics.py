@@ -1,13 +1,16 @@
 """Full-reference quality metrics: PSNR, SSIM, MS-SSIM, LPIPS-to-dB.
 
 SSIM uses the classic 11x11 Gaussian window (sigma 1.5, K1 0.01,
-K2 0.03, L 255) with valid-region filtering and no padding. MS-SSIM is
-the five-scale product with exponents (0.0448, 0.2856, 0.3001, 0.2363,
-0.1333): the contrast-structure mean enters at every scale, the
-luminance mean only at the coarsest. Each scale's contrast-structure
-mean is clamped at 0 before its fractional power, as TensorFlow's
-``ssim_multiscale`` does, so anti-correlated images score 0 rather than
-a negative number. Three-channel images score each channel and average.
+K2 0.03, L 255) with valid-region filtering and no padding. At each
+scale the planes x, y, x*x, y*y, x*y of a pair are filtered as one stack
+in one separable pass, which yields both the luminance and the
+contrast-structure map. MS-SSIM is the five-scale product with exponents
+(0.0448, 0.2856, 0.3001, 0.2363, 0.1333): the contrast-structure mean
+enters at every scale, the luminance mean only at the coarsest. Each
+scale's contrast-structure mean is clamped at 0 before its fractional
+power, as TensorFlow's ``ssim_multiscale`` does, so anti-correlated
+images score 0 rather than a negative number. Three-channel images score
+each channel and average.
 
 LPIPS values are never computed here; they arrive from files and only
 the dB conversion -10*log10(v) is provided.
@@ -74,37 +77,22 @@ def psnr(a: RasterImage, b: RasterImage) -> float:
     return 10.0 * math.log10(_L * _L / mse)
 
 
-def _filter_valid(x: np.ndarray) -> np.ndarray:
-    """Separable Gaussian correlation, valid region only."""
-    win = np.lib.stride_tricks.sliding_window_view(x, _WINDOW_SIZE, axis=0)
-    x = np.tensordot(win, _WINDOW, axes=([2], [0]))
-    win = np.lib.stride_tricks.sliding_window_view(x, _WINDOW_SIZE, axis=1)
-    return np.tensordot(win, _WINDOW, axes=([2], [0]))
+def _filter_valid(stack: np.ndarray) -> np.ndarray:
+    """Valid-region separable Gaussian correlation of each plane of a stack,
+    one windowed dot product per axis; the column pass runs transposed so
+    that BLAS can take its windows (overlapping unit-stride ones it cannot)."""
+    view = np.lib.stride_tricks.sliding_window_view
+    stack = view(stack, _WINDOW_SIZE, axis=1) @ _WINDOW
+    return (view(stack.swapaxes(1, 2), _WINDOW_SIZE, axis=1) @ _WINDOW).swapaxes(1, 2)
 
 
-def _moments(x: np.ndarray, y: np.ndarray):
-    """Windowed means, variances, and covariance over the valid region."""
-    mu_x = _filter_valid(x)
-    mu_y = _filter_valid(y)
-    var_x = _filter_valid(x * x) - mu_x * mu_x
-    var_y = _filter_valid(y * y) - mu_y * mu_y
-    cov = _filter_valid(x * y) - mu_x * mu_y
-    return mu_x, mu_y, var_x, var_y, cov
-
-
-def _ssim_terms(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(mean luminance term, mean contrast-structure term) for one plane."""
-    mu_x, mu_y, var_x, var_y, cov = _moments(x, y)
-    lum = (2.0 * mu_x * mu_y + _C1) / (mu_x * mu_x + mu_y * mu_y + _C1)
-    cs = (2.0 * cov + _C2) / (var_x + var_y + _C2)
-    return float(lum.mean()), float(cs.mean())
-
-
-def _ssim_plane(x: np.ndarray, y: np.ndarray) -> float:
-    mu_x, mu_y, var_x, var_y, cov = _moments(x, y)
-    num = (2.0 * mu_x * mu_y + _C1) * (2.0 * cov + _C2)
-    den = (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
-    return float((num / den).mean())
+def _ssim_maps(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(luminance map, contrast-structure map) from one five-plane pass."""
+    mu_x, mu_y, xx, yy, xy = _filter_valid(np.stack([x, y, x * x, y * y, x * y]))
+    mu_xy, mu_xx, mu_yy = mu_x * mu_y, mu_x * mu_x, mu_y * mu_y
+    lum = (2.0 * mu_xy + _C1) / (mu_xx + mu_yy + _C1)
+    cs = (2.0 * (xy - mu_xy) + _C2) / ((xx - mu_xx) + (yy - mu_yy) + _C2)
+    return lum, cs
 
 
 def _down2(x: np.ndarray) -> np.ndarray:
@@ -113,8 +101,8 @@ def _down2(x: np.ndarray) -> np.ndarray:
     return (x[0::2, 0::2] + x[0::2, 1::2] + x[1::2, 0::2] + x[1::2, 1::2]) / 4.0
 
 
-def _planes(img: RasterImage) -> list[np.ndarray]:
-    return [img.pixels[:, :, c].astype(np.float64) for c in range(img.channels)]
+def _planes(img: RasterImage):
+    return (img.pixels[:, :, c].astype(np.float64) for c in range(img.channels))
 
 
 def ssim(a: RasterImage, b: RasterImage) -> float:
@@ -123,8 +111,8 @@ def ssim(a: RasterImage, b: RasterImage) -> float:
     if min(a.width, a.height) < _WINDOW_SIZE:
         raise ValueError(
             f"image {a.width}x{a.height} smaller than the {_WINDOW_SIZE}px window")
-    scores = [_ssim_plane(x, y) for x, y in zip(_planes(a), _planes(b))]
-    return float(np.mean(scores))
+    return float(np.mean([np.mean(np.multiply(*_ssim_maps(x, y)))
+                          for x, y in zip(_planes(a), _planes(b))]))
 
 
 def _ms_ssim_plane(x: np.ndarray, y: np.ndarray) -> float:
@@ -132,11 +120,9 @@ def _ms_ssim_plane(x: np.ndarray, y: np.ndarray) -> float:
     for scale, weight in enumerate(_MSSSIM_WEIGHTS):
         if scale > 0:
             x, y = _down2(x), _down2(y)
-        lum, cs = _ssim_terms(x, y)
-        value *= max(cs, 0.0) ** weight
-        if scale == len(_MSSSIM_WEIGHTS) - 1:
-            value *= lum ** weight
-    return value
+        lum, cs = _ssim_maps(x, y)
+        value *= max(cs.mean(), 0.0) ** weight
+    return value * lum.mean() ** weight
 
 
 def ms_ssim(a: RasterImage, b: RasterImage) -> float:
@@ -150,8 +136,8 @@ def ms_ssim(a: RasterImage, b: RasterImage) -> float:
         raise ValueError(
             f"image {a.width}x{a.height} too small for 5 scales "
             f"(needs at least {_MSSSIM_MIN_DIM}px per side)")
-    scores = [_ms_ssim_plane(x, y) for x, y in zip(_planes(a), _planes(b))]
-    return float(np.mean(scores))
+    return float(np.mean([_ms_ssim_plane(x, y)
+                          for x, y in zip(_planes(a), _planes(b))]))
 
 
 def lpips_to_db(v: float) -> float:
@@ -164,5 +150,5 @@ def lpips_to_db(v: float) -> float:
 def metric_report(a: RasterImage, b: RasterImage,
                   lpips: float | None = None) -> MetricReport:
     return MetricReport(
-        psnr=psnr(a, b), ssim=ssim(a, b), ms_ssim=ms_ssim(a, b),
+        psnr=psnr(a, b), ms_ssim=ms_ssim(a, b), ssim=ssim(a, b),
         lpips_db=None if lpips is None else lpips_to_db(lpips))

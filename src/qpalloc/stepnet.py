@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text
+from ._fileio import atomic_write_text, parse_ints
 from .errors import FormatError, InferenceError
 from .imageio import RasterImage
 
@@ -195,7 +195,7 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
         if kind == "conv":
             dims = take(4)
             try:
-                c_in, c_out, k, stride = (int(d) for d in dims)
+                c_in, c_out, k, stride = parse_ints(dims)
             except ValueError as exc:
                 raise FormatError(f"{path}: bad conv header in layer {idx}") from exc
             if min(c_in, c_out, k, stride) < 1:
@@ -203,7 +203,7 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
             layers.append(take_conv(c_in, c_out, k, stride, f"layer {idx}"))
         elif kind == "resblock":
             try:
-                ch = int(take(1)[0])
+                (ch,) = parse_ints(take(1))
             except ValueError as exc:
                 raise FormatError(f"{path}: bad resblock header in layer {idx}") from exc
             if ch < 1:
@@ -325,7 +325,7 @@ def read_step_map(path: str | os.PathLike) -> StepMap:
     if len(tokens) < 4 or tokens[0] != "QSMAP" or tokens[1] != "1":
         raise FormatError(f"{path}: expected 'QSMAP 1' header")
     try:
-        w, h = int(tokens[2]), int(tokens[3])
+        w, h = parse_ints(tokens[2:4])
     except ValueError as exc:
         raise FormatError(f"{path}: bad dimensions line") from exc
     if w < 1 or h < 1:

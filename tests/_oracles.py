@@ -18,7 +18,7 @@ def _ref_kernel():
     return np.outer(g, g)
 
 
-def _ref_terms(x, y):
+def _ref_maps(x, y):
     k = _ref_kernel()
     mx = correlate2d(x, k, mode="valid")
     my = correlate2d(y, k, mode="valid")
@@ -28,7 +28,7 @@ def _ref_terms(x, y):
     c1, c2 = (0.01 * 255) ** 2, (0.03 * 255) ** 2
     lum = (2 * mx * my + c1) / (mx * mx + my * my + c1)
     cs = (2 * sxy + c2) / (sxx + syy + c2)
-    return lum.mean(), cs.mean()
+    return lum, cs
 
 
 def _ref_pool(x):
@@ -37,20 +37,31 @@ def _ref_pool(x):
     return (x[0::2, 0::2] + x[0::2, 1::2] + x[1::2, 0::2] + x[1::2, 1::2]) / 4.0
 
 
+def _ref_channels(a: RasterImage, b: RasterImage):
+    for c in range(a.channels):
+        yield a.pixels[:, :, c].astype(np.float64), b.pixels[:, :, c].astype(np.float64)
+
+
+def reference_ssim(a: RasterImage, b: RasterImage) -> float:
+    scores = []
+    for x, y in _ref_channels(a, b):
+        lum, cs = _ref_maps(x, y)
+        scores.append((lum * cs).mean())
+    return float(np.mean(scores))
+
+
 def reference_ms_ssim(a: RasterImage, b: RasterImage) -> float:
     weights = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
     scores = []
-    for c in range(a.channels):
-        x = a.pixels[:, :, c].astype(np.float64)
-        y = b.pixels[:, :, c].astype(np.float64)
+    for x, y in _ref_channels(a, b):
         value = 1.0
         for scale, weight in enumerate(weights):
             if scale > 0:
                 x, y = _ref_pool(x), _ref_pool(y)
-            lum, cs = _ref_terms(x, y)
-            value *= cs ** weight
+            lum, cs = _ref_maps(x, y)
+            value *= cs.mean() ** weight
             if scale == len(weights) - 1:
-                value *= lum ** weight
+                value *= lum.mean() ** weight
         scores.append(value)
     return float(np.mean(scores))
 

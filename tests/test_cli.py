@@ -219,6 +219,14 @@ class TestMetricsCommand:
         save_ppm(RasterImage(pixels=textured_pixels(32, 32, seed=1)), other)
         assert run("metrics", ppm_192, other)[0] == 2
 
+    def test_trailing_bytes_is_exit_2(self, run, tmp_path, ppm_192):
+        long = tmp_path / "long.ppm"
+        long.write_bytes(ppm_192.read_bytes() + b"garbage")
+        code, stdout, err = run("metrics", ppm_192, long)
+        assert code == 2
+        assert stdout == ""
+        assert "bytes after" in err
+
     def test_luma_only_mode(self, run, tmp_path):
         a = tmp_path / "a.ppm"
         b = tmp_path / "b.ppm"
@@ -322,6 +330,13 @@ class TestSimulateCommand:
         qpmap.write_text("QPMAP 1\n1 1 64 32\n0\n")
         assert run("simulate", ppm_64, "--qpmap", qpmap, "--qp", 37,
                    tmp_path / "x")[0] == 2
+
+    @pytest.mark.parametrize("token", ["1_0", "+1"])
+    def test_non_decimal_offset_is_exit_2(self, run, tmp_path, ppm_64, token):
+        qpmap = tmp_path / "odd.qpmap"
+        qpmap.write_text(f"QPMAP 1\n1 1 64 32\n{token}\n")
+        assert run("simulate", ppm_64, "--qpmap", qpmap, tmp_path / "x")[0] == 2
+        assert not list(tmp_path.glob("x.*"))
 
     @pytest.mark.parametrize("qp_arg,qpmap_text", [
         (-50, None),

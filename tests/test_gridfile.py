@@ -65,3 +65,12 @@ class TestValidation:
         path.write_text("QPMAP 1\n1 1 64 32\n1.5\n")
         with pytest.raises(FormatError, match="non-numeric"):
             read_grid_file(path)
+
+    @pytest.mark.parametrize("header,body", [
+        ("1 1 64 32", "1_0"), ("1 1 64 32", "+3"), ("1 1 64 32", "99999999999999999999"),
+        ("1_0 1 64 32", " ".join(["0"] * 10)), ("1 1 6_4 32", "0"), ("1 1 64 +32", "0")])
+    def test_integer_tokens_are_strict(self, tmp_path, header, body):
+        path = tmp_path / "g.txt"
+        path.write_text(f"QPMAP 1\n{header}\n{body}\n")
+        with pytest.raises(FormatError):
+            read_grid_file(path)

@@ -43,6 +43,12 @@ class TestPpm:
         with pytest.raises(FormatError, match="truncated"):
             load_ppm(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.ppm"
+        path.write_bytes(ppm_bytes(2, 2, range(12)) + b"garbage")
+        with pytest.raises(FormatError, match="7 bytes after"):
+            load_ppm(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_ppm(tmp_path / "absent.ppm")

@@ -8,7 +8,16 @@ from qpalloc.imageio import RasterImage
 from qpalloc.metrics import lpips_to_db, metric_report, ms_ssim, psnr, ssim
 
 from conftest import textured_pixels
-from _oracles import noisy_variant, reference_ms_ssim
+from _oracles import noisy_variant, reference_ms_ssim, reference_ssim
+
+# gray and RGB, odd and even sides, all large enough for five MS-SSIM scales
+ORACLE_SHAPES = [(181, 247, 1), (248, 360, 1), (181, 247, 3), (248, 360, 3)]
+
+
+def oracle_pairs():
+    for seed, (h, w, c) in enumerate(ORACLE_SHAPES):
+        a = RasterImage(pixels=textured_pixels(h, w, seed=seed)[:, :, :c].copy())
+        yield a, noisy_variant(a, sigma=6.0 + 10.0 * seed, seed=seed + 40)
 
 
 def constant_image(value, shape=(16, 16, 3)):
@@ -44,6 +53,11 @@ class TestSsim:
         with pytest.raises(ValueError, match="window"):
             ssim(constant_image(0, (8, 8, 3)), constant_image(0, (8, 8, 3)))
 
+    def test_against_reference_implementation(self):
+        for a, b in oracle_pairs():
+            assert ssim(a, b) == pytest.approx(reference_ssim(a, b), abs=1e-10)
+            assert ssim(a, b) == ssim(b, a)
+
     def test_exact_symmetry_and_bound(self):
         for seed in range(4):
             a = RasterImage(pixels=textured_pixels(32, 48, seed=seed))
@@ -67,7 +81,10 @@ class TestMsSsim:
         for seed, sigma in [(0, 4.0), (1, 10.0), (2, 20.0), (3, 35.0), (4, 60.0)]:
             a = RasterImage(pixels=textured_pixels(176, 176, seed=seed))
             b = noisy_variant(a, sigma=sigma, seed=seed + 50)
-            assert ms_ssim(a, b) == pytest.approx(reference_ms_ssim(a, b), abs=1e-4)
+            assert ms_ssim(a, b) == pytest.approx(reference_ms_ssim(a, b), abs=1e-10)
+        for a, b in oracle_pairs():
+            assert ms_ssim(a, b) == pytest.approx(reference_ms_ssim(a, b), abs=1e-10)
+            assert ms_ssim(a, b) == ms_ssim(b, a)
 
     def test_exact_symmetry(self):
         a = RasterImage(pixels=textured_pixels(176, 176, seed=5))
@@ -125,3 +142,20 @@ class TestReport:
         assert report.ssim == pytest.approx(1.0, abs=1e-12)
         assert report.ms_ssim == pytest.approx(1.0, abs=1e-12)
         assert report.lpips_db == pytest.approx(10.0, abs=1e-12)
+
+    def test_matches_separate_calls(self):
+        for a, b in oracle_pairs():
+            report = metric_report(a, b)
+            assert report.psnr == psnr(a, b)
+            assert report.ssim == pytest.approx(ssim(a, b), abs=1e-12)
+            assert report.ms_ssim == pytest.approx(ms_ssim(a, b), abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(8, 8, 3), (128, 128, 1),
+                                       (175, 300, 3), (300, 175, 1)])
+    def test_size_precondition_matches_ms_ssim(self, shape):
+        img = constant_image(0, shape)
+        with pytest.raises(ValueError) as expected:
+            ms_ssim(img, img)
+        with pytest.raises(ValueError) as raised:
+            metric_report(img, img)
+        assert str(raised.value) == str(expected.value)

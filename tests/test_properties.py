@@ -1,0 +1,67 @@
+"""Property tests for the allocation invariants: the pixel-weighted
+mean-1 ratio, the uniform-map zero fixed point, dQP monotone in the
+ratio, and the ceil(dims/16) step-map shape law."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from qpalloc.alloc import AllocConfig, build_allocation, qp_offset
+from qpalloc.imageio import RasterImage
+from qpalloc.stepnet import StepMap, infer_step_map, make_random_weights
+
+# warnings are errors under tier-1, and inference times vary with size
+PROPERTY = settings(max_examples=60, deadline=None)
+
+dims = st.integers(1, 1500)
+steps = st.floats(1e-3, 1e3)
+block_sizes = st.sampled_from([8, 16, 32, 64, 128])
+SHAPE_LAW_WEIGHTS = make_random_weights(seed=5, width=4)
+
+
+def grid_shape(width, height):
+    return -(-height // 16), -(-width // 16)
+
+
+@PROPERTY
+@given(width=dims, height=dims, block_size=block_sizes, seed=st.integers(0, 2 ** 32 - 1))
+def test_ratio_has_pixel_weighted_mean_one(width, height, block_size, seed):
+    rng = np.random.default_rng(seed)
+    values = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), grid_shape(width, height)))
+    allocation = build_allocation(StepMap(values=values), width, height,
+                                  AllocConfig(base_qp=32, block_size=block_size))
+    weights = allocation.grid.pixel_counts().astype(np.float64)
+    assert abs(np.dot(weights, allocation.ratio) / weights.sum() - 1.0) < 1e-9
+
+
+@PROPERTY
+@given(width=dims, height=dims, value=steps, base_qp=st.integers(0, 63),
+       block_size=block_sizes, slope=st.floats(0.05, 8.0), beta=st.floats(-8.0, 8.0))
+def test_uniform_map_gives_zero_offsets(width, height, value, base_qp, block_size,
+                                        slope, beta):
+    step_map = StepMap(values=np.full(grid_shape(width, height), value))
+    cfg = AllocConfig(base_qp=base_qp, block_size=block_size, slope=slope, beta=beta)
+    allocation = build_allocation(step_map, width, height, cfg)
+    assert np.all(allocation.dqp == 0)
+    assert np.all(allocation.qp == base_qp)
+    assert np.all(allocation.lambda_scale == 1.0)
+
+
+@PROPERTY
+@given(r1=st.floats(1e-6, 1e6), r2=st.floats(1e-6, 1e6), beta=st.floats(-8.0, 8.0),
+       slope=st.floats(0.05, 8.0), clamp=st.integers(0, 12))
+def test_offset_is_monotone_in_ratio(r1, r2, beta, slope, clamp):
+    low, high = sorted((r1, r2))
+    cfg = AllocConfig(base_qp=32, slope=slope, clamp=clamp)
+    d_low, d_high = qp_offset(low, beta, cfg), qp_offset(high, beta, cfg)
+    # negative beta (the default) spends fewer bits where the ratio is high
+    assert (d_high - d_low) * np.sign(beta) >= 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(width=st.integers(1, 200), height=st.integers(1, 200), seed=st.integers(0, 255))
+def test_step_map_is_ceil_dims_over_16(width, height, seed):
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, (height, width, 3)).astype(np.uint8)
+    step_map = infer_step_map(RasterImage(pixels=pixels), SHAPE_LAW_WEIGHTS)
+    assert step_map.values.shape == grid_shape(width, height)
+    assert np.all(step_map.values > 0)

@@ -56,6 +56,16 @@ class TestWeightFormat:
         with pytest.raises(FormatError, match="non-finite"):
             load_weights(path)
 
+    @pytest.mark.parametrize("text", [
+        MINIMAL_QSNW1.replace("conv 3 1 1 1", "conv 3 1 1 +1"),
+        MINIMAL_QSNW1.replace("conv 3 1 1 1", "conv 3 1 1 0_1"),
+        "QSNW1\nlayers 1\nresblock 0_1\n" + "0 " * 20])
+    def test_layer_headers_are_strict_integers(self, tmp_path, text):
+        path = tmp_path / "w.qsnw"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="header"):
+            load_weights(path)
+
     def test_resblock_parse_and_roundtrip(self, tmp_path, fixture_weights):
         path = tmp_path / "w.qsnw"
         save_weights(fixture_weights, path)
@@ -227,6 +237,13 @@ class TestStepMapFiles:
             read_step_map(path)
         path.write_text("QSMAP 1\n2 2\n1.0 2.0 3.0\n")
         with pytest.raises(FormatError, match="expected 4 values"):
+            read_step_map(path)
+
+    @pytest.mark.parametrize("dims", ["2_0 1", "+2 1", "2 1_0"])
+    def test_dimensions_are_strict_integers(self, tmp_path, dims):
+        path = tmp_path / "bad.qsmap"
+        path.write_text(f"QSMAP 1\n{dims}\n" + "1.0 " * 20 + "\n")
+        with pytest.raises(FormatError, match="dimensions"):
             read_step_map(path)
 
     def test_nonpositive_values_rejected(self, tmp_path):
