@@ -1,4 +1,4 @@
-"""Shared file plumbing: atomic writes and strict integer tokens.
+"""Shared file plumbing: atomic writes and strict number tokens.
 
 A write goes to a uniquely named sibling temp file, is fsynced, then
 renamed over the target, and the directory is fsynced so the rename
@@ -27,6 +27,16 @@ def parse_ints(tokens: list[str]) -> list[int]:
         if _INT_TOKEN.fullmatch(token) is None:
             raise ValueError(f"not an integer: {token!r}")
     return [int(token) for token in tokens]
+
+
+def lax_reals(text: str) -> bool:
+    """Whether real tokens in text use a ``_`` separator or a leading ``+``,
+    which float() accepts and repr never writes; ``1e+16`` is fine. Scans
+    the whole text, not each token, so it also sees the integer fields:
+    callers report it only once those have parsed."""
+    # every '+' must be an exponent sign
+    return "_" in text or ("+" in text and text.count("+")
+                           != text.count("e+") + text.count("E+"))
 
 
 def _create_sibling(target: str) -> tuple[int, str]:

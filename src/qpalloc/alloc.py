@@ -8,7 +8,8 @@ convert each ratio r to an integer QP offset
 
 with N = 3 and rounding half away from zero. The rate-distortion
 multiplier for a block then scales by 2^(dQP / N). A uniform step map
-produces the all-zero offset map by construction.
+produces the all-zero offset map by construction. Every step is one
+array expression over all blocks.
 
 beta defaults to -1.367; a per-block beta map may be supplied instead
 of the scalar.
@@ -17,7 +18,7 @@ of the scalar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -26,24 +27,18 @@ from .errors import GridMismatchError
 from .imageio import BlockGrid, block_partition
 from .stepnet import DOWNSAMPLE_FACTOR, StepMap
 
-__all__ = [
-    "AllocConfig",
-    "BlockAllocation",
-    "LinearityReport",
-    "QP_LAMBDA_ALIGNMENT",
-    "block_mean_step",
-    "bit_ratios",
-    "qp_offset",
-    "lambda_adapt",
-    "build_allocation",
-    "linearity_fit",
-]
+__all__ = ["AllocConfig", "BlockAllocation", "LinearityReport",
+           "BLOCK_SIZE", "DEFAULT_BETA", "EPS", "N_CONST", "QP_LAMBDA_ALIGNMENT",
+           "block_mean_step", "bit_ratios", "qp_offset", "lambda_adapt",
+           "build_allocation", "linearity_fit"]
 
+N_CONST = 3        # QP steps per doubling of the RD multiplier
+BLOCK_SIZE = 64    # block edge in pixels: 4x4 step-map cells
+EPS = 1e-6         # floor on a block's mean step before its reciprocal
+DEFAULT_BETA = -1.367
 # Base-QP operating points and the frame-level rate-control multiplier
 # each one was aligned to; echoed in run manifests.
 QP_LAMBDA_ALIGNMENT: Mapping[int, float] = {37: 1.0, 32: 4.0, 27: 8.0, 22: 16.0}
-
-DEFAULT_BETA = -1.367
 
 
 @dataclass(frozen=True)
@@ -57,23 +52,16 @@ class AllocConfig:
     beta: float | np.ndarray = DEFAULT_BETA
     slope: float = 1.0
     clamp: int = 4
-    n_const: int = 3
-    block_size: int = 64
-    eps: float = 1e-6
-    lambda_table: Mapping[int, float] = field(
-        default_factory=lambda: dict(QP_LAMBDA_ALIGNMENT))
 
     def __post_init__(self):
         if not 0 <= self.base_qp <= 63:
             raise ValueError(f"base_qp {self.base_qp} outside [0, 63]")
-        if self.slope <= 0:
-            raise ValueError("slope must be positive")
-        if self.clamp < 0:
-            raise ValueError("clamp must be non-negative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.n_const < 1:
-            raise ValueError("n_const must be positive")
+        if not (math.isfinite(self.slope) and self.slope > 0):
+            raise ValueError(f"slope must be positive and finite, got {self.slope}")
+        if not np.all(np.isfinite(self.beta)):
+            raise ValueError("beta must be finite")
+        if not 0 <= self.clamp <= 63:
+            raise ValueError(f"clamp {self.clamp} outside [0, 63]")
 
 
 @dataclass(frozen=True)
@@ -86,8 +74,14 @@ class BlockAllocation:
     ratio: np.ndarray         # normalized bit ratio, weighted mean 1
     beta: np.ndarray
     dqp: np.ndarray           # integer offsets, |dqp| <= clamp
-    qp: np.ndarray            # base_qp + dqp
-    lambda_scale: np.ndarray  # 2^(dqp / n_const)
+
+    @property
+    def qp(self) -> np.ndarray:
+        return self.base_qp + self.dqp
+
+    @property
+    def lambda_scale(self) -> np.ndarray:
+        return lambda_adapt(self.dqp)
 
 
 @dataclass(frozen=True)
@@ -106,26 +100,28 @@ def block_mean_step(step_map: StepMap, grid: BlockGrid) -> np.ndarray:
     cover.
     """
     f = DOWNSAMPLE_FACTOR
+    if grid.block_size != BLOCK_SIZE:
+        raise GridMismatchError(
+            f"block size {grid.block_size}, expected {BLOCK_SIZE}")
     if (step_map.grid_w != -(-grid.width // f)
             or step_map.grid_h != -(-grid.height // f)):
         raise GridMismatchError(
             f"step map {step_map.grid_w}x{step_map.grid_h} does not match "
             f"a {grid.width}x{grid.height} frame (expected "
             f"{-(-grid.width // f)}x{-(-grid.height // f)})")
-    values = step_map.values
-    out = np.empty(grid.n_blocks, np.float64)
-    for k in range(grid.n_blocks):
-        x0, y0, w, h = grid.block_extent(k)
-        cx0, cx1 = x0 // f, -(-(x0 + w) // f)
-        cy0, cy1 = y0 // f, -(-(y0 + h) // f)
-        out[k] = values[cy0:cy1, cx0:cx1].mean()
-    return out
+    # cell values and a 1 per real cell, zero-padded to whole blocks
+    per = BLOCK_SIZE // f
+    cells = np.zeros((2, grid.blocks_y * per, grid.blocks_x * per))
+    cells[0, :step_map.grid_h, :step_map.grid_w] = step_map.values
+    cells[1, :step_map.grid_h, :step_map.grid_w] = 1.0
+    sums, counts = cells.reshape(2, grid.blocks_y, per, grid.blocks_x, per).sum(axis=(2, 4))
+    return (sums / counts).reshape(-1)
 
 
-def bit_ratios(qs: np.ndarray, grid: BlockGrid, eps: float = 1e-6) -> np.ndarray:
+def bit_ratios(qs: np.ndarray, grid: BlockGrid) -> np.ndarray:
     """Reciprocal steps normalized to pixel-weighted mean 1.
 
-    raw_k = 1 / max(qs_k, eps); weights are block pixel counts, so the
+    raw_k = 1 / max(qs_k, EPS); weights are block pixel counts, so the
     frame bit budget is preserved to first order even with partial edge
     blocks.
     """
@@ -137,56 +133,53 @@ def bit_ratios(qs: np.ndarray, grid: BlockGrid, eps: float = 1e-6) -> np.ndarray
             f"{qs.size} step means for a grid of {grid.n_blocks} blocks")
     if not np.all(np.isfinite(qs)):
         raise ValueError("step means must be finite")
-    raw = 1.0 / np.maximum(qs, eps)
+    raw = 1.0 / np.maximum(qs, EPS)
     weights = grid.pixel_counts().astype(np.float64)
     weighted_mean = float(np.dot(weights, raw) / weights.sum())
     return raw / weighted_mean
 
 
-def qp_offset(r: float, beta: float, cfg: AllocConfig) -> int:
-    """Integer QP offset for one bit ratio.
+def qp_offset(ratio, beta, slope: float, clamp: int) -> np.ndarray:
+    """Integer QP offsets for bit ratios (scalars or arrays).
 
     round(slope * N * beta * log2(r)) half away from zero, then clamped
-    to [-clamp, +clamp].
+    to [-clamp, +clamp]; an overflowing raw offset saturates, and a
+    ratio of exactly 1 gives 0 whatever beta and slope are.
     """
-    if r <= 0:
-        raise ValueError(f"bit ratio must be positive, got {r}")
-    raw = cfg.slope * cfg.n_const * beta * math.log2(r)
-    rounded = int(math.copysign(math.floor(abs(raw) + 0.5), raw))
-    return max(-cfg.clamp, min(cfg.clamp, rounded))
+    ratio = np.asarray(ratio, np.float64)
+    if np.any(ratio <= 0):
+        raise ValueError("bit ratios must be positive")
+    log_r = np.log2(ratio)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.where(log_r == 0.0, 0.0, slope * N_CONST * beta * log_r)
+    rounded = np.sign(raw) * np.floor(np.abs(raw) + 0.5)
+    return np.clip(rounded, -clamp, clamp).astype(np.int64)
 
 
-def lambda_adapt(dqp: int, n_const: int = 3) -> float:
+def lambda_adapt(dqp) -> np.ndarray:
     """Multiplier applied to the frame-level RD multiplier: 2^(dqp/N)."""
-    return float(2.0 ** (dqp / n_const))
+    return 2.0 ** (np.asarray(dqp) / N_CONST)
 
 
 def _beta_per_block(beta, grid: BlockGrid) -> np.ndarray:
-    if np.ndim(beta) == 0:
-        return np.full(grid.n_blocks, float(beta))
     arr = np.asarray(beta, np.float64)
-    if arr.shape == (grid.blocks_y, grid.blocks_x):
-        return arr.reshape(-1).copy()
-    if arr.shape == (grid.n_blocks,):
-        return arr.copy()
-    raise GridMismatchError(
-        f"beta map shape {arr.shape} does not match grid "
-        f"{grid.blocks_x}x{grid.blocks_y}")
+    shape = (grid.blocks_y, grid.blocks_x)
+    if arr.ndim and arr.shape != shape:
+        raise GridMismatchError(f"beta map shape {arr.shape} does not match grid "
+                                f"{grid.blocks_x}x{grid.blocks_y}")
+    return np.full(shape, arr).reshape(-1)
 
 
 def build_allocation(step_map: StepMap, width: int, height: int,
                      cfg: AllocConfig) -> BlockAllocation:
     """Full chain from step map to per-block QP offsets and scales."""
-    grid = block_partition(width, height, cfg.block_size)
+    grid = block_partition(width, height, BLOCK_SIZE)
     qs = block_mean_step(step_map, grid)
-    ratio = bit_ratios(qs, grid, cfg.eps)
+    ratio = bit_ratios(qs, grid)
     beta = _beta_per_block(cfg.beta, grid)
-    dqp = np.array([qp_offset(float(r), float(b), cfg)
-                    for r, b in zip(ratio, beta)], np.int64)
-    lam = np.array([lambda_adapt(int(d), cfg.n_const) for d in dqp])
     return BlockAllocation(grid=grid, base_qp=cfg.base_qp, qs=qs, ratio=ratio,
-                           beta=beta, dqp=dqp, qp=cfg.base_qp + dqp,
-                           lambda_scale=lam)
+                           beta=beta,
+                           dqp=qp_offset(ratio, beta, cfg.slope, cfg.clamp))
 
 
 def linearity_fit(bits_per_block, qs) -> LinearityReport:

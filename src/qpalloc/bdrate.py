@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fileio import lax_reals
 from .errors import CurveError, FormatError, OverlapError
 
 __all__ = ["RdCurve", "bd_rate", "bd_quality", "quality_overlap",
@@ -78,6 +79,8 @@ def read_rd_rows(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
         parts = ln.split(",")
         if len(parts) != 2:
             raise FormatError(f"{path}: bad row {ln!r}")
+        if lax_reals(ln):
+            raise FormatError(f"{path}: non-numeric row {ln!r}")
         try:
             rates.append(float(parts[0]))
             qualities.append(float(parts[1]))

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__, alloc, bdrate, gridfile, metrics, stepnet, toysim
 from ._fileio import atomic_write_text
-from .errors import (CurveError, FormatError, GridMismatchError, InferenceError,
-                     OutputIOError, OverlapError)
+from .errors import GridMismatchError, InferenceError, OutputIOError, OverlapError
 from .imageio import RasterImage, load_ppm, rgb_to_gray, rgb_to_yuv420, save_ppm
 
 EXIT_BAD_INPUT = 2
@@ -84,7 +83,7 @@ def _cmd_qpmap(args) -> int:
     cfg = alloc.AllocConfig(base_qp=args.base_qp, beta=beta, slope=args.slope,
                             clamp=args.clamp)
     if args.beta_map:
-        expected = alloc.block_partition(width, height, cfg.block_size)
+        expected = alloc.block_partition(width, height, alloc.BLOCK_SIZE)
         if (bmap.blocks_x, bmap.blocks_y, bmap.block_size) != \
                 (expected.blocks_x, expected.blocks_y, expected.block_size):
             raise GridMismatchError(
@@ -117,13 +116,14 @@ def _cmd_qpmap(args) -> int:
             "beta": args.beta_map if args.beta_map else cfg.beta,
             "slope": cfg.slope,
             "clamp": cfg.clamp,
-            "n_const": cfg.n_const,
-            "block_size": cfg.block_size,
-            "eps": cfg.eps,
-            "lambda_table": {str(k): v for k, v in sorted(cfg.lambda_table.items())},
+            "n_const": alloc.N_CONST,
+            "block_size": alloc.BLOCK_SIZE,
+            "eps": alloc.EPS,
+            "lambda_table": {str(k): v
+                             for k, v in sorted(alloc.QP_LAMBDA_ALIGNMENT.items())},
         },
         "frame": {"width": width, "height": height},
-        "alignment_lambda": cfg.lambda_table.get(cfg.base_qp),
+        "alignment_lambda": alloc.QP_LAMBDA_ALIGNMENT.get(cfg.base_qp),
         "outputs": [args.out, lscale_path, manifest_path],
     }
     atomic_write_text(manifest_path,
@@ -200,27 +200,23 @@ def _cmd_simulate(args) -> int:
             raise GridMismatchError(
                 f"{args.qpmap}: grid {qpm.blocks_x}x{qpm.blocks_y} does not "
                 f"match the {grid.blocks_x}x{grid.blocks_y} frame partition")
-        dqp = qpm.values.reshape(-1)
         allocation = alloc.BlockAllocation(
             grid=grid, base_qp=base_qp,
             qs=np.ones(grid.n_blocks), ratio=np.ones(grid.n_blocks),
             beta=np.full(grid.n_blocks, alloc.DEFAULT_BETA),
-            dqp=dqp, qp=base_qp + dqp,
-            lambda_scale=np.array([alloc.lambda_adapt(int(d)) for d in dqp]))
+            dqp=qpm.values.reshape(-1))
         point, recon = toysim.encode_image(luma, allocation)
-        block_size = grid.block_size
     else:
         base_qp = args.qp if args.qp is not None else 32
         point, recon = toysim.encode_image(luma, base_qp)
         grid = alloc.block_partition(img.width, img.height)
-        block_size = grid.block_size
 
     csv_path = args.out_prefix + ".rd.csv"
     bits_path = args.out_prefix + ".bits"
     recon_path = args.out_prefix + ".recon.ppm"
     atomic_write_text(csv_path, "rate_bpp,quality\n"
                       f"{_fmt(point.rate)},{_fmt(point.quality)}\n")
-    gridfile.write_grid_file(bits_path, "BITS", block_size, base_qp,
+    gridfile.write_grid_file(bits_path, "BITS", grid.block_size, base_qp,
                              point.per_block_bits.reshape(grid.blocks_y,
                                                           grid.blocks_x))
     save_ppm(RasterImage(pixels=recon[:, :, None]), recon_path)
@@ -297,29 +293,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# First match wins, so OverlapError (a CurveError) and GridMismatchError
+# come before ValueError; OSError is an unreadable input.
+_EXIT_CODES = (
+    (OverlapError, EXIT_NO_OVERLAP),
+    (GridMismatchError, EXIT_GRID_MISMATCH),
+    (OutputIOError, EXIT_OUTPUT_IO),
+    (InferenceError, EXIT_INFERENCE),
+    (ValueError, EXIT_BAD_INPUT),
+    (OSError, EXIT_BAD_INPUT),
+)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OverlapError as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_OVERLAP
-    except GridMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRID_MISMATCH
-    except OutputIOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT_IO
-    except InferenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFERENCE
-    except (FormatError, CurveError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
-        # unreadable input files (missing, permissions, directories)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

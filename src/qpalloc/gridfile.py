@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text, parse_ints
+from ._fileio import atomic_write_text, lax_reals, parse_ints
 from .errors import FormatError
 
 INT_TAGS = frozenset({"QPMAP", "BITS"})
@@ -57,7 +57,8 @@ def write_grid_file(path: str | os.PathLike, tag: str, block_size: int,
 
 def read_grid_file(path: str | os.PathLike, expect_tag: str | None = None) -> GridFile:
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+        text = fh.read()
+    tokens = text.split()
     if len(tokens) < 6:
         raise FormatError(f"{path}: truncated grid file")
     tag, version = tokens[0], tokens[1]
@@ -76,6 +77,8 @@ def read_grid_file(path: str | os.PathLike, expect_tag: str | None = None) -> Gr
     body = tokens[6:]
     if len(body) != bx * by:
         raise FormatError(f"{path}: expected {bx * by} values, found {len(body)}")
+    if tag in FLOAT_TAGS and lax_reals(text):
+        raise FormatError(f"{path}: non-numeric grid value")
     try:
         if tag in INT_TAGS:
             values = np.array(parse_ints(body), dtype=np.int64)

@@ -68,15 +68,12 @@ class YuvFrame:
     luma: np.ndarray
     chroma_u: np.ndarray
     chroma_v: np.ndarray
-    range_tag: str = "limited"
 
     def __post_init__(self):
         h, w = self.luma.shape
         ch, cw = (h + 1) // 2, (w + 1) // 2
         if self.chroma_u.shape != (ch, cw) or self.chroma_v.shape != (ch, cw):
             raise ValueError("chroma planes must be ceil(dims/2) of the luma plane")
-        if self.range_tag != "limited":
-            raise ValueError("only limited-range frames are supported")
 
 
 @dataclass(frozen=True)
@@ -102,15 +99,6 @@ class BlockGrid:
     @property
     def n_blocks(self) -> int:
         return self.blocks_x * self.blocks_y
-
-    def block_extent(self, k: int) -> tuple[int, int, int, int]:
-        """Pixel extent (x0, y0, w, h) of block index k (row-major)."""
-        by, bx = divmod(k, self.blocks_x)
-        x0 = bx * self.block_size
-        y0 = by * self.block_size
-        return (x0, y0,
-                min(self.block_size, self.width - x0),
-                min(self.block_size, self.height - y0))
 
     def pixel_counts(self) -> np.ndarray:
         """Per-block pixel counts, row-major (edge blocks are smaller)."""

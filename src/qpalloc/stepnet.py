@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text, parse_ints
+from ._fileio import atomic_write_text, lax_reals, parse_ints
 from .errors import FormatError, InferenceError
 from .imageio import RasterImage
 
@@ -152,7 +152,9 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
     are stored as float32.
     """
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+        text = fh.read()
+    tokens, lax = text.split(), lax_reals(text)
+    del text  # the tokens are all the parse needs; this keeps peak memory down
     cursor = 0
 
     def take(n: int) -> list[str]:
@@ -213,6 +215,8 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
             layers.append(ResBlock(conv1=conv1, conv2=conv2))
         else:
             raise FormatError(f"{path}: unknown layer kind {kind!r} in layer {idx}")
+    if lax:  # every header field parsed above, so a weight or bias holds it
+        raise FormatError(f"{path}: non-numeric value ('_' or a leading '+')")
     if cursor != len(tokens):
         raise FormatError(
             f"{path}: parameter count mismatch, {len(tokens) - cursor} trailing values")
@@ -321,7 +325,8 @@ def infer_step_map(img: RasterImage, weights: ModelWeights) -> StepMap:
 def read_step_map(path: str | os.PathLike) -> StepMap:
     """Read a QSMAP file: 'QSMAP 1', then 'W H', then H rows of W values."""
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+        text = fh.read()
+    tokens = text.split()
     if len(tokens) < 4 or tokens[0] != "QSMAP" or tokens[1] != "1":
         raise FormatError(f"{path}: expected 'QSMAP 1' header")
     try:
@@ -332,6 +337,8 @@ def read_step_map(path: str | os.PathLike) -> StepMap:
         raise FormatError(f"{path}: bad dimensions {w}x{h}")
     if len(tokens) != 4 + w * h:
         raise FormatError(f"{path}: expected {w * h} values, found {len(tokens) - 4}")
+    if lax_reals(text):
+        raise FormatError(f"{path}: non-numeric step value")
     try:
         values = np.array([float(t) for t in tokens[4:]], dtype=np.float64)
     except ValueError as exc:

@@ -2,14 +2,16 @@
 
 These deliberately take different numeric routes than the production
 code (full 2-D kernels through scipy.signal.correlate2d, plain Python
-loops, scalar-weighted accumulation) so that agreement actually checks
-something.
+loops, scalar-weighted accumulation, per-block slices, scalar math) so
+that agreement actually checks something.
 """
+
+import math
 
 import numpy as np
 from scipy.signal import correlate2d
 
-from qpalloc.imageio import RasterImage
+from qpalloc.imageio import BlockGrid, RasterImage
 
 
 def _ref_kernel():
@@ -91,3 +93,22 @@ def noisy_variant(img: RasterImage, sigma: float, seed: int) -> RasterImage:
     rng = np.random.default_rng(seed)
     noisy = img.pixels.astype(np.float64) + rng.normal(0.0, sigma, img.pixels.shape)
     return RasterImage(pixels=np.clip(np.round(noisy), 0, 255).astype(np.uint8))
+
+
+def reference_block_mean_step(values: np.ndarray, grid: BlockGrid) -> np.ndarray:
+    """Mean of the 16-px step cells each block overlaps, one block at a time."""
+    out = np.empty(grid.n_blocks, np.float64)
+    for k in range(grid.n_blocks):
+        by, bx = divmod(k, grid.blocks_x)
+        x0, y0 = bx * grid.block_size, by * grid.block_size
+        x1 = min(x0 + grid.block_size, grid.width)
+        y1 = min(y0 + grid.block_size, grid.height)
+        out[k] = values[y0 // 16:-(-y1 // 16), x0 // 16:-(-x1 // 16)].mean()
+    return out
+
+
+def reference_qp_offset(r: float, beta: float, slope: float, clamp: int) -> int:
+    """One offset through Python floats: round half away from zero, clamp."""
+    raw = slope * 3 * beta * math.log2(r)
+    rounded = int(math.copysign(math.floor(abs(raw) + 0.5), raw))
+    return max(-clamp, min(clamp, rounded))

@@ -39,8 +39,7 @@ def test_c01_qp_offset_fixture_suite():
     start = time.perf_counter()
     assert len(QP_OFFSET_FIXTURES) == 20
     for ratio, beta, slope, clamp, expected in QP_OFFSET_FIXTURES:
-        cfg = AllocConfig(base_qp=32, beta=beta, slope=slope, clamp=clamp)
-        assert qp_offset(ratio, beta, cfg) == expected, (ratio, beta, slope, clamp)
+        assert qp_offset(ratio, beta, slope, clamp) == expected, (ratio, beta, slope, clamp)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(1, "hand-computed QP offsets", f"20 tuples exact in {elapsed:.3f}s")
@@ -89,9 +88,9 @@ def test_c03_ratio_normalization_invariant():
 
 def test_c04_lambda_scale_consistency():
     for d in range(-4, 5):
-        scale = lambda_adapt(d, 3)
+        scale = lambda_adapt(d)
         assert abs(scale - 2.0 ** (d / 3)) <= 1e-12
-        assert abs(scale * lambda_adapt(-d, 3) - 1.0) <= 1e-12
+        assert abs(scale * lambda_adapt(-d) - 1.0) <= 1e-12
     report(4, "lambda scales are consistent powers of two",
            "offsets -4..4, tolerance 1e-12")
 
@@ -158,8 +157,7 @@ def _offsets_allocation(grid, base_qp, dqp):
     return BlockAllocation(
         grid=grid, base_qp=base_qp, qs=np.ones(grid.n_blocks),
         ratio=np.ones(grid.n_blocks), beta=np.full(grid.n_blocks, -1.367),
-        dqp=dqp, qp=base_qp + dqp,
-        lambda_scale=np.array([lambda_adapt(int(d)) for d in dqp]))
+        dqp=dqp)
 
 
 def test_c08_toy_codec_rate_behavior():

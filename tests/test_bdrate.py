@@ -117,9 +117,10 @@ class TestCsv:
 
     def test_bad_row(self, tmp_path):
         path = tmp_path / "curve.csv"
-        path.write_text("rate_bpp,quality\n0.2,30,9\n")
-        with pytest.raises(FormatError, match="row"):
-            read_rd_csv(path)
+        for row in ("0.2,30,9", "0.2,3_0", "+0.2,30"):
+            path.write_text(f"rate_bpp,quality\n{row}\n")
+            with pytest.raises(FormatError, match="row"):
+                read_rd_csv(path)
 
 
 class TestDiagnostics:

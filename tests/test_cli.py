@@ -183,6 +183,29 @@ class TestQpmapCommand:
         assert run("qpmap", "--stepmap", qsmap, "--base-qp", 99,
                    tmp_path / "o.qpmap")[0] == 2
 
+    @pytest.mark.parametrize("flags,code", [
+        (["--slope", "inf"], 2), (["--slope", "nan"], 2),
+        (["--beta", "inf"], 2), (["--beta", "nan"], 2),
+        (["--clamp", "64"], 2), (["--clamp", "-1"], 2),
+        (["--beta", "1e308", "--slope", "8"], 0),
+    ], ids=["slope-inf", "slope-nan", "beta-inf", "beta-nan", "clamp-64", "clamp-neg",
+            "overflow-saturates"])
+    def test_knob_domain(self, run, tmp_path, flags, code):
+        # ratios {4/3, 2/3}; slope * 3 * 1e308 overflows to inf, which
+        # saturates at the clamp instead of failing
+        values = np.ones((4, 8))
+        values[:, 4:] = 2.0
+        qsmap = tmp_path / "two.qsmap"
+        write_qsmap(qsmap, values)
+        out = tmp_path / "o.qpmap"
+        got, _, err = run("qpmap", "--stepmap", qsmap, "--base-qp", 32, *flags, out)
+        assert got == code
+        if code:
+            assert err.startswith("error:")
+            assert not list(tmp_path.glob("o.*"))
+        else:
+            np.testing.assert_array_equal(read_grid_file(out).values[0], [4, -4])
+
     def test_outputs_byte_identical_across_runs(self, run, tmp_path):
         qsmap = tmp_path / "u.qsmap"
         write_qsmap(qsmap, np.linspace(0.5, 3.0, 16).reshape(4, 4))
@@ -337,6 +360,11 @@ class TestSimulateCommand:
         qpmap.write_text(f"QPMAP 1\n1 1 64 32\n{token}\n")
         assert run("simulate", ppm_64, "--qpmap", qpmap, tmp_path / "x")[0] == 2
         assert not list(tmp_path.glob("x.*"))
+        # the same spellings are no real value either: a QSMAP step
+        qsmap = tmp_path / "odd.qsmap"
+        qsmap.write_text(f"QSMAP 1\n1 1\n{token}\n")
+        assert run("qpmap", "--stepmap", qsmap, "--base-qp", 32, tmp_path / "x")[0] == 2
+        assert not list(tmp_path.glob("x*"))
 
     @pytest.mark.parametrize("qp_arg,qpmap_text", [
         (-50, None),

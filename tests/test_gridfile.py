@@ -15,6 +15,7 @@ class TestRoundTrip:
                 values = rng.integers(-4, 4000, (by, bx))
             else:
                 values = rng.uniform(-3.0, 9.0, (by, bx))
+                values[0, 0] = 2.5e16  # repr writes 2.5e+16
             first = tmp_path / f"{tag}_{trial}_a.txt"
             second = tmp_path / f"{tag}_{trial}_b.txt"
             write_grid_file(first, tag, 64, 32, values)
@@ -66,11 +67,20 @@ class TestValidation:
         with pytest.raises(FormatError, match="non-numeric"):
             read_grid_file(path)
 
-    @pytest.mark.parametrize("header,body", [
-        ("1 1 64 32", "1_0"), ("1 1 64 32", "+3"), ("1 1 64 32", "99999999999999999999"),
-        ("1_0 1 64 32", " ".join(["0"] * 10)), ("1 1 6_4 32", "0"), ("1 1 64 +32", "0")])
-    def test_integer_tokens_are_strict(self, tmp_path, header, body):
+    # integer headers and QPMAP values, then LSCALE/BMAP reals, which may
+    # carry an exponent sign but no separator or leading sign
+    STRICT_TOKENS = [
+        ("QPMAP", "1 1 64 32", "1_0"), ("QPMAP", "1 1 64 32", "+3"),
+        ("QPMAP", "1 1 64 32", "99999999999999999999"),
+        ("QPMAP", "1_0 1 64 32", " ".join(["0"] * 10)), ("QPMAP", "1 1 6_4 32", "0"),
+        ("QPMAP", "1 1 64 +32", "0"),
+        ("LSCALE", "1 1 64 32", "1_0.5"), ("LSCALE", "1 1 64 32", "+0.5"),
+        ("BMAP", "2 1 64 0", "1e+3 +1.5"), ("BMAP", "2 1 64 0", "1e+3 -1.0_1")]
+
+    @pytest.mark.parametrize("tag,header,body", STRICT_TOKENS,
+                             ids=[f"{header}-{body}" for _, header, body in STRICT_TOKENS])
+    def test_integer_tokens_are_strict(self, tmp_path, tag, header, body):
         path = tmp_path / "g.txt"
-        path.write_text(f"QPMAP 1\n{header}\n{body}\n")
+        path.write_text(f"{tag} 1\n{header}\n{body}\n")
         with pytest.raises(FormatError):
             read_grid_file(path)

@@ -136,20 +136,19 @@ class TestBlockPartition:
     def test_exact_tiling(self):
         grid = block_partition(128, 128, 64)
         assert (grid.blocks_x, grid.blocks_y) == (2, 2)
-        assert all(grid.block_extent(k)[2:] == (64, 64) for k in range(4))
+        np.testing.assert_array_equal(grid.pixel_counts(), 64 * 64)
 
     def test_partial_edges(self):
         grid = block_partition(100, 80, 64)
         assert (grid.blocks_x, grid.blocks_y) == (2, 2)
         # right column 36 px wide, bottom row 16 px tall
-        assert grid.block_extent(1)[2] == 36
-        assert grid.block_extent(2)[3] == 16
-        assert grid.block_extent(3)[2:] == (36, 16)
+        np.testing.assert_array_equal(grid.pixel_counts(),
+                                      [64 * 64, 36 * 64, 64 * 16, 36 * 16])
 
     def test_identity_case(self):
         grid = block_partition(64, 64, 64)
         assert grid.n_blocks == 1
-        assert grid.block_extent(0) == (0, 0, 64, 64)
+        np.testing.assert_array_equal(grid.pixel_counts(), [64 * 64])
 
     def test_extents_tile_the_frame(self):
         rng = np.random.default_rng(4)
@@ -161,9 +160,10 @@ class TestBlockPartition:
             assert counts.sum() == w * h
             covered = np.zeros((h, w), np.int32)
             for k in range(grid.n_blocks):
-                x0, y0, bw, bh = grid.block_extent(k)
-                covered[y0:y0 + bh, x0:x0 + bw] += 1
-                assert counts[k] == bw * bh
+                by, bx = divmod(k, grid.blocks_x)
+                block = covered[by * b:(by + 1) * b, bx * b:(bx + 1) * b]
+                block += 1
+                assert counts[k] == block.size
             assert np.all(covered == 1)
 
     def test_rejects_degenerate_arguments(self):

@@ -56,14 +56,20 @@ class TestWeightFormat:
         with pytest.raises(FormatError, match="non-finite"):
             load_weights(path)
 
-    @pytest.mark.parametrize("text", [
-        MINIMAL_QSNW1.replace("conv 3 1 1 1", "conv 3 1 1 +1"),
-        MINIMAL_QSNW1.replace("conv 3 1 1 1", "conv 3 1 1 0_1"),
-        "QSNW1\nlayers 1\nresblock 0_1\n" + "0 " * 20])
-    def test_layer_headers_are_strict_integers(self, tmp_path, text):
+    # the last two spell a weight and a bias the way only float() allows
+    STRICT_TOKENS = [
+        (MINIMAL_QSNW1.replace("conv 3 1 1 1", "conv 3 1 1 +1"), "header"),
+        (MINIMAL_QSNW1.replace("conv 3 1 1 1", "conv 3 1 1 0_1"), "header"),
+        ("QSNW1\nlayers 1\nresblock 0_1\n" + "0 " * 20, "header"),
+        (MINIMAL_QSNW1.replace("0.5", "0_5"), "non-numeric"),
+        (MINIMAL_QSNW1.replace("0.0", "+0.0"), "non-numeric")]
+
+    @pytest.mark.parametrize("text,match", STRICT_TOKENS,
+                             ids=[text for text, _ in STRICT_TOKENS])
+    def test_layer_headers_are_strict_integers(self, tmp_path, text, match):
         path = tmp_path / "w.qsnw"
         path.write_text(text)
-        with pytest.raises(FormatError, match="header"):
+        with pytest.raises(FormatError, match=match):
             load_weights(path)
 
     def test_resblock_parse_and_roundtrip(self, tmp_path, fixture_weights):
@@ -223,7 +229,9 @@ class TestInference:
 class TestStepMapFiles:
     def test_round_trip_bytes(self, tmp_path):
         rng = np.random.default_rng(6)
-        step_map = StepMap(values=rng.uniform(0.01, 9.0, (5, 3)))
+        values = rng.uniform(0.01, 9.0, (5, 3))
+        values[0, 0] = 1e16  # repr writes 1e+16
+        step_map = StepMap(values=values)
         first = tmp_path / "a.qsmap"
         second = tmp_path / "b.qsmap"
         write_step_map(step_map, first)
@@ -239,11 +247,18 @@ class TestStepMapFiles:
         with pytest.raises(FormatError, match="expected 4 values"):
             read_step_map(path)
 
-    @pytest.mark.parametrize("dims", ["2_0 1", "+2 1", "2 1_0"])
-    def test_dimensions_are_strict_integers(self, tmp_path, dims):
+    # the last two are good dimensions whose first step values only
+    # float() accepts; an exponent sign is fine
+    STRICT_DIMENSIONS = [("2_0 1", "dimensions"), ("+2 1", "dimensions"),
+                         ("2 1_0", "dimensions"), ("3 7 1_0", "non-numeric"),
+                         ("11 2 1e+1 +1.0", "non-numeric")]
+
+    @pytest.mark.parametrize("dims,match", STRICT_DIMENSIONS,
+                             ids=[dims for dims, _ in STRICT_DIMENSIONS])
+    def test_dimensions_are_strict_integers(self, tmp_path, dims, match):
         path = tmp_path / "bad.qsmap"
         path.write_text(f"QSMAP 1\n{dims}\n" + "1.0 " * 20 + "\n")
-        with pytest.raises(FormatError, match="dimensions"):
+        with pytest.raises(FormatError, match=match):
             read_step_map(path)
 
     def test_nonpositive_values_rejected(self, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.fft import dctn
 
-from qpalloc.alloc import BlockAllocation, lambda_adapt, linearity_fit, block_mean_step
+from qpalloc.alloc import BlockAllocation, linearity_fit, block_mean_step
 from qpalloc.errors import GridMismatchError
 from qpalloc.imageio import block_partition
 from qpalloc.stepnet import StepMap
@@ -18,8 +18,7 @@ def allocation_with_offsets(grid, base_qp, dqp):
     return BlockAllocation(
         grid=grid, base_qp=base_qp,
         qs=np.ones(grid.n_blocks), ratio=np.ones(grid.n_blocks),
-        beta=np.full(grid.n_blocks, -1.367), dqp=dqp, qp=base_qp + dqp,
-        lambda_scale=np.array([lambda_adapt(int(d)) for d in dqp]))
+        beta=np.full(grid.n_blocks, -1.367), dqp=dqp)
 
 
 class TestDct:
@@ -186,11 +185,9 @@ class TestLinearityEcho:
         allocation = allocation_with_offsets(grid, 32, dqp)
         point, _ = encode_image(luma, allocation)
 
-        cells = np.zeros((12, 12))
-        qsteps = np.array([qstep(int(q)) for q in allocation.qp])
-        for k in range(grid.n_blocks):
-            x0, y0, w, h = grid.block_extent(k)
-            cells[y0 // 16:(y0 + h) // 16, x0 // 16:(x0 + w) // 16] = qsteps[k]
+        # each 64-px block covers 4x4 step cells of its quantizer step
+        qsteps = np.array([qstep(int(q)) for q in allocation.qp]).reshape(3, 3)
+        cells = np.repeat(np.repeat(qsteps, 4, axis=0), 4, axis=1)
         qs = block_mean_step(StepMap(values=cells), grid)
 
         report = linearity_fit(point.per_block_bits.astype(np.float64), qs)
