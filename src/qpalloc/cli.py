@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, alloc, bdrate, gridfile, metrics, stepnet, toysim
 from ._fileio import atomic_write_text
 from .errors import GridMismatchError, InferenceError, OutputIOError, OverlapError
-from .imageio import RasterImage, load_ppm, rgb_to_gray, rgb_to_yuv420, save_ppm
+from .imageio import RasterImage, load_ppm, rgb_to_gray, save_ppm
 
 EXIT_BAD_INPUT = 2
 EXIT_INFERENCE = 3
@@ -61,8 +61,11 @@ def _resolve_step_source(args):
         raise ValueError("ambiguous source: give either --stepmap or --image, not both")
     if args.stepmap:
         step_map = stepnet.read_step_map(args.stepmap)
-        width = args.width or step_map.grid_w * stepnet.DOWNSAMPLE_FACTOR
-        height = args.height or step_map.grid_h * stepnet.DOWNSAMPLE_FACTOR
+        width, height = args.width, args.height
+        if width is None:
+            width = step_map.grid_w * stepnet.DOWNSAMPLE_FACTOR
+        if height is None:
+            height = step_map.grid_h * stepnet.DOWNSAMPLE_FACTOR
         return step_map, width, height
     if args.image:
         if not args.weights:
@@ -138,8 +141,7 @@ def _cmd_qpmap(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _luma_image(img: RasterImage) -> RasterImage:
-    plane = rgb_to_yuv420(img).luma
-    return RasterImage(pixels=plane[:, :, None])
+    return RasterImage(pixels=rgb_to_gray(img)[:, :, None])
 
 
 def _cmd_metrics(args) -> int:
@@ -268,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("reference", help="reference PPM")
     p.add_argument("test", help="test PPM")
     p.add_argument("--luma-only", action="store_true",
-                   help="score the 4:2:0 luma plane instead of RGB channels")
+                   help="score the full-range gray plane that simulate encodes "
+                   "instead of RGB channels")
     p.add_argument("--lpips", type=float,
                    help="externally computed LPIPS value to convert to dB")
     p.set_defaults(func=_cmd_metrics)

@@ -3,9 +3,9 @@
 The network maps an RGB image to a positive step map at 1/16 spatial
 resolution: a strided convolutional stem, residual blocks, and a single
 channel head passed through softplus. Weights travel in the text QSNW1
-format. Convolutions run in float32 as one matrix product per kernel
-tap; the same image and weights give byte-identical results run to run
-on one host. The softplus head runs in float64.
+format. Convolutions run in float32 as one matrix product per band of
+output rows; the same image and weights give byte-identical results
+run to run on one host. The softplus head runs in float64.
 
 No trained weights ship with the package. ``make_random_weights`` builds
 a seeded instance of the reference layer plan for tests and demos;
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 DOWNSAMPLE_FACTOR = 16
+_BAND_FLOATS = 1 << 18  # float32 columns per conv2d band, about 1 MB
 
 
 @dataclass(frozen=True)
@@ -252,31 +253,41 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
 
     Output dims are ceil(input/stride); the total pad per axis is
     max((out-1)*stride + k - in, 0) with floor(pad/2) on the leading
-    side. Each kernel tap (row, column) adds one float32 matrix product
-    of its (out, in) weights with the strided input window, taps in
-    row-major order, onto the bias. The same input and layer give
-    byte-identical results run to run on one host.
+    side. The padded input is split into stride x stride flattened phase
+    planes, so each kernel tap over a band of output rows is a contiguous
+    slice; the k*k slices of a band are stacked into a bounded columns
+    buffer for one float32 GEMM with the weights, and the bias is added.
+    The same input and layer give byte-identical results run to run on
+    one host.
     """
     if x.ndim != 3 or x.shape[0] != layer.in_channels:
         raise InferenceError(
             f"channel mismatch: input has {x.shape[0] if x.ndim == 3 else '?'} "
             f"channels, layer expects {layer.in_channels}")
     x = np.asarray(x, dtype=np.float32)
-    _, h, w = x.shape
+    c, h, w = x.shape
     s, k = layer.stride, layer.kernel_size
     out_h, out_w = -(-h // s), -(-w // s)
     pad_h = max((out_h - 1) * s + k - h, 0)
     pad_w = max((out_w - 1) * s + k - w, 0)
-    padded = np.pad(x, ((0, 0), (pad_h // 2, pad_h - pad_h // 2),
-                        (pad_w // 2, pad_w - pad_w // 2)), mode="edge")
-    out = np.empty((layer.out_channels, out_h * out_w), np.float32)
-    out[:] = layer.bias[:, None]
-    for kr in range(k):
-        for kc in range(k):
-            window = padded[:, kr:kr + s * (out_h - 1) + 1:s,
-                            kc:kc + s * (out_w - 1) + 1:s]
-            out += layer.weights[:, :, kr, kc] @ window.reshape(layer.in_channels, -1)
-    return out.reshape(layer.out_channels, out_h, out_w)
+    qh, qw = -(-(h + pad_h) // s), -(-(w + pad_w) // s)  # whole phase planes
+    planes = np.pad(x, ((0, 0), (pad_h // 2, qh * s - h - pad_h // 2),
+                        (pad_w // 2, qw * s - w - pad_w // 2)), mode="edge")
+    planes = planes.reshape(c, qh, s, qw, s).transpose(2, 4, 0, 1, 3).reshape(s, s, c, -1)
+    weights = layer.weights.transpose(0, 2, 3, 1).reshape(layer.out_channels, -1)
+    out = np.empty((layer.out_channels, out_h * qw), np.float32)
+    rows = max(1, min(out_h, _BAND_FLOATS // (k * k * c * qw)))
+    buf = np.empty(k * k * c * ((rows - 1) * qw + out_w), np.float32)
+    for r0 in range(0, out_h, rows):
+        # The band's last row stops at out_w, so no slice reads past a plane.
+        n = (min(rows, out_h - r0) - 1) * qw + out_w
+        cols = buf[:k * k * c * n].reshape(k, k, c, n)
+        for kr, kc in np.ndindex(k, k):
+            off = (kr // s + r0) * qw + kc // s
+            cols[kr, kc] = planes[kr % s, kc % s, :, off:off + n]
+        band = np.matmul(weights, cols.reshape(-1, n), out=out[:, r0 * qw:r0 * qw + n])
+        band += layer.bias[:, None]
+    return out.reshape(layer.out_channels, out_h, qw)[:, :, :out_w]
 
 
 def softplus(x):

@@ -206,6 +206,19 @@ class TestQpmapCommand:
         else:
             np.testing.assert_array_equal(read_grid_file(out).values[0], [4, -4])
 
+    @pytest.mark.parametrize("flags", [["--width", "0"], ["--height", "0"],
+                                       ["--width", "-64"], ["--height", "-1"]],
+                             ids=["width-0", "height-0", "width-neg", "height-neg"])
+    def test_non_positive_frame_size_is_exit_2(self, run, tmp_path, flags):
+        # a zero size used to read as "not given" and fall back to 16 x grid
+        qsmap = tmp_path / "two.qsmap"
+        write_qsmap(qsmap, np.ones((1, 2)))
+        code, out, err = run("qpmap", "--stepmap", qsmap, "--base-qp", 32, *flags,
+                             tmp_path / "o.qpmap")
+        assert (code, out) == (2, "")
+        assert "at least 1" in err
+        assert not list(tmp_path.glob("o.*"))
+
     def test_outputs_byte_identical_across_runs(self, run, tmp_path):
         qsmap = tmp_path / "u.qsmap"
         write_qsmap(qsmap, np.linspace(0.5, 3.0, 16).reshape(4, 4))
@@ -260,6 +273,18 @@ class TestMetricsCommand:
         fields = stdout.strip().split(",")
         assert len(fields) == 4
         assert 0.0 < float(fields[2]) < 1.0
+
+    def test_luma_only_scores_the_encoded_plane(self, run, tmp_path):
+        # scoring limited-range 4:2:0 Y instead gave 33.50 dB here, where
+        # simulate encoded the gray plane at 32.23 dB
+        image = tmp_path / "img.ppm"
+        save_ppm(RasterImage(pixels=textured_pixels(200, 240, seed=4)), image)
+        code, sim_out, _ = run("simulate", image, "--qp", 37, tmp_path / "sim")
+        assert code == 0
+        code, met_out, _ = run("metrics", image, tmp_path / "sim.recon.ppm",
+                               "--luma-only")
+        assert code == 0
+        assert met_out.strip().split(",")[1] == sim_out.split()[3]
 
 
 class TestBdrateCommand:
@@ -386,24 +411,28 @@ class TestSimulateCommand:
 
 
 def test_outputs_byte_identical_across_blas_threads(tmp_path):
-    """stepmap and simulate, each run in fresh processes under one and
-    two OpenBLAS threads, write the same bytes every time."""
+    """stepmap (width 16 and the width-64 reference plan, whose K = 576
+    products BLAS may split across threads) and simulate, each run in
+    fresh processes under one and two OpenBLAS threads, write the same
+    bytes every time."""
     image = tmp_path / "img.ppm"
-    weights = tmp_path / "net.qsnw"
     save_ppm(RasterImage(pixels=textured_pixels(128, 128, seed=21)), image)
-    save_weights(make_random_weights(seed=3, width=16), weights)
+    for width in (16, 64):
+        save_weights(make_random_weights(seed=3, width=width), tmp_path / f"w{width}.qsnw")
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
     def outputs(threads: str, tag: str) -> dict:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
         prefix = tmp_path / tag
-        for argv in (["stepmap", image, weights, f"{prefix}.qsmap"],
+        for argv in (["stepmap", image, tmp_path / "w16.qsnw", f"{prefix}.w16.qsmap"],
+                     ["stepmap", image, tmp_path / "w64.qsnw", f"{prefix}.w64.qsmap"],
                      ["simulate", image, "--qp", "27", prefix]):
             proc = subprocess.run([sys.executable, "-m", "qpalloc.cli", *map(str, argv)],
                                   env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
         return {suffix: Path(f"{prefix}{suffix}").read_bytes()
-                for suffix in (".qsmap", ".rd.csv", ".bits", ".recon.ppm")}
+                for suffix in (".w16.qsmap", ".w64.qsmap", ".rd.csv", ".bits",
+                               ".recon.ppm")}
 
     first = outputs("1", "t1")
     assert outputs("2", "t2a") == first

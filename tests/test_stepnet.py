@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qpalloc import stepnet
 from qpalloc.errors import FormatError, InferenceError
 from qpalloc.imageio import RasterImage
 from qpalloc.stepnet import (ConvLayer, ModelWeights, ResBlock, StepMap, conv2d,
@@ -130,10 +132,30 @@ class TestConv2d:
             out = conv2d(rng.normal(size=(1, h, w)).astype(np.float32), layer)
             assert out.shape == (1, math.ceil(h / s), math.ceil(w / s))
 
-    def test_matches_fixed_order_oracle(self):
+    @staticmethod
+    def _random_layer(rng, c_in, c_out, k, s):
         # Weights scaled by 1/sqrt(fan-in) keep outputs at unit scale.
-        # The matmul form sums the same float32 terms in another order;
-        # over 300 such shapes the worst absolute difference was 7.6e-6.
+        return _conv(rng.normal(0.0, 1.0 / math.sqrt(c_in * k * k),
+                                size=(c_out, c_in, k, k)),
+                     rng.normal(size=c_out), stride=s)
+
+    @staticmethod
+    def _assert_matches_oracle(x, layer):
+        out = conv2d(x, layer)
+        s, k = layer.stride, layer.kernel_size
+        h, w = x.shape[1:]
+        out_h, out_w = out.shape[1:]
+        pad_h = max((out_h - 1) * s + k - h, 0)
+        pad_w = max((out_w - 1) * s + k - w, 0)
+        padded = np.pad(x, ((0, 0), (pad_h // 2, pad_h - pad_h // 2),
+                            (pad_w // 2, pad_w - pad_w // 2)), mode="edge")
+        ref = reference_conv2d(padded, layer.weights, layer.bias, s, out_h, out_w)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, ref, rtol=0, atol=5e-5)
+
+    def test_matches_fixed_order_oracle(self):
+        # The GEMM form sums the same float32 terms in another order;
+        # over 600 such shapes the worst absolute difference was 8.1e-6.
         rng = np.random.default_rng(2)
         for _ in range(30):
             k = int(rng.choice([1, 3, 5]))
@@ -142,18 +164,44 @@ class TestConv2d:
             c_out = int(rng.integers(1, 9))
             h, w = (int(v) for v in rng.integers(1, 40, 2))
             x = rng.normal(size=(c_in, h, w)).astype(np.float32)
-            layer = _conv(rng.normal(0.0, 1.0 / math.sqrt(c_in * k * k),
-                                     size=(c_out, c_in, k, k)),
-                          rng.normal(size=c_out), stride=s)
-            out = conv2d(x, layer)
-            out_h, out_w = out.shape[1:]
-            pad_h = max((out_h - 1) * s + k - h, 0)
-            pad_w = max((out_w - 1) * s + k - w, 0)
-            padded = np.pad(x, ((0, 0), (pad_h // 2, pad_h - pad_h // 2),
-                                (pad_w // 2, pad_w - pad_w // 2)), mode="edge")
-            ref = reference_conv2d(padded, layer.weights, layer.bias, s, out_h, out_w)
-            assert out.dtype == np.float32
-            np.testing.assert_allclose(out, ref, rtol=0, atol=5e-5)
+            self._assert_matches_oracle(x, self._random_layer(rng, c_in, c_out, k, s))
+
+    # (c_in, k, stride, h, w): many bands with a ragged last one; k < stride;
+    # single-pixel and single-row inputs
+    EDGE_SHAPES = [(64, 3, 1, 70, 90), (64, 5, 2, 70, 90), (5, 1, 4, 13, 18),
+                   (3, 3, 1, 1, 1), (4, 3, 2, 1, 1), (4, 5, 1, 1, 1),
+                   (3, 3, 1, 1, 17), (6, 3, 2, 1, 17), (2, 1, 4, 1, 9)]
+
+    @pytest.mark.parametrize("c_in,k,s,h,w", EDGE_SHAPES)
+    def test_edge_shapes_match_oracle(self, c_in, k, s, h, w):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(c_in, h, w)).astype(np.float32)
+        self._assert_matches_oracle(x, self._random_layer(rng, c_in, 8, k, s))
+
+    @pytest.mark.parametrize("c_in,k,s,h,w", EDGE_SHAPES[:2])
+    def test_wide_shapes_span_ragged_bands(self, c_in, k, s, h, w):
+        # Keeps the first two EDGE_SHAPES meaningful if the band budget moves.
+        out_h, out_w = -(-h // s), -(-w // s)
+        pitch = -(-max((out_w - 1) * s + k, w) // s)  # phase-plane row pitch
+        rows = max(1, stepnet._BAND_FLOATS // (k * k * c_in * pitch))
+        assert -(-out_h // rows) >= 3 and out_h % rows
+
+    def test_peak_memory_is_bounded_by_the_band_budget(self):
+        # The columns buffer is bounded, so a call holds the padded input,
+        # the output with its pitch columns and little more. A per-tap
+        # window copy plus its matmul temporary would add two outputs.
+        c, n, k = 64, 256, 3
+        layer = _conv(np.zeros((c, c, k, k)), np.zeros(c), stride=1)
+        x = np.zeros((c, n, n), np.float32)
+        pitch = n + k - 1
+        bound = 4 * (c * pitch * pitch + c * n * pitch + 3 * stepnet._BAND_FLOATS)
+        tracemalloc.start()
+        try:
+            conv2d(x, layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestSoftplus:
