@@ -14,14 +14,12 @@ from .alloc import (AllocConfig, BlockAllocation, LinearityReport,
                     bit_ratios, block_mean_step, build_allocation,
                     lambda_adapt, linearity_fit, qp_offset)
 from .bdrate import RdCurve, bd_quality, bd_rate
-from .imageio import (BlockGrid, RasterImage, YuvFrame, block_partition,
-                      load_ppm, rgb_to_gray, rgb_to_yuv420, save_ppm,
-                      write_yuv420)
+from .imageio import BlockGrid, RasterImage, load_ppm, rgb_to_gray, save_ppm
 from .metrics import MetricReport, lpips_to_db, metric_report, ms_ssim, psnr, ssim
 from .stepnet import (ModelWeights, StepMap, infer_step_map, load_weights,
                       make_random_weights, read_step_map, save_weights,
                       softplus, write_step_map)
-from .toysim import RdPoint, encode_image, golomb_bits
+from .toysim import RdPoint, encode_image
 
 __all__ = [
     "__version__",
@@ -29,11 +27,10 @@ __all__ = [
     "bit_ratios", "block_mean_step", "build_allocation",
     "lambda_adapt", "linearity_fit", "qp_offset",
     "RdCurve", "bd_quality", "bd_rate",
-    "BlockGrid", "RasterImage", "YuvFrame", "block_partition",
-    "load_ppm", "rgb_to_gray", "rgb_to_yuv420", "save_ppm", "write_yuv420",
+    "BlockGrid", "RasterImage", "load_ppm", "rgb_to_gray", "save_ppm",
     "MetricReport", "lpips_to_db", "metric_report", "ms_ssim", "psnr", "ssim",
     "ModelWeights", "StepMap", "infer_step_map", "load_weights",
     "make_random_weights", "read_step_map", "save_weights",
     "softplus", "write_step_map",
-    "RdPoint", "encode_image", "golomb_bits",
+    "RdPoint", "encode_image",
 ]

@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import GridMismatchError
-from .imageio import BlockGrid, block_partition
+from .imageio import BlockGrid
 from .stepnet import DOWNSAMPLE_FACTOR, StepMap
 
 __all__ = ["AllocConfig", "BlockAllocation", "LinearityReport",
@@ -173,7 +173,7 @@ def _beta_per_block(beta, grid: BlockGrid) -> np.ndarray:
 def build_allocation(step_map: StepMap, width: int, height: int,
                      cfg: AllocConfig) -> BlockAllocation:
     """Full chain from step map to per-block QP offsets and scales."""
-    grid = block_partition(width, height, BLOCK_SIZE)
+    grid = BlockGrid(width, height, BLOCK_SIZE)
     qs = block_mean_step(step_map, grid)
     ratio = bit_ratios(qs, grid)
     beta = _beta_per_block(cfg.beta, grid)

@@ -9,6 +9,7 @@ converts the mean log-rate gap into a percentage:
 
 bd_quality is the dual: quality fitted as a cubic in log10(rate),
 integrated over the shared log-rate span, returned as a mean difference.
+This is Bjontegaard's cubic measure (VCEG-M33, 2001).
 A monotone piecewise-cubic mode ("pchip") is available for comparison
 with spreadsheet-style tooling.
 """
@@ -16,7 +17,7 @@ with spreadsheet-style tooling.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from ._fileio import lax_reals
 from .errors import CurveError, FormatError, OverlapError
 
 __all__ = ["RdCurve", "bd_rate", "bd_quality", "quality_overlap",
-           "read_rd_csv", "read_rd_rows", "cubic_fit_residuals"]
+           "read_rd_csv", "read_rd_rows"]
 
 METRIC_TAGS = ("psnr", "ssim", "msssim", "lpips_db")
 
@@ -95,38 +96,19 @@ def read_rd_csv(path: str | os.PathLike, metric_tag: str = "psnr") -> RdCurve:
     return RdCurve(rates=rates, qualities=qualities, metric_tag=metric_tag)
 
 
-@dataclass(frozen=True)
-class _CubicFit:
-    coeffs: np.ndarray  # c0..c3 in the scaled variable u
-    center: float
-    half_range: float
-    residuals: np.ndarray = field(repr=False)
+def _cubic_mean(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
+    """Mean of the least-squares cubic y(x) over [lo, hi], in closed form.
 
-    def integrate(self, lo: float, hi: float) -> float:
-        """Closed-form integral of the cubic between lo and hi (x units)."""
-        anti = np.concatenate(([0.0], self.coeffs / np.arange(1, 5)))
-
-        def eval_anti(x: float) -> float:
-            u = (x - self.center) / self.half_range
-            return float(np.polyval(anti[::-1], u))
-
-        return (eval_anti(hi) - eval_anti(lo)) * self.half_range
-
-
-def _fit_cubic(x: np.ndarray, y: np.ndarray) -> _CubicFit:
+    The fit runs on x centered and scaled to [-1, 1]; the cubic's
+    antiderivative is evaluated at both ends in the same scaled variable.
+    """
     center = float((x.min() + x.max()) / 2.0)
     half_range = float((x.max() - x.min()) / 2.0)
-    u = (x - center) / half_range
-    vander = np.vander(u, 4, increasing=True)
-    gram = vander.T @ vander
-    coeffs = np.linalg.solve(gram, vander.T @ y)
-    return _CubicFit(coeffs=coeffs, center=center, half_range=half_range,
-                     residuals=y - vander @ coeffs)
-
-
-def cubic_fit_residuals(curve: RdCurve) -> np.ndarray:
-    """Residuals of the log-rate cubic fit, for diagnosing poor curves."""
-    return _fit_cubic(curve.qualities, np.log10(curve.rates)).residuals
+    vander = np.vander((x - center) / half_range, 4, increasing=True)
+    coeffs = np.linalg.solve(vander.T @ vander, vander.T @ y)
+    anti = np.concatenate(([0.0], coeffs / np.arange(1, 5)))[::-1]
+    at_lo, at_hi = np.polyval(anti, (np.array([lo, hi]) - center) / half_range)
+    return float(at_hi - at_lo) * half_range / (hi - lo)
 
 
 def quality_overlap(anchor: RdCurve, test: RdCurve) -> tuple[float, float]:
@@ -144,7 +126,7 @@ def quality_overlap(anchor: RdCurve, test: RdCurve) -> tuple[float, float]:
 def _mean_curve_value(x: np.ndarray, y: np.ndarray, lo: float, hi: float,
                       mode: str) -> float:
     if mode == "cubic":
-        return _fit_cubic(x, y).integrate(lo, hi) / (hi - lo)
+        return _cubic_mean(x, y, lo, hi)
     if mode == "pchip":
         from scipy.interpolate import PchipInterpolator
         return float(PchipInterpolator(x, y).integrate(lo, hi)) / (hi - lo)

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, alloc, bdrate, gridfile, metrics, stepnet, toysim
 from ._fileio import atomic_write_text
 from .errors import GridMismatchError, InferenceError, OutputIOError, OverlapError
-from .imageio import RasterImage, load_ppm, rgb_to_gray, save_ppm
+from .imageio import BlockGrid, RasterImage, load_ppm, rgb_to_gray, save_ppm
 
 EXIT_BAD_INPUT = 2
 EXIT_INFERENCE = 3
@@ -70,6 +70,9 @@ def _resolve_step_source(args):
     if args.image:
         if not args.weights:
             raise ValueError("--image also needs --weights")
+        if args.width is not None or args.height is not None:
+            raise ValueError("--width/--height apply to --stepmap only; "
+                             "--image takes the frame size from the image")
         img = load_ppm(args.image)
         weights = stepnet.load_weights(args.weights)
         return stepnet.infer_step_map(img, weights), img.width, img.height
@@ -86,7 +89,7 @@ def _cmd_qpmap(args) -> int:
     cfg = alloc.AllocConfig(base_qp=args.base_qp, beta=beta, slope=args.slope,
                             clamp=args.clamp)
     if args.beta_map:
-        expected = alloc.block_partition(width, height, alloc.BLOCK_SIZE)
+        expected = BlockGrid(width, height, alloc.BLOCK_SIZE)
         if (bmap.blocks_x, bmap.blocks_y, bmap.block_size) != \
                 (expected.blocks_x, expected.blocks_y, expected.block_size):
             raise GridMismatchError(
@@ -197,7 +200,7 @@ def _cmd_simulate(args) -> int:
         if args.qp is not None and args.qp != base_qp:
             raise ValueError(
                 f"--qp {args.qp} conflicts with {args.qpmap} base QP {base_qp}")
-        grid = alloc.block_partition(img.width, img.height, qpm.block_size)
+        grid = BlockGrid(img.width, img.height, qpm.block_size)
         if (grid.blocks_x, grid.blocks_y) != (qpm.blocks_x, qpm.blocks_y):
             raise GridMismatchError(
                 f"{args.qpmap}: grid {qpm.blocks_x}x{qpm.blocks_y} does not "
@@ -211,7 +214,7 @@ def _cmd_simulate(args) -> int:
     else:
         base_qp = args.qp if args.qp is not None else 32
         point, recon = toysim.encode_image(luma, base_qp)
-        grid = alloc.block_partition(img.width, img.height)
+        grid = BlockGrid(img.width, img.height, alloc.BLOCK_SIZE)
 
     csv_path = args.out_prefix + ".rd.csv"
     bits_path = args.out_prefix + ".bits"

@@ -1,8 +1,9 @@
-"""Image loading, color conversion, and block partitioning.
+"""PPM image I/O, the gray plane the toy codec encodes, and the block grid.
 
-Only binary PPM (P6, maxval 255) is accepted as input. The YUV 4:2:0
-conversion is BT.601 limited range with fixed coefficients and half-up
-rounding, so outputs are bit-exact across platforms.
+Only binary PPM (P6, maxval 255) is read or written. The gray plane is
+full-range BT.601 luma with fixed coefficients and half-up rounding, so
+it is bit-exact across platforms. BlockGrid tiles a frame into the
+row-major blocks that QP maps, beta maps and bit counts are laid out on.
 """
 
 from __future__ import annotations
@@ -17,14 +18,10 @@ from .errors import FormatError
 
 __all__ = [
     "RasterImage",
-    "YuvFrame",
     "BlockGrid",
     "load_ppm",
     "save_ppm",
-    "rgb_to_yuv420",
     "rgb_to_gray",
-    "write_yuv420",
-    "block_partition",
 ]
 
 
@@ -54,26 +51,6 @@ class RasterImage:
     @property
     def channels(self) -> int:
         return self.pixels.shape[2]
-
-    @property
-    def samples(self) -> np.ndarray:
-        """Row-major interleaved view of the sample values."""
-        return self.pixels.reshape(-1)
-
-
-@dataclass(frozen=True)
-class YuvFrame:
-    """Planar 4:2:0 frame, limited range (Y in [16,235], C in [16,240])."""
-
-    luma: np.ndarray
-    chroma_u: np.ndarray
-    chroma_v: np.ndarray
-
-    def __post_init__(self):
-        h, w = self.luma.shape
-        ch, cw = (h + 1) // 2, (w + 1) // 2
-        if self.chroma_u.shape != (ch, cw) or self.chroma_v.shape != (ch, cw):
-            raise ValueError("chroma planes must be ceil(dims/2) of the luma plane")
 
 
 @dataclass(frozen=True)
@@ -107,15 +84,6 @@ class BlockGrid:
         hs = np.minimum(self.block_size,
                         self.height - np.arange(self.blocks_y) * self.block_size)
         return (hs[:, None] * ws[None, :]).reshape(-1).astype(np.int64)
-
-
-def block_partition(width: int, height: int, block_size: int = 64) -> BlockGrid:
-    """Tile a width x height frame into a row-major grid of blocks."""
-    return BlockGrid(width=width, height=height, block_size=block_size)
-
-
-def _round_half_up(x: np.ndarray) -> np.ndarray:
-    return np.floor(x + 0.5)
 
 
 def load_ppm(path: str | os.PathLike) -> RasterImage:
@@ -180,50 +148,14 @@ def save_ppm(img: RasterImage, path: str | os.PathLike) -> None:
 
 
 def rgb_to_gray(img: RasterImage) -> np.ndarray:
-    """Full-range luma plane: round(0.299 R + 0.587 G + 0.114 B).
+    """Full-range luma plane: round(0.299 R + 0.587 G + 0.114 B), half up.
 
-    This is the plane fed to the toy codec; black maps to 0, unlike the
-    limited-range Y of rgb_to_yuv420.
+    This is the plane the toy codec encodes and the one that
+    metrics --luma-only scores; black maps to 0 and white to 255. A
+    single-channel image gives a copy of its one plane.
     """
     if img.channels == 1:
         return img.pixels[:, :, 0].copy()
     p = img.pixels.astype(np.float64)
     y = 0.299 * p[:, :, 0] + 0.587 * p[:, :, 1] + 0.114 * p[:, :, 2]
-    return np.clip(_round_half_up(y), 0, 255).astype(np.uint8)
-
-
-def rgb_to_yuv420(img: RasterImage) -> YuvFrame:
-    """BT.601 limited-range 4:2:0 conversion.
-
-    Y = 16 + (65.481 R + 128.553 G + 24.966 B) / 255, chroma analogous;
-    chroma is box-averaged 2x2 at full precision, then everything is
-    rounded half-up and clipped to [16,235] / [16,240].
-    """
-    if img.channels != 3:
-        raise ValueError("rgb_to_yuv420 requires a 3-channel image")
-    p = img.pixels.astype(np.float64)
-    r, g, b = p[:, :, 0], p[:, :, 1], p[:, :, 2]
-    y = 16.0 + (65.481 * r + 128.553 * g + 24.966 * b) / 255.0
-    u = 128.0 + (-37.797 * r - 74.203 * g + 112.0 * b) / 255.0
-    v = 128.0 + (112.0 * r - 93.786 * g - 18.214 * b) / 255.0
-
-    luma = np.clip(_round_half_up(y), 16, 235).astype(np.uint8)
-    cu = np.clip(_round_half_up(_box_down2(u)), 16, 240).astype(np.uint8)
-    cv = np.clip(_round_half_up(_box_down2(v)), 16, 240).astype(np.uint8)
-    return YuvFrame(luma=luma, chroma_u=cu, chroma_v=cv)
-
-
-def _box_down2(plane: np.ndarray) -> np.ndarray:
-    """2x2 box average; odd edges replicate, which equals averaging the
-    samples that exist."""
-    h, w = plane.shape
-    if h % 2 or w % 2:
-        plane = np.pad(plane, ((0, h % 2), (0, w % 2)), mode="edge")
-    return (plane[0::2, 0::2] + plane[0::2, 1::2]
-            + plane[1::2, 0::2] + plane[1::2, 1::2]) / 4.0
-
-
-def write_yuv420(frame: YuvFrame, path: str | os.PathLike) -> None:
-    """Planar 8-bit Y, U, V, each row-major, concatenated."""
-    atomic_write_bytes(path, frame.luma.tobytes()
-                       + frame.chroma_u.tobytes() + frame.chroma_v.tobytes())
+    return np.clip(np.floor(y + 0.5), 0, 255).astype(np.uint8)

@@ -141,14 +141,17 @@ def ms_ssim(a: RasterImage, b: RasterImage) -> float:
 
 
 def lpips_to_db(v: float) -> float:
-    """-10 * log10(v); smaller perceptual distances score more dB."""
-    if v <= 0:
-        raise ValueError(f"LPIPS value must be positive, got {v}")
+    """-10 * log10(v); smaller perceptual distances score more dB.
+
+    v must be finite and positive; anything else raises ValueError.
+    """
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"LPIPS value must be finite and positive, got {v}")
     return -10.0 * math.log10(v)
 
 
 def metric_report(a: RasterImage, b: RasterImage,
                   lpips: float | None = None) -> MetricReport:
-    return MetricReport(
-        psnr=psnr(a, b), ms_ssim=ms_ssim(a, b), ssim=ssim(a, b),
-        lpips_db=None if lpips is None else lpips_to_db(lpips))
+    lpips_db = None if lpips is None else lpips_to_db(lpips)  # reject before scoring
+    return MetricReport(psnr=psnr(a, b), ms_ssim=ms_ssim(a, b), ssim=ssim(a, b),
+                        lpips_db=lpips_db)

@@ -19,21 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import BlockAllocation
+from .alloc import BLOCK_SIZE, BlockAllocation
 from .errors import GridMismatchError
-from .imageio import BlockGrid, block_partition
+from .imageio import BlockGrid
 
-__all__ = [
-    "RdPoint",
-    "TU_SIZE",
-    "dct8_forward",
-    "dct8_inverse",
-    "qstep",
-    "quantize",
-    "dequantize",
-    "golomb_bits",
-    "encode_image",
-]
+__all__ = ["RdPoint", "encode_image"]
 
 TU_SIZE = 8
 
@@ -59,53 +49,13 @@ class RdPoint:
     per_block_bits: np.ndarray
 
 
-def dct8_forward(block: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of one 8x8 block."""
-    block = np.asarray(block, np.float64)
-    if block.shape != (TU_SIZE, TU_SIZE):
-        raise ValueError(f"expected an 8x8 block, got {block.shape}")
-    return DCT_BASIS @ block @ DCT_BASIS.T
-
-
-def dct8_inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of dct8_forward (the transposed transform)."""
-    coeffs = np.asarray(coeffs, np.float64)
-    if coeffs.shape != (TU_SIZE, TU_SIZE):
-        raise ValueError(f"expected an 8x8 block, got {coeffs.shape}")
-    return DCT_BASIS.T @ coeffs @ DCT_BASIS
-
-
-def qstep(qp: int) -> float:
-    """Quantization step 2^((qp-4)/6): six QP steps double the step."""
-    # np.power keeps this bit-identical with the vectorized encode path
-    return float(np.power(2.0, (qp - 4) / 6.0))
-
-
-def quantize(coeff: float, qp: int) -> int:
-    """Level index: coeff / Q(qp), rounded half away from zero."""
-    q = qstep(qp)
-    return int(math.copysign(math.floor(abs(coeff) / q + 0.5), coeff))
-
-
-def dequantize(level: int, qp: int) -> float:
-    return level * qstep(qp)
-
-
-def golomb_bits(level: int) -> int:
-    """Order-0 exp-Golomb code length of a signed level.
-
-    Levels map to m = 2*level-1 (positive) or -2*level (otherwise), so
-    m(0) = 0 and the code costs 2*floor(log2(m+1)) + 1 bits.
-    """
-    m = 2 * level - 1 if level > 0 else -2 * level
-    return 2 * ((m + 1).bit_length() - 1) + 1
-
-
 def _code_blocks(coeffs: np.ndarray, qsteps: np.ndarray):
     """Quantize each 8x8 coefficient block, returning (bits, dequantized).
 
-    Levels round half away from zero; each level costs golomb_bits(level),
-    computed exactly from the frexp exponent of m + 1.
+    Levels round half away from zero. Each level costs its order-0
+    exp-Golomb length 2*floor(log2(m+1)) + 1, where m = 2*level-1 for a
+    positive level and -2*level otherwise; floor(log2(m+1)) is taken
+    exactly from the frexp exponent of m + 1.
     """
     q = qsteps[:, None, None]
     levels = np.copysign(np.floor(np.abs(coeffs) / q + 0.5), coeffs)
@@ -124,7 +74,7 @@ def _qp_grid(plane_shape: tuple[int, int], qp_map) -> tuple[BlockGrid, np.ndarra
                 f"QP map covers {grid.width}x{grid.height}, plane is {w}x{h}")
         qp = np.asarray(qp_map.qp, np.int64).reshape(grid.blocks_y, grid.blocks_x)
         return grid, qp
-    grid = block_partition(w, h)
+    grid = BlockGrid(w, h, BLOCK_SIZE)
     return grid, np.full((grid.blocks_y, grid.blocks_x), int(qp_map), np.int64)
 
 

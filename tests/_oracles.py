@@ -3,7 +3,9 @@
 These deliberately take different numeric routes than the production
 code (full 2-D kernels through scipy.signal.correlate2d, plain Python
 loops, scalar-weighted accumulation, per-block slices, scalar math) so
-that agreement actually checks something.
+that agreement actually checks something. The toy codec's oracle works
+one 8x8 unit and one coefficient at a time through the scalar helpers
+dct8_forward, quantize, golomb_bits, dequantize and dct8_inverse.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 from scipy.signal import correlate2d
 
 from qpalloc.imageio import BlockGrid, RasterImage
+from qpalloc.toysim import DCT_BASIS
 
 
 def _ref_kernel():
@@ -112,3 +115,69 @@ def reference_qp_offset(r: float, beta: float, slope: float, clamp: int) -> int:
     raw = slope * 3 * beta * math.log2(r)
     rounded = int(math.copysign(math.floor(abs(raw) + 0.5), raw))
     return max(-clamp, min(clamp, rounded))
+
+
+def dct8_forward(block: np.ndarray) -> np.ndarray:
+    """Orthonormal 2-D DCT-II of one 8x8 block."""
+    block = np.asarray(block, np.float64)
+    if block.shape != (8, 8):
+        raise ValueError(f"expected an 8x8 block, got {block.shape}")
+    return DCT_BASIS @ block @ DCT_BASIS.T
+
+
+def dct8_inverse(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of dct8_forward (the transposed transform)."""
+    coeffs = np.asarray(coeffs, np.float64)
+    if coeffs.shape != (8, 8):
+        raise ValueError(f"expected an 8x8 block, got {coeffs.shape}")
+    return DCT_BASIS.T @ coeffs @ DCT_BASIS
+
+
+def qstep(qp: int) -> float:
+    """Quantization step 2^((qp-4)/6): six QP steps double the step."""
+    # np.power keeps this bit-identical with the vectorized encode path
+    return float(np.power(2.0, (qp - 4) / 6.0))
+
+
+def quantize(coeff: float, qp: int) -> int:
+    """Level index: coeff / Q(qp), rounded half away from zero."""
+    q = qstep(qp)
+    return int(math.copysign(math.floor(abs(coeff) / q + 0.5), coeff))
+
+
+def dequantize(level: int, qp: int) -> float:
+    return level * qstep(qp)
+
+
+def golomb_bits(level: int) -> int:
+    """Order-0 exp-Golomb code length of a signed level.
+
+    Levels map to m = 2*level-1 (positive) or -2*level (otherwise), so
+    m(0) = 0 and the code costs 2*floor(log2(m+1)) + 1 bits.
+    """
+    m = 2 * level - 1 if level > 0 else -2 * level
+    return 2 * ((m + 1).bit_length() - 1) + 1
+
+
+def reference_encode(luma: np.ndarray, qp_blocks: np.ndarray):
+    """(per-block bits, reconstruction) of the toy codec, one unit at a time.
+
+    The plane is edge-padded to whole 8x8 units; each unit takes the QP
+    of the 64-px block holding its top-left pixel and is coded
+    coefficient by coefficient, and the reconstruction is rounded half
+    up and clipped.
+    """
+    h, w = luma.shape
+    plane = np.pad(luma.astype(np.float64), ((0, -h % 8), (0, -w % 8)), mode="edge")
+    bits = np.zeros(qp_blocks.shape, np.int64)
+    recon = np.empty_like(plane)
+    for y in range(0, plane.shape[0], 8):
+        for x in range(0, plane.shape[1], 8):
+            by, bx = y // 64, x // 64
+            qp = int(qp_blocks[by, bx])
+            levels = [quantize(c, qp) for c in dct8_forward(plane[y:y + 8, x:x + 8]).flat]
+            bits[by, bx] += sum(golomb_bits(level) for level in levels)
+            dequant = np.reshape([dequantize(level, qp) for level in levels], (8, 8))
+            recon[y:y + 8, x:x + 8] = dct8_inverse(dequant)
+    recon = np.clip(np.floor(recon[:h, :w] + 0.5), 0, 255).astype(np.uint8)
+    return bits.reshape(-1), recon

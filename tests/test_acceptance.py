@@ -20,7 +20,7 @@ from qpalloc.alloc import (AllocConfig, BlockAllocation, bit_ratios,
 from qpalloc.bdrate import RdCurve, bd_quality, bd_rate
 from qpalloc.cli import main
 from qpalloc.gridfile import read_grid_file, write_grid_file
-from qpalloc.imageio import RasterImage, block_partition, save_ppm
+from qpalloc.imageio import BlockGrid, RasterImage, save_ppm
 from qpalloc.metrics import ms_ssim, ssim
 from qpalloc.stepnet import (StepMap, infer_step_map, make_random_weights,
                              read_step_map, save_weights, write_step_map)
@@ -72,7 +72,7 @@ def test_c03_ratio_normalization_invariant():
     for _ in range(1000):
         width = int(rng.integers(1, 700))
         height = int(rng.integers(1, 700))
-        grid = block_partition(width, height, 64)
+        grid = BlockGrid(width, height, 64)
         grid_w = -(-width // 16)
         grid_h = -(-height // 16)
         step_map = StepMap(values=rng.uniform(1e-3, 30.0, (grid_h, grid_w)))
@@ -169,7 +169,7 @@ def test_c08_toy_codec_rate_behavior():
             (seed, totals)
 
     luma = textured_pixels(128, 128, seed=9)[:, :, 0].copy()
-    grid = block_partition(128, 128, 64)
+    grid = BlockGrid(128, 128, 64)
     base_point, _ = encode_image(luma, _offsets_allocation(grid, 32, [0, 0, 0, 0]))
     for target in range(4):
         dqp = np.zeros(4, np.int64)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qpalloc.bdrate import (RdCurve, bd_quality, bd_rate, cubic_fit_residuals,
-                            quality_overlap, read_rd_csv)
+from qpalloc.bdrate import (RdCurve, bd_quality, bd_rate, quality_overlap,
+                            read_rd_csv)
 from qpalloc.errors import CurveError, FormatError, OverlapError
 
 
@@ -124,12 +124,6 @@ class TestCsv:
 
 
 class TestDiagnostics:
-    def test_residuals_have_curve_length(self):
-        res = cubic_fit_residuals(curve(RATES, QUALS))
-        assert res.shape == (4,)
-        # cubic through 4 points interpolates them
-        np.testing.assert_allclose(res, 0.0, atol=1e-9)
-
     def test_overlap_reported(self):
         lo, hi = quality_overlap(curve(RATES, QUALS),
                                  curve(RATES, [31.0, 34.0, 36.0, 39.0]))

@@ -123,6 +123,18 @@ class TestQpmapCommand:
         assert code == 2
         assert "ambiguous" in err
 
+    @pytest.mark.parametrize("flags", [["--width", "1000", "--height", "0"],
+                                       ["--height", "-5"], ["--width", "64"]],
+                             ids=["width-1000-height-0", "height-neg", "width-match"])
+    def test_frame_size_with_image_is_exit_2(self, run, tmp_path, ppm_64,
+                                              weights_file, flags):
+        # the image fixes the frame; these flags used to be ignored silently
+        code, out, err = run("qpmap", "--image", ppm_64, "--weights", weights_file,
+                             "--base-qp", 32, *flags, tmp_path / "o.qpmap")
+        assert (code, out) == (2, "")
+        assert "--stepmap only" in err
+        assert not list(tmp_path.glob("o.*"))
+
     def test_source_required(self, run, tmp_path):
         code, _, _ = run("qpmap", "--base-qp", 32, tmp_path / "o.qpmap")
         assert code == 2
@@ -249,6 +261,12 @@ class TestMetricsCommand:
         code, stdout, _ = run("metrics", ppm_192, ppm_192, "--lpips", "0.1")
         assert code == 0
         assert stdout.strip().endswith("inf,1.0,1.0,10.0")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_lpips_out_of_domain_is_exit_2(self, run, ppm_192, value):
+        code, stdout, err = run("metrics", ppm_192, ppm_192, "--lpips", value)
+        assert (code, stdout) == (2, "")
+        assert "finite and positive" in err
 
     def test_dimension_mismatch(self, run, tmp_path, ppm_192):
         other = tmp_path / "other.ppm"
@@ -437,3 +455,15 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path):
     first = outputs("1", "t1")
     assert outputs("2", "t2a") == first
     assert outputs("2", "t2b") == first
+
+
+def test_import_leaves_scipy_unloaded():
+    """Every command starts a process that imports qpalloc and qpalloc.cli;
+    scipy (about 0.5 s of start-up) loads only for bdrate --interp pchip."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    code = ("import sys, qpalloc, qpalloc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from qpalloc.errors import FormatError
-from qpalloc.imageio import (BlockGrid, RasterImage, block_partition, load_ppm,
-                             rgb_to_gray, rgb_to_yuv420, save_ppm, write_yuv420)
+from qpalloc.imageio import BlockGrid, RasterImage, load_ppm, rgb_to_gray, save_ppm
 
 
 def ppm_bytes(width, height, payload):
@@ -23,7 +22,7 @@ class TestPpm:
         path = tmp_path / "four.ppm"
         path.write_bytes(ppm_bytes(2, 2, payload))
         img = load_ppm(path)
-        assert img.samples.tolist() == payload
+        assert img.pixels.reshape(-1).tolist() == payload
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "gray.pgm"
@@ -69,55 +68,6 @@ class TestPpm:
         assert first.read_bytes() == second.read_bytes()
 
 
-class TestYuv420:
-    @pytest.mark.parametrize("rgb,expected_y", [
-        ((0, 0, 0), 16), ((255, 255, 255), 235), ((128, 128, 128), 126)])
-    def test_primaries(self, rgb, expected_y):
-        pixels = np.full((4, 4, 3), rgb, np.uint8)
-        frame = rgb_to_yuv420(RasterImage(pixels=pixels))
-        assert np.all(frame.luma == expected_y)
-        assert np.all(frame.chroma_u == 128)
-        assert np.all(frame.chroma_v == 128)
-
-    def test_single_channel_rejected(self):
-        img = RasterImage(pixels=np.zeros((4, 4, 1), np.uint8))
-        with pytest.raises(ValueError):
-            rgb_to_yuv420(img)
-
-    def test_legal_range_for_random_inputs(self):
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            h, w = rng.integers(1, 40, 2)
-            img = RasterImage(pixels=rng.integers(0, 256, (h, w, 3)).astype(np.uint8))
-            frame = rgb_to_yuv420(img)
-            assert frame.luma.min() >= 16 and frame.luma.max() <= 235
-            for plane in (frame.chroma_u, frame.chroma_v):
-                assert plane.shape == ((h + 1) // 2, (w + 1) // 2)
-                assert plane.min() >= 16 and plane.max() <= 240
-
-    def test_odd_edge_chroma_averages_available_samples(self):
-        # 1x3 row: the last chroma sample covers only one source column
-        pixels = np.zeros((1, 3, 3), np.uint8)
-        pixels[0, 0] = (255, 0, 0)
-        pixels[0, 1] = (0, 0, 255)
-        pixels[0, 2] = (0, 255, 0)
-        frame = rgb_to_yuv420(RasterImage(pixels=pixels))
-        u = 128 + np.array([-37.797 * 255, 112.0 * 255, -74.203 * 255]) / 255
-        assert frame.chroma_u[0, 0] == int(np.floor((u[0] + u[1]) / 2 + 0.5))
-        assert frame.chroma_u[0, 1] == int(np.floor(u[2] + 0.5))
-
-    def test_planar_file_layout(self, tmp_path):
-        rng = np.random.default_rng(3)
-        img = RasterImage(pixels=rng.integers(0, 256, (6, 4, 3)).astype(np.uint8))
-        frame = rgb_to_yuv420(img)
-        path = tmp_path / "out.yuv"
-        write_yuv420(frame, path)
-        data = path.read_bytes()
-        assert data == (frame.luma.tobytes() + frame.chroma_u.tobytes()
-                        + frame.chroma_v.tobytes())
-        assert len(data) == 6 * 4 + 2 * (3 * 2)
-
-
 class TestGray:
     def test_black_maps_to_zero(self):
         img = RasterImage(pixels=np.zeros((3, 3, 3), np.uint8))
@@ -134,19 +84,19 @@ class TestGray:
 
 class TestBlockPartition:
     def test_exact_tiling(self):
-        grid = block_partition(128, 128, 64)
+        grid = BlockGrid(128, 128, 64)
         assert (grid.blocks_x, grid.blocks_y) == (2, 2)
         np.testing.assert_array_equal(grid.pixel_counts(), 64 * 64)
 
     def test_partial_edges(self):
-        grid = block_partition(100, 80, 64)
+        grid = BlockGrid(100, 80, 64)
         assert (grid.blocks_x, grid.blocks_y) == (2, 2)
         # right column 36 px wide, bottom row 16 px tall
         np.testing.assert_array_equal(grid.pixel_counts(),
                                       [64 * 64, 36 * 64, 64 * 16, 36 * 16])
 
     def test_identity_case(self):
-        grid = block_partition(64, 64, 64)
+        grid = BlockGrid(64, 64, 64)
         assert grid.n_blocks == 1
         np.testing.assert_array_equal(grid.pixel_counts(), [64 * 64])
 
@@ -155,7 +105,7 @@ class TestBlockPartition:
         for _ in range(50):
             w, h = rng.integers(1, 300, 2)
             b = int(rng.integers(1, 80))
-            grid = block_partition(int(w), int(h), b)
+            grid = BlockGrid(int(w), int(h), b)
             counts = grid.pixel_counts()
             assert counts.sum() == w * h
             covered = np.zeros((h, w), np.int32)

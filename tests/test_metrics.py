@@ -129,6 +129,12 @@ class TestLpipsToDb:
         with pytest.raises(ValueError):
             lpips_to_db(0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        # nan used to come back as nan and inf as -inf dB
+        with pytest.raises(ValueError, match="finite and positive"):
+            lpips_to_db(value)
+
     def test_round_trip_with_inverse(self):
         for x in np.linspace(-30.0, 30.0, 13):
             assert lpips_to_db(10.0 ** (-x / 10.0)) == pytest.approx(x, abs=1e-12)
@@ -142,6 +148,12 @@ class TestReport:
         assert report.ssim == pytest.approx(1.0, abs=1e-12)
         assert report.ms_ssim == pytest.approx(1.0, abs=1e-12)
         assert report.lpips_db == pytest.approx(10.0, abs=1e-12)
+
+    def test_lpips_checked_before_scoring(self):
+        # a bad value used to be rejected only after the full scoring pass
+        small = constant_image(0, (8, 8, 3))
+        with pytest.raises(ValueError, match="LPIPS"):
+            metric_report(small, small, lpips=math.nan)
 
     def test_matches_separate_calls(self):
         for a, b in oracle_pairs():

@@ -4,13 +4,13 @@ from scipy.fft import dctn
 
 from qpalloc.alloc import BlockAllocation, linearity_fit, block_mean_step
 from qpalloc.errors import GridMismatchError
-from qpalloc.imageio import block_partition
+from qpalloc.imageio import BlockGrid
 from qpalloc.stepnet import StepMap
-from qpalloc.toysim import (DCT_BASIS, dct8_forward, dct8_inverse,
-                            dequantize, encode_image, golomb_bits, qstep,
-                            quantize)
+from qpalloc.toysim import DCT_BASIS, encode_image
 
 from conftest import textured_pixels
+from _oracles import (dct8_forward, dct8_inverse, dequantize, golomb_bits, qstep,
+                      quantize, reference_encode)
 
 
 def allocation_with_offsets(grid, base_qp, dqp):
@@ -104,7 +104,7 @@ class TestEncode:
             assert np.array_equal(recon, plane)
 
     def test_zero_offset_map_equals_scalar_qp(self, textured_luma):
-        grid = block_partition(128, 128, 64)
+        grid = BlockGrid(128, 128, 64)
         allocation = allocation_with_offsets(grid, 32, np.zeros(4, np.int64))
         point_map, recon_map = encode_image(textured_luma, allocation)
         point_qp, recon_qp = encode_image(textured_luma, 32)
@@ -120,7 +120,7 @@ class TestEncode:
             assert all(b >= a for a, b in zip(bits[1:], bits[:-1]))
 
     def test_lowering_one_block_only_raises_its_own_bits(self, textured_luma):
-        grid = block_partition(128, 128, 64)
+        grid = BlockGrid(128, 128, 64)
         base = allocation_with_offsets(grid, 32, np.zeros(4, np.int64))
         point_base, _ = encode_image(textured_luma, base)
         for target in range(4):
@@ -141,7 +141,7 @@ class TestEncode:
         luma = textured_pixels(100, 84, seed=3)[:, :, 0].copy()
         point, recon = encode_image(luma, 30)
         assert recon.shape == luma.shape
-        grid = block_partition(84, 100, 64)
+        grid = BlockGrid(84, 100, 64)
         assert point.per_block_bits.shape == (grid.n_blocks,)
         assert point.rate == point.per_block_bits.sum() / (84 * 100)
 
@@ -153,7 +153,7 @@ class TestEncode:
         assert (a.rate, a.distortion, a.quality) == (b.rate, b.distortion, b.quality)
 
     def test_grid_mismatch(self, textured_luma):
-        wrong = block_partition(256, 256, 64)
+        wrong = BlockGrid(256, 256, 64)
         allocation = allocation_with_offsets(wrong, 32, np.zeros(16, np.int64))
         with pytest.raises(GridMismatchError):
             encode_image(textured_luma, allocation)
@@ -168,10 +168,30 @@ class TestEncode:
             encode_image(textured_luma, qp)
 
     def test_block_qp_out_of_range(self, textured_luma):
-        grid = block_partition(128, 128, 64)
+        grid = BlockGrid(128, 128, 64)
         allocation = allocation_with_offsets(grid, 62, [0, 0, 0, 2])
         with pytest.raises(ValueError, match=r"outside \[0, 63\]"):
             encode_image(textured_luma, allocation)
+
+
+class TestReferenceEncode:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_unit_by_unit_oracle(self, seed):
+        # ragged frames, uniform noise or textured content, random block QPs
+        # over the whole legal range: bits and reconstruction agree exactly
+        rng = np.random.default_rng(900 + seed)
+        h, w = (int(n) for n in rng.integers(8, 201, 2))
+        if seed % 2:
+            luma = rng.integers(0, 256, (h, w)).astype(np.uint8)
+        else:
+            luma = textured_pixels(h, w, seed=seed)[:, :, 0].copy()
+        grid = BlockGrid(w, h, 64)
+        dqp = rng.integers(0, 64, grid.n_blocks)
+        point, recon = encode_image(luma, allocation_with_offsets(grid, 0, dqp))
+        bits, expected = reference_encode(luma, dqp.reshape(grid.blocks_y,
+                                                            grid.blocks_x))
+        np.testing.assert_array_equal(point.per_block_bits, bits)
+        np.testing.assert_array_equal(recon, expected)
 
 
 class TestLinearityEcho:
@@ -179,7 +199,7 @@ class TestLinearityEcho:
         # varied offsets over a textured frame: normalized bits against
         # normalized reciprocal quantizer step should sit near slope 1
         luma = textured_pixels(192, 192, seed=5)[:, :, 0].copy()
-        grid = block_partition(192, 192, 64)
+        grid = BlockGrid(192, 192, 64)
         rng = np.random.default_rng(5)
         dqp = rng.integers(-4, 5, grid.n_blocks)
         allocation = allocation_with_offsets(grid, 32, dqp)
