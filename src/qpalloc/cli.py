@@ -269,7 +269,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    ".manifest.json are written next to it)")
     p.set_defaults(func=_cmd_qpmap)
 
-    p = sub.add_parser("metrics", help="PSNR/SSIM/MS-SSIM for an image pair")
+    p = sub.add_parser(
+        "metrics", help="PSNR/SSIM/MS-SSIM for an image pair (176 px per side or more)",
+        description="Score a test image against its reference. Both images "
+                    "need at least 176 px per side, the minimum for MS-SSIM's "
+                    "five scales (SSIM alone needs 11 px); smaller pairs exit 2.")
     p.add_argument("reference", help="reference PPM")
     p.add_argument("test", help="test PPM")
     p.add_argument("--luma-only", action="store_true",

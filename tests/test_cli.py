@@ -273,6 +273,11 @@ class TestMetricsCommand:
         save_ppm(RasterImage(pixels=textured_pixels(32, 32, seed=1)), other)
         assert run("metrics", ppm_192, other)[0] == 2
 
+    def test_pair_below_ms_ssim_minimum_is_exit_2(self, run, ppm_64):
+        code, stdout, err = run("metrics", ppm_64, ppm_64)
+        assert (code, stdout) == (2, "")
+        assert "176" in err
+
     def test_trailing_bytes_is_exit_2(self, run, tmp_path, ppm_192):
         long = tmp_path / "long.ppm"
         long.write_bytes(ppm_192.read_bytes() + b"garbage")
@@ -430,11 +435,15 @@ class TestSimulateCommand:
 
 def test_outputs_byte_identical_across_blas_threads(tmp_path):
     """stepmap (width 16 and the width-64 reference plan, whose K = 576
-    products BLAS may split across threads) and simulate, each run in
-    fresh processes under one and two OpenBLAS threads, write the same
-    bytes every time."""
+    products BLAS may split across threads), simulate and metrics (RGB and
+    --luma-only), each run in fresh processes under one and two OpenBLAS
+    threads, write the same bytes every time. The metrics frame is 2432 px
+    wide so that the SSIM filter's tile products are large enough to be
+    split across threads; metrics prints its scores with repr."""
     image = tmp_path / "img.ppm"
     save_ppm(RasterImage(pixels=textured_pixels(128, 128, seed=21)), image)
+    wide = tmp_path / "wide.ppm"
+    save_ppm(RasterImage(pixels=textured_pixels(176, 2432, seed=22)), wide)
     for width in (16, 64):
         save_weights(make_random_weights(seed=3, width=width), tmp_path / f"w{width}.qsnw")
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -442,15 +451,23 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path):
     def outputs(threads: str, tag: str) -> dict:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
         prefix = tmp_path / tag
+        recon = f"{prefix}.wide.recon.ppm"
+        stdout = []
         for argv in (["stepmap", image, tmp_path / "w16.qsnw", f"{prefix}.w16.qsmap"],
                      ["stepmap", image, tmp_path / "w64.qsnw", f"{prefix}.w64.qsmap"],
-                     ["simulate", image, "--qp", "27", prefix]):
+                     ["simulate", image, "--qp", "27", prefix],
+                     ["simulate", wide, "--qp", "27", f"{prefix}.wide"],
+                     ["metrics", wide, recon],
+                     ["metrics", wide, recon, "--luma-only"]):
             proc = subprocess.run([sys.executable, "-m", "qpalloc.cli", *map(str, argv)],
                                   env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-        return {suffix: Path(f"{prefix}{suffix}").read_bytes()
-                for suffix in (".w16.qsmap", ".w64.qsmap", ".rd.csv", ".bits",
-                               ".recon.ppm")}
+            if argv[0] == "metrics":
+                stdout.append(proc.stdout.replace(recon, "recon"))
+        files = {suffix: Path(f"{prefix}{suffix}").read_bytes()
+                 for suffix in (".w16.qsmap", ".w64.qsmap", ".rd.csv", ".bits",
+                                ".recon.ppm", ".wide.recon.ppm")}
+        return {"metrics": stdout, **files}
 
     first = outputs("1", "t1")
     assert outputs("2", "t2a") == first

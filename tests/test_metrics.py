@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.signal import correlate2d
 
 from qpalloc.imageio import RasterImage
-from qpalloc.metrics import lpips_to_db, metric_report, ms_ssim, psnr, ssim
+from qpalloc.metrics import (_filter_valid, lpips_to_db, metric_report, ms_ssim,
+                             psnr, ssim)
 
 from conftest import textured_pixels
-from _oracles import noisy_variant, reference_ms_ssim, reference_ssim
+from _oracles import _ref_kernel, noisy_variant, reference_ms_ssim, reference_ssim
 
 # gray and RGB, odd and even sides, all large enough for five MS-SSIM scales
 ORACLE_SHAPES = [(181, 247, 1), (248, 360, 1), (181, 247, 3), (248, 360, 3)]
@@ -22,6 +26,28 @@ def oracle_pairs():
 
 def constant_image(value, shape=(16, 16, 3)):
     return RasterImage(pixels=np.full(shape, value, np.uint8))
+
+
+# sides of 11..80 give valid outputs of 1..70, so tiles of 1, 15, 16, 17
+# and 32 outputs on either axis: both sides of each 16-output boundary
+@settings(max_examples=80, deadline=None)
+@given(planes=st.integers(1, 5), h=st.integers(11, 80), w=st.integers(11, 80),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(planes=5, h=11, w=25, seed=0)
+@example(planes=3, h=26, w=27, seed=1)
+@example(planes=4, h=27, w=42, seed=2)
+@example(planes=1, h=42, w=26, seed=3)
+def test_filter_matches_direct_correlation(planes, h, w, seed):
+    stack = np.random.default_rng(seed).uniform(0.0, 65025.0, (planes, h, w))
+    filtered = _filter_valid(stack)
+    kernel = _ref_kernel()
+    for k, plane in enumerate(stack):
+        np.testing.assert_allclose(filtered[k], correlate2d(plane, kernel, mode="valid"),
+                                   rtol=1e-12, atol=0.0)
+        # exact SSIM symmetry needs a plane's bits independent of the stack
+        alone = _filter_valid(stack[k:k + 1])[0]
+        assert alone.tobytes() == filtered[k].tobytes()
+        assert alone.tobytes() == _filter_valid(stack[::-1].copy())[planes - 1 - k].tobytes()
 
 
 class TestPsnr:
@@ -90,6 +116,28 @@ class TestMsSsim:
         a = RasterImage(pixels=textured_pixels(176, 176, seed=5))
         b = noisy_variant(a, sigma=15.0, seed=77)
         assert ms_ssim(a, b) == ms_ssim(b, a)
+
+    def test_exact_symmetry_on_wide_rows(self):
+        # 2432 px rows make the filter's 16-row tile products (16 x 26 x 2432
+        # multiply-adds) large enough for OpenBLAS to split across threads
+        a = RasterImage(pixels=textured_pixels(176, 2432, seed=5))
+        b = noisy_variant(a, sigma=15.0, seed=77)
+        assert ms_ssim(a, b) == ms_ssim(b, a)
+        assert ssim(a, b) == ssim(b, a)
+
+    def test_peak_memory_is_bounded(self):
+        # the four-plane buffer, the buffer both filter passes share and
+        # one map: about 12.8 float64 planes of the frame at the peak
+        h, w = 512, 768
+        a = RasterImage(pixels=textured_pixels(h, w, seed=8))
+        b = noisy_variant(a, sigma=10.0, seed=80)
+        tracemalloc.start()
+        try:
+            ms_ssim(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * h * w * 8
 
     def test_monotone_degradation(self):
         base = RasterImage(pixels=textured_pixels(176, 176, seed=6))
