@@ -9,9 +9,11 @@ converts the mean log-rate gap into a percentage:
 
 bd_quality is the dual: quality fitted as a cubic in log10(rate),
 integrated over the shared log-rate span, returned as a mean difference.
-This is Bjontegaard's cubic measure (VCEG-M33, 2001).
-A monotone piecewise-cubic mode ("pchip") is available for comparison
-with spreadsheet-style tooling.
+This is Bjontegaard's cubic measure (VCEG-M33, 2001). "pchip" is the
+piecewise measure (VCEG-AI11, 2008) in closed form: SciPy's PCHIP
+(Fritsch & Carlson, 1980), with interior slopes the weighted harmonic
+mean of the adjacent secants, end slopes the one-sided three-point
+estimate clamped at 0, and each Hermite piece integrated exactly.
 """
 
 from __future__ import annotations
@@ -106,9 +108,29 @@ def _cubic_mean(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
     half_range = float((x.max() - x.min()) / 2.0)
     vander = np.vander((x - center) / half_range, 4, increasing=True)
     coeffs = np.linalg.solve(vander.T @ vander, vander.T @ y)
-    anti = np.concatenate(([0.0], coeffs / np.arange(1, 5)))[::-1]
-    at_lo, at_hi = np.polyval(anti, (np.array([lo, hi]) - center) / half_range)
+    at_lo, at_hi = _antiderivative(coeffs, (np.array([lo, hi]) - center) / half_range)
     return float(at_hi - at_lo) * half_range / (hi - lo)
+
+
+def _pchip_mean(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
+    """Mean of SciPy's PchipInterpolator(x, y) over [lo, hi]. x and y must
+    be strictly increasing, as RdCurve makes them in both callers, so every
+    secant is positive and SciPy's sign-change rules never fire."""
+    h, dy = np.diff(x), np.diff(y)
+    m = dy / h
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    ends = np.maximum(((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1), 0.0)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    d = np.concatenate((ends[:1], (w1 + w2) / (w1 / m[:-1] + w2 / m[1:]), ends[1:]))
+    hd0, hd1 = h * d[:-1], h * d[1:]
+    coeffs = np.array([y[:-1], hd0, 3 * dy - 2 * hd0 - hd1, hd0 + hd1 - 2 * dy])
+    at_lo, at_hi = _antiderivative(coeffs, np.clip((np.array([[lo], [hi]]) - x[:-1]) / h, 0, 1))
+    return float(np.sum(h * (at_hi - at_lo))) / (hi - lo)
+
+
+def _antiderivative(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Integral from 0 to s of c[0] + c[1] t + c[2] t^2 + c[3] t^3 (Horner)."""
+    return (((c[3] / 4 * s + c[2] / 3) * s + c[1] / 2) * s + c[0]) * s
 
 
 def quality_overlap(anchor: RdCurve, test: RdCurve) -> tuple[float, float]:
@@ -128,8 +150,7 @@ def _mean_curve_value(x: np.ndarray, y: np.ndarray, lo: float, hi: float,
     if mode == "cubic":
         return _cubic_mean(x, y, lo, hi)
     if mode == "pchip":
-        from scipy.interpolate import PchipInterpolator
-        return float(PchipInterpolator(x, y).integrate(lo, hi)) / (hi - lo)
+        return _pchip_mean(x, y, lo, hi)
     raise ValueError(f"unknown interpolation mode {mode!r}")
 
 
@@ -137,14 +158,18 @@ def bd_rate(anchor: RdCurve, test: RdCurve, mode: str = "cubic") -> float:
     """Average rate difference of test over anchor at equal quality (%).
 
     Negative means the test curve spends fewer bits for the same
-    quality.
+    quality. A rate ratio beyond float64 raises CurveError.
     """
     lo, hi = quality_overlap(anchor, test)
     mean_anchor = _mean_curve_value(anchor.qualities, np.log10(anchor.rates),
                                     lo, hi, mode)
     mean_test = _mean_curve_value(test.qualities, np.log10(test.rates),
                                   lo, hi, mode)
-    return float((10.0 ** (mean_test - mean_anchor) - 1.0) * 100.0)
+    with np.errstate(over="ignore"):
+        ratio = 10.0 ** (mean_test - mean_anchor)
+    if not np.isfinite(ratio):
+        raise CurveError(f"rate ratio 10^{float(mean_test - mean_anchor)!r} is not finite")
+    return float((ratio - 1.0) * 100.0)
 
 
 def bd_quality(anchor: RdCurve, test: RdCurve, mode: str = "cubic") -> float:

@@ -80,9 +80,11 @@ def _resolve_step_source(args):
 
 
 def _cmd_qpmap(args) -> int:
+    if args.beta is not None and args.beta_map:
+        raise ValueError("give either --beta or --beta-map, not both")
     step_map, width, height = _resolve_step_source(args)
 
-    beta = args.beta
+    beta = alloc.DEFAULT_BETA if args.beta is None else args.beta
     if args.beta_map:
         bmap = gridfile.read_grid_file(args.beta_map, expect_tag="BMAP")
         beta = bmap.values
@@ -258,8 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, help="frame height when reading a QSMAP "
                    "(default: 16 x grid height)")
     p.add_argument("--base-qp", type=int, required=True, help="frame base QP (0-63)")
-    p.add_argument("--beta", type=float, default=alloc.DEFAULT_BETA,
-                   help="scalar rate-model exponent (default %(default)s)")
+    p.add_argument("--beta", type=float,
+                   help=f"scalar rate-model exponent (default {alloc.DEFAULT_BETA}); "
+                   "not with --beta-map")
     p.add_argument("--beta-map", help="per-block beta map (BMAP file)")
     p.add_argument("--slope", type=float, default=1.0,
                    help="offset slope multiplier (default %(default)s)")

@@ -1,16 +1,18 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately take different numeric routes than the production
-code (full 2-D kernels through scipy.signal.correlate2d, plain Python
-loops, scalar-weighted accumulation, per-block slices, scalar math) so
-that agreement actually checks something. The toy codec's oracle works
-one 8x8 unit and one coefficient at a time through the scalar helpers
-dct8_forward, quantize, golomb_bits, dequantize and dct8_inverse.
+code (full 2-D kernels through scipy.signal.correlate2d, SciPy's
+PchipInterpolator, plain Python loops, scalar-weighted accumulation,
+per-block slices, scalar math) so that agreement actually checks
+something. The toy codec's oracle works one 8x8 unit and one
+coefficient at a time through the scalar helpers dct8_forward,
+quantize, golomb_bits, dequantize and dct8_inverse.
 """
 
 import math
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 from scipy.signal import correlate2d
 
 from qpalloc.imageio import BlockGrid, RasterImage
@@ -69,6 +71,11 @@ def reference_ms_ssim(a: RasterImage, b: RasterImage) -> float:
                 value *= lum.mean() ** weight
         scores.append(value)
     return float(np.mean(scores))
+
+
+def reference_pchip_mean(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
+    """Mean over [lo, hi] of SciPy's PCHIP interpolant through (x, y)."""
+    return float(PchipInterpolator(x, y).integrate(lo, hi)) / (hi - lo)
 
 
 def reference_conv2d(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
-from qpalloc.bdrate import (RdCurve, bd_quality, bd_rate, quality_overlap,
-                            read_rd_csv)
+from qpalloc.bdrate import (RdCurve, _pchip_mean, bd_quality, bd_rate,
+                            quality_overlap, read_rd_csv)
 from qpalloc.errors import CurveError, FormatError, OverlapError
+
+from _oracles import reference_pchip_mean
 
 
 def curve(rates, qualities, tag="psnr"):
@@ -82,6 +86,16 @@ class TestBdRate:
         test = curve([r * 0.9 for r in RATES], QUALS)
         assert bd_rate(anchor, test, mode="pchip") == pytest.approx(-10.0, abs=1e-6)
 
+    def test_overflowing_rate_ratio_is_curve_error(self):
+        # the mean log10-rate gap is about 448 decades; 10^448 used to
+        # come back as inf (printed as JSON "Infinity") after a RuntimeWarning
+        quals = [1.0, 2.0, 3.0, 4.0]
+        anchor = curve([1e-300, 1e-299, 1e-298, 1e300], quals)
+        test = curve([1e-300, 1e298, 1e299, 1e300], quals)
+        for mode in ("cubic", "pchip"):
+            with pytest.raises(CurveError, match="not finite"):
+                bd_rate(anchor, test, mode=mode)
+
 
 class TestBdQuality:
     def test_identical_curves(self):
@@ -128,3 +142,64 @@ class TestDiagnostics:
         lo, hi = quality_overlap(curve(RATES, QUALS),
                                  curve(RATES, [31.0, 34.0, 36.0, 39.0]))
         assert (lo, hi) == (31.0, 38.6)
+
+
+@st.composite
+def pchip_cases(draw):
+    """A strictly increasing 4-8 point curve and a span inside its range.
+
+    The span is at least 1 % of the range: the mean divides the integral by
+    hi - lo, so the rounding of either implementation grows as 1 / (hi - lo).
+    """
+    n = draw(st.integers(4, 8))
+
+    def axis():
+        gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+        return draw(st.floats(-100.0, 100.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+
+    x, y = axis(), axis()
+    start = draw(st.floats(0.0, 0.99))
+    stop = draw(st.floats(start + 0.01, 1.0))
+    lo = x[0] + start * (x[-1] - x[0])
+    return x, y, lo, min(x[0] + stop * (x[-1] - x[0]), x[-1])
+
+
+class TestPchip:
+    @settings(max_examples=300, deadline=None)
+    @given(case=pchip_cases())
+    def test_matches_scipy_oracle(self, case):
+        x, y, lo, hi = case
+        assert abs(_pchip_mean(x, y, lo, hi) - reference_pchip_mean(x, y, lo, hi)) \
+            <= 1e-11 * np.abs(y).max()
+
+    @pytest.mark.parametrize("y,clamped", [
+        ([0.0, 1.0, 5.0, 9.0], [True, False]),
+        ([0.0, 4.0, 8.0, 9.0], [False, True]),
+        ([0.0, 1.0, 5.0, 6.0], [True, True]),
+    ], ids=["left", "right", "both"])
+    def test_end_slope_clamped_at_zero(self, y, clamped):
+        # an end secant of 1 next to one of 4 gives the three-point
+        # estimate (3 * 1 - 4) / 2 < 0 at that end, which SciPy sets to 0
+        x, y = np.arange(4.0), np.asarray(y)
+        ends = PchipInterpolator(x, y).derivative()(x[[0, -1]])
+        assert list(ends == 0.0) == clamped
+        for lo, hi in ((0.0, 3.0), (0.0, 0.5), (2.5, 3.0), (0.25, 2.75)):
+            assert _pchip_mean(x, y, lo, hi) == \
+                pytest.approx(reference_pchip_mean(x, y, lo, hi), abs=1e-11 * y.max())
+
+    @pytest.mark.parametrize("other", [
+        ([0.22, 0.5, 1.3, 2.1], [30.9, 33.4, 36.4, 38.2]),
+        ([0.2, 0.3, 0.9, 1.6, 2.8], [29.0, 31.8, 35.0, 36.1, 39.7]),
+    ])
+    def test_bd_statistics_match_scipy(self, other):
+        anchor, test = curve(RATES, QUALS), curve(*other)
+        lo, hi = quality_overlap(anchor, test)
+        gap = (reference_pchip_mean(test.qualities, np.log10(test.rates), lo, hi)
+               - reference_pchip_mean(anchor.qualities, np.log10(anchor.rates), lo, hi))
+        assert bd_rate(anchor, test, mode="pchip") == \
+            pytest.approx((10.0 ** gap - 1.0) * 100.0, rel=1e-10)
+        log_a, log_t = np.log10(anchor.rates), np.log10(test.rates)
+        lo, hi = max(log_a[0], log_t[0]), min(log_a[-1], log_t[-1])
+        assert bd_quality(anchor, test, mode="pchip") == pytest.approx(
+            reference_pchip_mean(log_t, test.qualities, lo, hi)
+            - reference_pchip_mean(log_a, anchor.qualities, lo, hi), rel=1e-10)

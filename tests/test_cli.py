@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qpalloc.bdrate import bd_quality, bd_rate, quality_overlap, read_rd_csv
 from qpalloc.cli import main
 from qpalloc.gridfile import read_grid_file
 from qpalloc.imageio import RasterImage, load_ppm, save_ppm
@@ -148,6 +149,7 @@ class TestQpmapCommand:
         manifest = json.loads((tmp_path / "o.qpmap.manifest.json").read_text())
         assert manifest["alignment_lambda"] == lam
         assert manifest["config"]["base_qp"] == base_qp
+        assert manifest["config"]["beta"] == -1.367
         assert str(out) in manifest["outputs"]
 
     def test_image_source_runs_inference(self, run, tmp_path, ppm_64, weights_file):
@@ -178,6 +180,20 @@ class TestQpmapCommand:
                    "--beta-map", bmap, out)[0] == 0
         # beta -1 on ratio 4/3 gives -1; near-zero beta kills the offset
         np.testing.assert_array_equal(read_grid_file(out).values[0], [-1, 0])
+
+    def test_beta_with_beta_map_is_exit_2(self, run, tmp_path):
+        # --beta used to be dropped silently when a beta map was given
+        values = np.ones((4, 8))
+        values[:, 4:] = 2.0
+        qsmap = tmp_path / "two.qsmap"
+        write_qsmap(qsmap, values)
+        bmap = tmp_path / "b.bmap"
+        bmap.write_text("BMAP 1\n2 1 64 0\n-1.0 0.001\n")
+        code, out, err = run("qpmap", "--stepmap", qsmap, "--base-qp", 32, "--beta", 5,
+                             "--beta-map", bmap, tmp_path / "o.qpmap")
+        assert (code, out) == (2, "")
+        assert "--beta-map" in err
+        assert not list(tmp_path.glob("o.*"))
 
     def test_explicit_frame_dims_change_edge_weighting(self, run, tmp_path):
         qsmap = tmp_path / "m.qsmap"
@@ -359,6 +375,18 @@ class TestBdrateCommand:
         assert code == 0
         assert json.loads(stdout)["bd_rate_percent"] == pytest.approx(-10.0, abs=1e-6)
 
+    @pytest.mark.parametrize("interp", ["cubic", "pchip"])
+    def test_overflowing_rate_ratio_is_exit_2(self, run, tmp_path, interp):
+        # a rate ratio of about 10^448 used to print "bd_rate_percent": Infinity,
+        # which is not JSON, and exit 0
+        anchor = tmp_path / "a.csv"
+        test = tmp_path / "t.csv"
+        self.write_curve(anchor, [1e-300, 1e-299, 1e-298, 1e300], [1, 2, 3, 4])
+        self.write_curve(test, [1e-300, 1e298, 1e299, 1e300], [1, 2, 3, 4])
+        code, out, err = run("bdrate", anchor, test, "--interp", interp)
+        assert (code, out) == (2, "")
+        assert "not finite" in err
+
 
 class TestSimulateCommand:
     def test_black_image_is_lossless(self, run, tmp_path):
@@ -474,13 +502,42 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path):
     assert outputs("2", "t2b") == first
 
 
-def test_import_leaves_scipy_unloaded():
-    """Every command starts a process that imports qpalloc and qpalloc.cli;
-    scipy (about 0.5 s of start-up) loads only for bdrate --interp pchip."""
+def test_import_leaves_scipy_unloaded(tmp_path, fixture_weights):
+    """Every command starts a process that imports qpalloc and qpalloc.cli,
+    which loads no scipy; and with scipy made unimportable, every command
+    runs, bdrate --interp pchip included, and prints what the library
+    computes in-process. scipy serves the tests only, as an oracle."""
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
     code = ("import sys, qpalloc, qpalloc.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=pythonpath))
+                          env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+    blocked = ("import sys; sys.modules['scipy'] = None; "
+               "from qpalloc.cli import main; sys.exit(main(sys.argv[1:]))")
+
+    def cli(*argv):
+        proc = subprocess.run([sys.executable, "-c", blocked, *map(str, argv)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+        return proc.stdout
+
+    image, weights, prefix = tmp_path / "img.ppm", tmp_path / "w.qsnw", tmp_path / "run"
+    save_ppm(RasterImage(pixels=textured_pixels(176, 176, seed=23)), image)
+    save_weights(fixture_weights, weights)
+    cli("stepmap", image, weights, f"{prefix}.qsmap")
+    cli("qpmap", "--stepmap", f"{prefix}.qsmap", "--base-qp", 32, f"{prefix}.qpmap")
+    cli("simulate", image, "--qpmap", f"{prefix}.qpmap", prefix)
+    cli("metrics", image, f"{prefix}.recon.ppm", "--luma-only")
+    anchor, test = tmp_path / "anchor.csv", tmp_path / "test.csv"
+    anchor.write_text("rate_bpp,quality\n0.25,30.4\n0.55,33.1\n1.1,35.9\n2.3,38.6\n")
+    test.write_text("rate_bpp,quality\n0.2,29.0\n0.3,31.8\n0.9,35.0\n1.6,36.1\n2.8,39.7\n")
+    a, t = read_rd_csv(anchor), read_rd_csv(test)
+    for interp in ("cubic", "pchip"):
+        assert json.loads(cli("bdrate", anchor, test, "--interp", interp)) == {
+            "bd_rate_percent": bd_rate(a, t, mode=interp),
+            "bd_quality": bd_quality(a, t, mode=interp),
+            "overlap": list(quality_overlap(a, t))}
