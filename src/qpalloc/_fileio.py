@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 import re
 
+import numpy as np
+
 from .errors import OutputIOError
 
 _INT_TOKEN = re.compile(r"-?[0-9]+")
@@ -27,6 +29,13 @@ def parse_ints(tokens: list[str]) -> list[int]:
         if _INT_TOKEN.fullmatch(token) is None:
             raise ValueError(f"not an integer: {token!r}")
     return [int(token) for token in tokens]
+
+
+def parse_reals(tokens: list[str]) -> np.ndarray:
+    """Real tokens as float64 in one numpy pass. numpy calls float() on
+    each str, so the accepted spellings and the ValueError are float()'s;
+    callers check lax_reals and finiteness themselves."""
+    return np.array(tokens, dtype=np.float64)
 
 
 def lax_reals(text: str) -> bool:

@@ -38,7 +38,8 @@ class RdCurve:
 
     At least 4 points; rates positive and strictly increasing, quality
     strictly increasing with rate (higher-better metrics only, so raw
-    LPIPS must be converted to dB first).
+    LPIPS must be converted to dB first); the quality span must be a
+    finite float64.
     """
 
     rates: np.ndarray
@@ -63,6 +64,11 @@ class RdCurve:
             raise CurveError("rates must be strictly increasing")
         if np.any(np.diff(qualities) <= 0):
             raise CurveError("quality must increase strictly with rate")
+        with np.errstate(over="ignore"):
+            span = qualities[-1] - qualities[0]
+        if not np.isfinite(span):
+            raise CurveError(f"quality span from {float(qualities[0])!r} to "
+                             f"{float(qualities[-1])!r} exceeds float64")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "qualities", qualities)
 

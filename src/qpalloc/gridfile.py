@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text, lax_reals, parse_ints
+from ._fileio import atomic_write_text, lax_reals, parse_ints, parse_reals
 from .errors import FormatError
 
 INT_TAGS = frozenset({"QPMAP", "BITS"})
@@ -83,7 +83,7 @@ def read_grid_file(path: str | os.PathLike, expect_tag: str | None = None) -> Gr
         if tag in INT_TAGS:
             values = np.array(parse_ints(body), dtype=np.int64)
         else:
-            values = np.array([float(t) for t in body], dtype=np.float64)
+            values = parse_reals(body)
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric grid value") from exc
     except OverflowError as exc:

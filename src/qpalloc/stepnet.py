@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text, lax_reals, parse_ints
+from ._fileio import atomic_write_text, lax_reals, parse_ints, parse_reals
 from .errors import FormatError, InferenceError
 from .imageio import RasterImage
 
@@ -149,8 +149,8 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
     Layout: magic line ``QSNW1``, a ``layers N`` line, then per layer a
     ``conv IN OUT K STRIDE`` or ``resblock CH`` header followed by its
     parameters (out-channel-major weights, then biases; a resblock
-    carries its two convolutions in order). Values parse as float64 and
-    are stored as float32.
+    carries its two convolutions in order). Each block of values parses
+    as float64 in one numpy pass and is stored as float32.
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
@@ -179,7 +179,7 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
     def take_floats(n: int, what: str) -> np.ndarray:
         raw = take(n)
         try:
-            arr = np.array([float(t) for t in raw], dtype=np.float64)
+            arr = parse_reals(raw)
         except ValueError as exc:
             raise FormatError(f"{path}: non-numeric value in {what}") from exc
         if not np.all(np.isfinite(arr)):
@@ -224,13 +224,31 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
     return ModelWeights(layers=tuple(layers))
 
 
+def _float32_tokens(values: np.ndarray) -> list[str]:
+    """Decimal tokens that load_weights reads back to the same float32 bits.
+
+    Each is numpy's shortest round-trip float32 decimal, unless reading it
+    through float64 rounds twice to a neighbour (bit pattern 363742205 is
+    one); such a value is written as the exact repr of its float64 widening.
+    The print options are pinned, so the caller's cannot change the text.
+    """
+    flat = np.asarray(values, dtype=np.float32).reshape(-1)
+    with np.printoptions(legacy=False):
+        tokens = flat.astype(str).tolist()
+    back = parse_reals(tokens).astype(np.float32)
+    for i in np.flatnonzero(back.view(np.uint32) != flat.view(np.uint32)):
+        tokens[i] = repr(float(flat[i]))
+    return tokens
+
+
 def save_weights(weights: ModelWeights, path: str | os.PathLike) -> None:
-    """Write QSNW1 text; float32 parameters serialize exactly via repr."""
+    """Write QSNW1 text: each float32 parameter as the shortest decimal
+    that loads back to the same bits (see _float32_tokens)."""
     lines = ["QSNW1", f"layers {len(weights.layers)}"]
 
     def emit_params(conv: ConvLayer) -> None:
-        lines.append(" ".join(repr(float(v)) for v in conv.weights.reshape(-1)))
-        lines.append(" ".join(repr(float(v)) for v in conv.bias))
+        lines.append(" ".join(_float32_tokens(conv.weights)))
+        lines.append(" ".join(_float32_tokens(conv.bias)))
 
     for layer in weights.layers:
         if isinstance(layer, ConvLayer):
@@ -351,7 +369,7 @@ def read_step_map(path: str | os.PathLike) -> StepMap:
     if lax_reals(text):
         raise FormatError(f"{path}: non-numeric step value")
     try:
-        values = np.array([float(t) for t in tokens[4:]], dtype=np.float64)
+        values = parse_reals(tokens[4:])
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric step value") from exc
     if not np.all(np.isfinite(values)) or not np.all(values > 0):

@@ -6,7 +6,8 @@ PchipInterpolator, plain Python loops, scalar-weighted accumulation,
 per-block slices, scalar math) so that agreement actually checks
 something. The toy codec's oracle works one 8x8 unit and one
 coefficient at a time through the scalar helpers dct8_forward,
-quantize, golomb_bits, dequantize and dct8_inverse.
+quantize, golomb_bits, dequantize and dct8_inverse. write_qsnw1_repr
+writes weights as the first QSNW1 writer did, in 17-digit repr tokens.
 """
 
 import math
@@ -16,6 +17,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.signal import correlate2d
 
 from qpalloc.imageio import BlockGrid, RasterImage
+from qpalloc.stepnet import ConvLayer, ModelWeights
 from qpalloc.toysim import DCT_BASIS
 
 
@@ -97,6 +99,25 @@ def reference_conv2d(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                                 kc:kc + stride * (out_w - 1) + 1:stride]
                 out += weights[:, i, kr, kc][:, None, None] * window[None]
     return out
+
+
+def write_qsnw1_repr(weights: ModelWeights, path) -> None:
+    """QSNW1 as the first writer made it: every float32 as the 17-digit
+    repr of its float64 widening, one Python float at a time."""
+    lines = ["QSNW1", f"layers {len(weights.layers)}"]
+    for layer in weights.layers:
+        if isinstance(layer, ConvLayer):
+            lines.append(f"conv {layer.in_channels} {layer.out_channels} "
+                         f"{layer.kernel_size} {layer.stride}")
+            convs = [layer]
+        else:
+            lines.append(f"resblock {layer.channels}")
+            convs = [layer.conv1, layer.conv2]
+        for conv in convs:
+            lines.append(" ".join(repr(float(v)) for v in conv.weights.reshape(-1)))
+            lines.append(" ".join(repr(float(v)) for v in conv.bias))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def noisy_variant(img: RasterImage, sigma: float, seed: int) -> RasterImage:

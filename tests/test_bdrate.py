@@ -41,6 +41,18 @@ class TestCurveValidation:
         with pytest.raises(CurveError, match="strictly increasing"):
             curve([0.25, 0.25, 1.0, 2.0], QUALS)
 
+    # each quality is finite but the span is not; both used to reach the
+    # fits and fail there with overflow warnings and an unrelated message
+    @pytest.mark.parametrize("quals", [[-1e308, 0.0, 1.0, 1e308],
+                                       [-1e308, 1e307, 1e308, 1.5e308]])
+    def test_quality_span_beyond_float64_rejected(self, quals):
+        with pytest.raises(CurveError, match="exceeds float64"):
+            curve([1.0, 2.0, 3.0, 4.0], quals)
+
+    def test_widest_finite_quality_span_accepted(self):
+        quals = [-8e307, 0.0, 1.0, 8e307]  # span 1.6e308
+        np.testing.assert_array_equal(curve([1.0, 2.0, 3.0, 4.0], quals).qualities, quals)
+
 
 class TestBdRate:
     def test_identical_curves(self):

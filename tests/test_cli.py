@@ -387,6 +387,18 @@ class TestBdrateCommand:
         assert (code, out) == (2, "")
         assert "not finite" in err
 
+    @pytest.mark.parametrize("interp", ["cubic", "pchip"])
+    def test_quality_span_beyond_float64_is_exit_2(self, run, tmp_path, interp):
+        # used to print overflow RuntimeWarnings, then "Singular matrix"
+        # (cubic) or "rate ratio 10^nan is not finite" (pchip)
+        anchor = tmp_path / "a.csv"
+        test = tmp_path / "t.csv"
+        self.write_curve(anchor, [1, 2, 3, 4], [-1e308, 0, 1, 1e308])
+        self.write_curve(test, [1, 2, 3, 4], [-1e308, 1e307, 1e308, 1.5e308])
+        code, out, err = run("bdrate", anchor, test, "--interp", interp)
+        assert (code, out) == (2, "")
+        assert "quality span" in err and "exceeds float64" in err
+
 
 class TestSimulateCommand:
     def test_black_image_is_lossless(self, run, tmp_path):

@@ -1,9 +1,12 @@
 import os
 
+import numpy as np
 import pytest
 
-from qpalloc._fileio import atomic_write_bytes, parse_ints
-from qpalloc.errors import OutputIOError
+from qpalloc._fileio import atomic_write_bytes, parse_ints, parse_reals
+from qpalloc.errors import FormatError, OutputIOError
+from qpalloc.gridfile import read_grid_file
+from qpalloc.stepnet import load_weights, read_step_map
 
 
 class TestAtomicWrite:
@@ -39,3 +42,41 @@ class TestParseInts:
     def test_other_spellings_rejected(self, token):
         with pytest.raises(ValueError, match="not an integer"):
             parse_ints(["3", token])
+
+
+class TestParseReals:
+    # float() spellings, good and bad, that the readers must keep treating
+    # exactly as the per-token float() loop they replaced did
+    SPELLINGS = ["nan", "NaN", "inf", "-inf", "Infinity", "0x10", "1e", ".", "1_0",
+                 "+1", "1e400", "-1e400", "4.9e-324", "1e-400", "-0", "1.", "-.5",
+                 "1E5", "1e+16", "0b1", "1.5f", "1,5", "e5", "--1", "", "١", "1e-05"]
+
+    @pytest.mark.parametrize("token", SPELLINGS)
+    def test_matches_float_per_token(self, token):
+        try:
+            expected = np.array([float(token)], dtype=np.float64)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_reals(["1.0", token])
+            return
+        got = parse_reals([token])
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+    READERS = {
+        "QSNW1": (load_weights, "QSNW1\nlayers 1\nconv 3 1 1 1\n0.25 {} 0.25\n0.0\n"),
+        "QSMAP": (read_step_map, "QSMAP 1\n2 1\n1.0 {}\n"),
+        "LSCALE": (read_grid_file, "LSCALE 1\n2 1 64 32\n1.0 {}\n"),
+        "BMAP": (read_grid_file, "BMAP 1\n2 1 64 0\n1.0 {}\n"),
+    }
+
+    @pytest.mark.parametrize("fmt", list(READERS))
+    @pytest.mark.parametrize("token", ["nan", "inf", "0x10", "1e", "1_0", "+1"])
+    def test_real_readers_reject(self, tmp_path, fmt, token):
+        reader, template = self.READERS[fmt]
+        path = tmp_path / "f.txt"
+        path.write_text(template.format(token))
+        with pytest.raises(FormatError):
+            reader(path)
+        path.write_text(template.format("0.5"))
+        reader(path)

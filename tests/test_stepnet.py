@@ -12,7 +12,8 @@ from qpalloc.stepnet import (ConvLayer, ModelWeights, ResBlock, StepMap, conv2d,
                              make_random_weights, read_step_map, save_weights,
                              softplus, write_step_map)
 
-from _oracles import reference_conv2d
+import sweep_float32_tokens
+from _oracles import reference_conv2d, write_qsnw1_repr
 
 MINIMAL_QSNW1 = "QSNW1\nlayers 1\nconv 3 1 1 1\n0.25 0.5 0.25\n0.0\n"
 
@@ -90,6 +91,91 @@ class TestWeightFormat:
         second = tmp_path / "w2.qsnw"
         save_weights(again, second)
         assert path.read_bytes() == second.read_bytes()
+
+
+# the one non-negative float32 whose shortest decimal, 7.038531e-26, reads
+# back through float64 one ulp up; found by sweeping every finite pattern
+DOUBLE_ROUNDED = 363742205
+SIGN = sweep_float32_tokens.SIGN
+# zero, the smallest and largest subnormal, the smallest normal, the
+# largest finite value
+EDGE_BITS = [0, 1, 0x007FFFFF, 0x00800000, 0x7F7FFFFF, DOUBLE_ROUNDED]
+
+
+def _one_layer(bits) -> ModelWeights:
+    """A 1x1 conv holding the float32 values with these bit patterns."""
+    values = np.asarray(bits, np.uint32).view(np.float32)
+    return ModelWeights(layers=(ConvLayer(weights=values[:-1].reshape(1, -1, 1, 1),
+                                          bias=values[-1:], stride=1),))
+
+
+def _param_bits(weights: ModelWeights) -> np.ndarray:
+    convs = [c for layer in weights.layers
+             for c in ((layer,) if isinstance(layer, ConvLayer) else (layer.conv1, layer.conv2))]
+    return np.concatenate([a.reshape(-1).view(np.uint32)
+                           for c in convs for a in (c.weights, c.bias)])
+
+
+class TestFloat32Tokens:
+    def test_strided_bit_patterns_round_trip_exactly(self, tmp_path):
+        stride = 1 << 14
+        checked, _ = sweep_float32_tokens.sweep(stride)
+        bits = np.concatenate([sweep_float32_tokens.chunk_bits(i, stride)
+                               for i in range(sweep_float32_tokens.CHUNKS)])
+        assert checked == bits.size == 2 * 0x7F800000 // stride
+        path = tmp_path / "w.qsnw"
+        save_weights(_one_layer(bits), path)
+        assert np.array_equal(_param_bits(load_weights(path)), bits)
+
+    def test_edges_round_trip_exactly(self, tmp_path):
+        bits = np.array(EDGE_BITS + [b | SIGN for b in EDGE_BITS], np.uint32)
+        path = tmp_path / "w.qsnw"
+        save_weights(_one_layer(bits), path)
+        assert np.array_equal(_param_bits(load_weights(path)), bits)
+        tokens = path.read_text().split()
+        assert tokens[8:14] == ["0.0", "1e-45", "1.1754942e-38", "1.1754944e-38",
+                                "3.4028235e+38", "7.038530691851209e-26"]
+        assert tokens[-1] == "-7.038530691851209e-26"  # the repr fallback
+
+    def test_bytes_do_not_depend_on_print_options(self, tmp_path):
+        weights = _one_layer(np.array(EDGE_BITS + [0x3DCCCCCD, 0x4B3C614E], np.uint32))
+        default, legacy = tmp_path / "default.qsnw", tmp_path / "legacy.qsnw"
+        save_weights(weights, default)
+        options = np.get_printoptions()
+        try:
+            np.set_printoptions(legacy="1.13")
+            save_weights(weights, legacy)
+        finally:
+            np.set_printoptions(**options)
+        assert legacy.read_bytes() == default.read_bytes()
+
+    def test_repr_files_load_to_the_same_bits(self, tmp_path, fixture_weights):
+        rng = np.random.default_rng(8)
+        wide = rng.integers(0, 0x7F800000, 4096, dtype=np.uint32)
+        wide[::2] |= np.uint32(SIGN)
+        weights = ModelWeights(layers=fixture_weights.layers + _one_layer(wide).layers)
+        old, new, again = (tmp_path / f"{name}.qsnw" for name in ("old", "new", "again"))
+        write_qsnw1_repr(weights, old)
+        save_weights(weights, new)
+        from_old = load_weights(old)
+        assert np.array_equal(_param_bits(from_old), _param_bits(weights))
+        assert np.array_equal(_param_bits(load_weights(new)), _param_bits(weights))
+        save_weights(from_old, again)
+        assert again.read_bytes() == new.read_bytes()
+        assert new.stat().st_size < 0.7 * old.stat().st_size
+
+    def test_reference_plan_load_peak_memory(self, tmp_path):
+        # the tokens of the 408,599 parameters dominate; 17-digit tokens
+        # peaked at 40.1 MB traced
+        path = tmp_path / "w64.qsnw"
+        save_weights(make_random_weights(seed=7, width=64), path)
+        tracemalloc.start()
+        try:
+            load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36e6
 
 
 def _conv(weights, bias, stride):
