@@ -72,7 +72,6 @@ class BlockAllocation:
     base_qp: int
     qs: np.ndarray            # mean step per block
     ratio: np.ndarray         # normalized bit ratio, weighted mean 1
-    beta: np.ndarray
     dqp: np.ndarray           # integer offsets, |dqp| <= clamp
 
     @property
@@ -178,7 +177,6 @@ def build_allocation(step_map: StepMap, width: int, height: int,
     ratio = bit_ratios(qs, grid)
     beta = _beta_per_block(cfg.beta, grid)
     return BlockAllocation(grid=grid, base_qp=cfg.base_qp, qs=qs, ratio=ratio,
-                           beta=beta,
                            dqp=qp_offset(ratio, beta, cfg.slope, cfg.clamp))
 
 

@@ -105,17 +105,11 @@ def read_rd_csv(path: str | os.PathLike, metric_tag: str = "psnr") -> RdCurve:
 
 
 def _cubic_mean(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
-    """Mean of the least-squares cubic y(x) over [lo, hi], in closed form.
-
-    The fit runs on x centered and scaled to [-1, 1]; the cubic's
-    antiderivative is evaluated at both ends in the same scaled variable.
-    """
-    center = float((x.min() + x.max()) / 2.0)
-    half_range = float((x.max() - x.min()) / 2.0)
-    vander = np.vander((x - center) / half_range, 4, increasing=True)
+    """Mean of the least-squares cubic y(x) over [lo, hi], in closed form."""
+    vander = np.vander(x, 4, increasing=True)
     coeffs = np.linalg.solve(vander.T @ vander, vander.T @ y)
-    at_lo, at_hi = _antiderivative(coeffs, (np.array([lo, hi]) - center) / half_range)
-    return float(at_hi - at_lo) * half_range / (hi - lo)
+    at_lo, at_hi = _antiderivative(coeffs, np.array([lo, hi]))
+    return float(at_hi - at_lo) / (hi - lo)
 
 
 def _pchip_mean(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
@@ -153,6 +147,13 @@ def quality_overlap(anchor: RdCurve, test: RdCurve) -> tuple[float, float]:
 
 def _mean_curve_value(x: np.ndarray, y: np.ndarray, lo: float, hi: float,
                       mode: str) -> float:
+    """Mean of the fitted y(x) over [lo, hi] inside x's range. Both fits run
+    on x mapped onto [-1, 1], which leaves the mean unchanged and keeps the
+    arithmetic finite; halving each end first keeps the sums finite too."""
+    center = x.min() / 2 + x.max() / 2
+    half_range = x.max() / 2 - x.min() / 2
+    x = (x - center) / half_range
+    lo, hi = (lo - center) / half_range, (hi - center) / half_range
     if mode == "cubic":
         return _cubic_mean(x, y, lo, hi)
     if mode == "pchip":
@@ -179,13 +180,22 @@ def bd_rate(anchor: RdCurve, test: RdCurve, mode: str = "cubic") -> float:
 
 
 def bd_quality(anchor: RdCurve, test: RdCurve, mode: str = "cubic") -> float:
-    """Average quality difference of test over anchor at equal rate."""
+    """Average quality difference of test over anchor at equal rate. A
+    difference beyond float64 raises CurveError."""
     log_anchor = np.log10(anchor.rates)
     log_test = np.log10(test.rates)
     lo = max(log_anchor.min(), log_test.min())
     hi = min(log_anchor.max(), log_test.max())
     if hi <= lo:
         raise OverlapError("rate ranges do not overlap")
-    mean_anchor = _mean_curve_value(log_anchor, anchor.qualities, lo, hi, mode)
-    mean_test = _mean_curve_value(log_test, test.qualities, lo, hi, mode)
-    return float(mean_test - mean_anchor)
+    # fit the qualities divided by 2^e, the power of two above every
+    # |quality|, and scale the difference back, so no fit can overflow
+    _, e = np.frexp(max(np.abs(anchor.qualities).max(), np.abs(test.qualities).max()))
+    mean_anchor = _mean_curve_value(log_anchor, np.ldexp(anchor.qualities, -e), lo, hi, mode)
+    mean_test = _mean_curve_value(log_test, np.ldexp(test.qualities, -e), lo, hi, mode)
+    with np.errstate(over="ignore"):
+        diff = np.ldexp(mean_test - mean_anchor, e)
+    if not np.isfinite(diff):
+        raise CurveError(f"quality difference 2^{int(e)} * "
+                         f"{float(mean_test - mean_anchor)!r} exceeds float64")
+    return float(diff)

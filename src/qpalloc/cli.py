@@ -210,7 +210,6 @@ def _cmd_simulate(args) -> int:
         allocation = alloc.BlockAllocation(
             grid=grid, base_qp=base_qp,
             qs=np.ones(grid.n_blocks), ratio=np.ones(grid.n_blocks),
-            beta=np.full(grid.n_blocks, alloc.DEFAULT_BETA),
             dqp=qpm.values.reshape(-1))
         point, recon = toysim.encode_image(luma, allocation)
     else:

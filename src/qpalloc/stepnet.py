@@ -107,11 +107,6 @@ class ModelWeights:
         return s
 
     @property
-    def in_channels(self) -> int:
-        first = self.layers[0]
-        return first.in_channels if isinstance(first, ConvLayer) else first.channels
-
-    @property
     def out_channels(self) -> int:
         last = self.layers[-1]
         return last.out_channels if isinstance(last, ConvLayer) else last.channels
@@ -227,23 +222,20 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
 def _float32_tokens(values: np.ndarray) -> list[str]:
     """Decimal tokens that load_weights reads back to the same float32 bits.
 
-    Each is numpy's shortest round-trip float32 decimal, unless reading it
-    through float64 rounds twice to a neighbour (bit pattern 363742205 is
-    one); such a value is written as the exact repr of its float64 widening.
-    The print options are pinned, so the caller's cannot change the text.
+    Each is Python's correctly rounded 9-significant-digit form of the
+    exact float64 widening; 9 digits is the binary32 round-trip bound
+    (IEEE 754-2008 5.12.2, C11 FLT_DECIMAL_DIG). The token lies within
+    5e-9 relative of the value, the float64 parse adds at most 2^-53, and
+    the nearest float32 rounding midpoint is at least 2^-25 relative away
+    (2^-24 for subnormals), so the float32 cast returns the original bits.
     """
     flat = np.asarray(values, dtype=np.float32).reshape(-1)
-    with np.printoptions(legacy=False):
-        tokens = flat.astype(str).tolist()
-    back = parse_reals(tokens).astype(np.float32)
-    for i in np.flatnonzero(back.view(np.uint32) != flat.view(np.uint32)):
-        tokens[i] = repr(float(flat[i]))
-    return tokens
+    return [format(v, ".9g") for v in flat.tolist()]
 
 
 def save_weights(weights: ModelWeights, path: str | os.PathLike) -> None:
-    """Write QSNW1 text: each float32 parameter as the shortest decimal
-    that loads back to the same bits (see _float32_tokens)."""
+    """Write QSNW1 text: each float32 parameter as a 9-significant-digit
+    decimal that loads back to the same bits (see _float32_tokens)."""
     lines = ["QSNW1", f"layers {len(weights.layers)}"]
 
     def emit_params(conv: ConvLayer) -> None:

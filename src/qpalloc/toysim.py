@@ -53,15 +53,13 @@ def _code_blocks(coeffs: np.ndarray, qsteps: np.ndarray):
     """Quantize each 8x8 coefficient block, returning (bits, dequantized).
 
     Levels round half away from zero. Each level costs its order-0
-    exp-Golomb length 2*floor(log2(m+1)) + 1, where m = 2*level-1 for a
-    positive level and -2*level otherwise; floor(log2(m+1)) is taken
-    exactly from the frexp exponent of m + 1.
+    signed exp-Golomb length 2*e + 1, where e is the frexp exponent of
+    the level itself: floor(log2|level|) + 1, and 0 for level 0.
     """
     q = qsteps[:, None, None]
     levels = np.copysign(np.floor(np.abs(coeffs) / q + 0.5), coeffs)
-    m = np.where(levels > 0, 2.0 * levels - 1.0, -2.0 * levels)
-    _, exponents = np.frexp(m + 1.0)
-    bits = np.sum(2 * (exponents - 1) + 1, axis=(1, 2)).astype(np.int64)
+    _, exponents = np.frexp(levels)
+    bits = np.sum(2 * exponents + 1, axis=(1, 2)).astype(np.int64)
     return bits, levels * q
 
 

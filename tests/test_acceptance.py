@@ -156,8 +156,7 @@ def _offsets_allocation(grid, base_qp, dqp):
     dqp = np.asarray(dqp, np.int64)
     return BlockAllocation(
         grid=grid, base_qp=base_qp, qs=np.ones(grid.n_blocks),
-        ratio=np.ones(grid.n_blocks), beta=np.full(grid.n_blocks, -1.367),
-        dqp=dqp)
+        ratio=np.ones(grid.n_blocks), dqp=dqp)
 
 
 def test_c08_toy_codec_rate_behavior():

@@ -190,9 +190,15 @@ class TestBuildAllocation:
             assert np.all(np.diff(allocation.dqp[order]) >= 0)
 
     def test_beta_map_broadcast_and_mismatch(self):
-        cfg = AllocConfig(base_qp=32, beta=np.full((2, 2), -1.0))
-        allocation = build_allocation(uniform_map(8, 8), 128, 128, cfg)
-        np.testing.assert_array_equal(allocation.beta, -1.0)
+        # one step per 64-px block, so the four ratios differ
+        steps = StepMap(values=np.kron([[1.0, 2.0], [3.0, 0.5]], np.ones((4, 4))))
+        beta_map = np.array([[-1.0, -2.5], [-2.5, -1.0]])
+        mapped = build_allocation(steps, 128, 128, AllocConfig(base_qp=32, beta=beta_map))
+        by_beta = {b: build_allocation(steps, 128, 128, AllocConfig(base_qp=32, beta=b)).dqp
+                   for b in (-1.0, -2.5)}
+        assert not np.array_equal(by_beta[-1.0], by_beta[-2.5])
+        for k, b in enumerate(beta_map.reshape(-1)):
+            assert mapped.dqp[k] == by_beta[b][k]
         bad = AllocConfig(base_qp=32, beta=np.full((3, 2), -1.0))
         with pytest.raises(GridMismatchError):
             build_allocation(uniform_map(8, 8), 128, 128, bad)

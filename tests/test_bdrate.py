@@ -126,6 +126,38 @@ class TestBdQuality:
             bd_quality(anchor, test)
 
 
+class TestHugeSpans:
+    """The fits run on the quality (or log-rate) axis mapped onto [-1, 1]
+    and on qualities divided by a power of two, so curves near the float64
+    limit give the statistics of the same curves at an ordinary scale:
+    BD-rate does not change under an affine map of quality, and BD-quality
+    scales with it. Each of these used to overflow."""
+
+    RATES = [1.0, 2.0, 3.0, 4.0]
+    CASES = [  # (anchor, test, scale): the qualities are scale * a small curve
+        ([0.0, 1e300, 2e300, 3e300], [0.0, 1.5e300, 2e300, 3e300], 1e300),
+        ([-8e307, -7e307, 1.0, 8e307], [-8e307, 1e307, 2e307, 8e307], 1e307),
+        ([1e308, 1.5e308, 1.6e308, 1.7e308], [1e308, 1.55e308, 1.6e308, 1.7e308], 1e308),
+    ]
+
+    @pytest.mark.parametrize("mode", ["cubic", "pchip"])
+    @pytest.mark.parametrize("anchor,test,scale", CASES, ids=["1e300", "8e307", "1.7e308"])
+    def test_match_the_same_curves_at_unit_scale(self, anchor, test, scale, mode):
+        big = curve(self.RATES, anchor), curve(self.RATES, test)
+        small = (curve(self.RATES, [q / scale for q in anchor]),
+                 curve(self.RATES, [q / scale for q in test]))
+        assert bd_rate(*big, mode=mode) == pytest.approx(bd_rate(*small, mode=mode), rel=1e-12)
+        assert bd_quality(*big, mode=mode) == pytest.approx(
+            scale * bd_quality(*small, mode=mode), rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["cubic", "pchip"])
+    def test_quality_difference_beyond_float64_is_curve_error(self, mode):
+        anchor = curve(self.RATES, [-1.7e308, -1.6e308, -1.5e308, -1.4e308])
+        test = curve(self.RATES, [1.4e308, 1.5e308, 1.6e308, 1.7e308])
+        with pytest.raises(CurveError, match="quality difference"):
+            bd_quality(anchor, test, mode=mode)
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "curve.csv"

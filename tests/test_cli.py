@@ -399,6 +399,18 @@ class TestBdrateCommand:
         assert (code, out) == (2, "")
         assert "quality span" in err and "exceeds float64" in err
 
+    @pytest.mark.parametrize("interp", ["cubic", "pchip"])
+    def test_qualities_near_the_float64_limit(self, run, tmp_path, interp):
+        # every statistic used to overflow in the fits
+        anchor = tmp_path / "a.csv"
+        test = tmp_path / "t.csv"
+        self.write_curve(anchor, [1, 2, 3, 4], [1e308, 1.5e308, 1.6e308, 1.7e308])
+        self.write_curve(test, [1, 2, 3, 4], [1e308, 1.55e308, 1.6e308, 1.7e308])
+        code, out, err = run("bdrate", anchor, test, "--interp", interp)
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        assert np.isfinite([result["bd_rate_percent"], result["bd_quality"]]).all()
+
 
 class TestSimulateCommand:
     def test_black_image_is_lossless(self, run, tmp_path):

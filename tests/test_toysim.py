@@ -17,8 +17,7 @@ def allocation_with_offsets(grid, base_qp, dqp):
     dqp = np.asarray(dqp, np.int64)
     return BlockAllocation(
         grid=grid, base_qp=base_qp,
-        qs=np.ones(grid.n_blocks), ratio=np.ones(grid.n_blocks),
-        beta=np.full(grid.n_blocks, -1.367), dqp=dqp)
+        qs=np.ones(grid.n_blocks), ratio=np.ones(grid.n_blocks), dqp=dqp)
 
 
 class TestDct:
