@@ -1,8 +1,9 @@
-"""Shared file plumbing: atomic writes and strict number tokens.
+"""Shared file plumbing: ASCII text in, strict number tokens, atomic writes.
 
-A write goes to a uniquely named sibling temp file, is fsynced, then
-renamed over the target, and the directory is fsynced so the rename
-survives a crash. A failed or concurrent write never leaves a partial
+Every text reader gets its numbers here: read_text, then parse_ints for
+integer fields and parse_reals for real ones. A write goes to a uniquely
+named sibling temp file, is fsynced, then renamed over the target, and
+the directory is fsynced so the rename survives a crash. A failed or concurrent write never leaves a partial
 output at the target path; the OS-level cause is wrapped in
 OutputIOError so the CLI can classify it.
 """
@@ -14,9 +15,18 @@ import re
 
 import numpy as np
 
-from .errors import OutputIOError
+from .errors import FormatError, OutputIOError
 
 _INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """The whole file; a byte outside ASCII is a FormatError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not ASCII text") from exc
 
 
 def parse_ints(tokens: list[str]) -> list[int]:
@@ -27,25 +37,27 @@ def parse_ints(tokens: list[str]) -> list[int]:
     """
     for token in tokens:
         if _INT_TOKEN.fullmatch(token) is None:
-            raise ValueError(f"not an integer: {token!r}")
+            raise ValueError(f"non-numeric value (not an integer: {token!r})")
     return [int(token) for token in tokens]
 
 
 def parse_reals(tokens: list[str]) -> np.ndarray:
-    """Real tokens as float64 in one numpy pass. numpy calls float() on
-    each str, so the accepted spellings and the ValueError are float()'s;
-    callers check lax_reals and finiteness themselves."""
-    return np.array(tokens, dtype=np.float64)
-
-
-def lax_reals(text: str) -> bool:
-    """Whether real tokens in text use a ``_`` separator or a leading ``+``,
-    which float() accepts and repr never writes; ``1e+16`` is fine. Scans
-    the whole text, not each token, so it also sees the integer fields:
-    callers report it only once those have parsed."""
-    # every '+' must be an exponent sign
-    return "_" in text or ("+" in text and text.count("+")
-                           != text.count("e+") + text.count("E+"))
+    """Finite real tokens as float64 in one numpy pass: float()'s spellings
+    minus a ``_`` separator and a ``+`` that is not an exponent sign (the
+    ``1e+16`` that repr writes is fine). Anything else raises ValueError,
+    and so does a nan, an inf or a value beyond float64 such as ``1e400``."""
+    joined = " ".join(tokens)
+    # the '+' counts run only when there is a '+' to count
+    if "_" in joined or ("+" in joined and joined.count("+")
+                         != joined.count("e+") + joined.count("E+")):
+        raise ValueError("non-numeric value")
+    try:
+        values = np.array(tokens, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError("non-numeric value") from exc
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
 
 
 def _create_sibling(target: str) -> tuple[int, str]:

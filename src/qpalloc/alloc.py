@@ -6,7 +6,8 @@ convert each ratio r to an integer QP offset
 
     dQP = clamp(round(slope * N * beta * log2(r)), -clamp, +clamp)
 
-with N = 3 and rounding half away from zero. The rate-distortion
+with N = 3 and rounding half away from zero, then clipped so that the
+block QP stays in [0, 63], as VTM clips a CU's QP. The rate-distortion
 multiplier for a block then scales by 2^(dQP / N). A uniform step map
 produces the all-zero offset map by construction. Every step is one
 array expression over all blocks.
@@ -72,7 +73,7 @@ class BlockAllocation:
     base_qp: int
     qs: np.ndarray            # mean step per block
     ratio: np.ndarray         # normalized bit ratio, weighted mean 1
-    dqp: np.ndarray           # integer offsets, |dqp| <= clamp
+    dqp: np.ndarray           # integer offsets, |dqp| <= clamp, 0 <= qp <= 63
 
     @property
     def qp(self) -> np.ndarray:
@@ -175,9 +176,9 @@ def build_allocation(step_map: StepMap, width: int, height: int,
     grid = BlockGrid(width, height, BLOCK_SIZE)
     qs = block_mean_step(step_map, grid)
     ratio = bit_ratios(qs, grid)
-    beta = _beta_per_block(cfg.beta, grid)
+    dqp = qp_offset(ratio, _beta_per_block(cfg.beta, grid), cfg.slope, cfg.clamp)
     return BlockAllocation(grid=grid, base_qp=cfg.base_qp, qs=qs, ratio=ratio,
-                           dqp=qp_offset(ratio, beta, cfg.slope, cfg.clamp))
+                           dqp=np.clip(dqp, -cfg.base_qp, 63 - cfg.base_qp))
 
 
 def linearity_fit(bits_per_block, qs) -> LinearityReport:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import lax_reals
+from ._fileio import parse_reals, read_text
 from .errors import CurveError, FormatError, OverlapError
 
 __all__ = ["RdCurve", "bd_rate", "bd_quality", "quality_overlap",
@@ -76,26 +76,24 @@ class RdCurve:
 def read_rd_rows(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
     """Raw (rates, qualities) columns of a 'rate_bpp,quality' CSV.
 
-    No curve validation; callers that ingest raw lower-is-better columns
-    convert them before building an RdCurve.
+    Two finite reals per row, spaces around a cell allowed. No curve
+    validation; callers that ingest raw lower-is-better columns convert
+    them before building an RdCurve.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in read_text(path).split("\n") if ln.strip()]
     if not lines or lines[0].replace(" ", "") != "rate_bpp,quality":
         raise FormatError(f"{path}: expected header 'rate_bpp,quality'")
-    rates, qualities = [], []
+    rows = []
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
+        cells = ln.split(",")
+        if len(cells) != 2:
             raise FormatError(f"{path}: bad row {ln!r}")
-        if lax_reals(ln):
-            raise FormatError(f"{path}: non-numeric row {ln!r}")
         try:
-            rates.append(float(parts[0]))
-            qualities.append(float(parts[1]))
+            rows.append(parse_reals(cells))
         except ValueError as exc:
-            raise FormatError(f"{path}: non-numeric row {ln!r}") from exc
-    return np.array(rates), np.array(qualities)
+            raise FormatError(f"{path}: {exc} in row {ln!r}") from exc
+    rates, qualities = np.array(rows, dtype=np.float64).reshape(-1, 2).T
+    return rates, qualities
 
 
 def read_rd_csv(path: str | os.PathLike, metric_tag: str = "psnr") -> RdCurve:
@@ -149,10 +147,13 @@ def _mean_curve_value(x: np.ndarray, y: np.ndarray, lo: float, hi: float,
                       mode: str) -> float:
     """Mean of the fitted y(x) over [lo, hi] inside x's range. Both fits run
     on x mapped onto [-1, 1], which leaves the mean unchanged and keeps the
-    arithmetic finite; halving each end first keeps the sums finite too."""
+    arithmetic finite; halving each end first keeps the sums finite too.
+    x and y must increase strictly, also after the map."""
     center = x.min() / 2 + x.max() / 2
     half_range = x.max() / 2 - x.min() / 2
     x = (x - center) / half_range
+    if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
+        raise CurveError("curve points coincide at float64 resolution of their span")
     lo, hi = (lo - center) / half_range, (hi - center) / half_range
     if mode == "cubic":
         return _cubic_mean(x, y, lo, hi)

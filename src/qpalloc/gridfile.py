@@ -6,7 +6,7 @@ All four share one layout so a single parser covers them:
     BLOCKS_X BLOCKS_Y BLOCK_SIZE BASE_QP
     <BLOCKS_Y rows of BLOCKS_X values>
 
-QPMAP and BITS carry integers, LSCALE and BMAP carry reals. BASE_QP is
+QPMAP and BITS carry integers, LSCALE and BMAP finite reals. BASE_QP is
 meaningful for QPMAP/LSCALE/BITS and written as 0 where it is not.
 Writing is canonical (single spaces, trailing newline), so files
 round-trip byte-identically.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text, lax_reals, parse_ints, parse_reals
+from ._fileio import atomic_write_text, parse_ints, parse_reals, read_text
 from .errors import FormatError
 
 INT_TAGS = frozenset({"QPMAP", "BITS"})
@@ -56,9 +56,7 @@ def write_grid_file(path: str | os.PathLike, tag: str, block_size: int,
 
 
 def read_grid_file(path: str | os.PathLike, expect_tag: str | None = None) -> GridFile:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    tokens = text.split()
+    tokens = read_text(path).split()
     if len(tokens) < 6:
         raise FormatError(f"{path}: truncated grid file")
     tag, version = tokens[0], tokens[1]
@@ -77,18 +75,14 @@ def read_grid_file(path: str | os.PathLike, expect_tag: str | None = None) -> Gr
     body = tokens[6:]
     if len(body) != bx * by:
         raise FormatError(f"{path}: expected {bx * by} values, found {len(body)}")
-    if tag in FLOAT_TAGS and lax_reals(text):
-        raise FormatError(f"{path}: non-numeric grid value")
     try:
         if tag in INT_TAGS:
             values = np.array(parse_ints(body), dtype=np.int64)
         else:
             values = parse_reals(body)
     except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric grid value") from exc
+        raise FormatError(f"{path}: {exc} in the grid") from exc
     except OverflowError as exc:
         raise FormatError(f"{path}: grid value outside the 64-bit integer range") from exc
-    if tag in FLOAT_TAGS and not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: non-finite grid value")
     return GridFile(tag=tag, blocks_x=bx, blocks_y=by, block_size=block_size,
                     base_qp=base_qp, values=values.reshape(by, bx))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text, lax_reals, parse_ints, parse_reals
+from ._fileio import atomic_write_text, parse_ints, parse_reals, read_text
 from .errors import FormatError, InferenceError
 from .imageio import RasterImage
 
@@ -145,12 +145,9 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
     ``conv IN OUT K STRIDE`` or ``resblock CH`` header followed by its
     parameters (out-channel-major weights, then biases; a resblock
     carries its two convolutions in order). Each block of values parses
-    as float64 in one numpy pass and is stored as float32.
+    as finite float64 in one parse_reals pass and is stored as float32.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    tokens, lax = text.split(), lax_reals(text)
-    del text  # the tokens are all the parse needs; this keeps peak memory down
+    tokens = read_text(path).split()
     cursor = 0
 
     def take(n: int) -> list[str]:
@@ -167,19 +164,19 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
             raise FormatError(f"{path}: unsupported version {magic!r}")
         raise FormatError(f"{path}: bad magic {magic!r}, expected QSNW1")
     kw, count = take(2)
-    if kw != "layers" or not count.isdigit() or int(count) < 1:
+    try:
+        (n_layers,) = parse_ints([count])
+    except ValueError as exc:
+        raise FormatError(f"{path}: expected 'layers N' after the magic") from exc
+    if kw != "layers" or n_layers < 1:
         raise FormatError(f"{path}: expected 'layers N' after the magic")
-    n_layers = int(count)
 
     def take_floats(n: int, what: str) -> np.ndarray:
         raw = take(n)
         try:
-            arr = parse_reals(raw)
+            return parse_reals(raw)
         except ValueError as exc:
-            raise FormatError(f"{path}: non-numeric value in {what}") from exc
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(f"{path}: non-finite value in {what}")
-        return arr
+            raise FormatError(f"{path}: {exc} in {what}") from exc
 
     def take_conv(c_in: int, c_out: int, k: int, stride: int, what: str) -> ConvLayer:
         w = take_floats(c_out * c_in * k * k, what + " weights")
@@ -211,8 +208,6 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
             layers.append(ResBlock(conv1=conv1, conv2=conv2))
         else:
             raise FormatError(f"{path}: unknown layer kind {kind!r} in layer {idx}")
-    if lax:  # every header field parsed above, so a weight or bias holds it
-        raise FormatError(f"{path}: non-numeric value ('_' or a leading '+')")
     if cursor != len(tokens):
         raise FormatError(
             f"{path}: parameter count mismatch, {len(tokens) - cursor} trailing values")
@@ -345,9 +340,7 @@ def infer_step_map(img: RasterImage, weights: ModelWeights) -> StepMap:
 
 def read_step_map(path: str | os.PathLike) -> StepMap:
     """Read a QSMAP file: 'QSMAP 1', then 'W H', then H rows of W values."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    tokens = text.split()
+    tokens = read_text(path).split()
     if len(tokens) < 4 or tokens[0] != "QSMAP" or tokens[1] != "1":
         raise FormatError(f"{path}: expected 'QSMAP 1' header")
     try:
@@ -358,14 +351,12 @@ def read_step_map(path: str | os.PathLike) -> StepMap:
         raise FormatError(f"{path}: bad dimensions {w}x{h}")
     if len(tokens) != 4 + w * h:
         raise FormatError(f"{path}: expected {w * h} values, found {len(tokens) - 4}")
-    if lax_reals(text):
-        raise FormatError(f"{path}: non-numeric step value")
     try:
         values = parse_reals(tokens[4:])
     except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric step value") from exc
-    if not np.all(np.isfinite(values)) or not np.all(values > 0):
-        raise FormatError(f"{path}: step values must be finite and positive")
+        raise FormatError(f"{path}: {exc} among the step values") from exc
+    if not np.all(values > 0):
+        raise FormatError(f"{path}: step values must be positive")
     return StepMap(values=values.reshape(h, w))
 
 

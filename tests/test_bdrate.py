@@ -158,6 +158,30 @@ class TestHugeSpans:
             bd_quality(anchor, test, mode=mode)
 
 
+class TestCoincidingPoints:
+    """Strictly increasing points that are equal at float64 resolution of
+    their span: neither fit can tell them apart. These used to raise
+    "Singular matrix" (cubic) or divide by zero (pchip)."""
+
+    RATES = [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("mode", ["cubic", "pchip"])
+    @pytest.mark.parametrize("statistic", [bd_rate, bd_quality])
+    def test_subresolution_qualities(self, mode, statistic):
+        anchor = curve(self.RATES, [0.0, 5e-324, 1.0, 2.0])
+        test = curve(self.RATES, [0.0, 0.5, 1.0, 2.0])
+        with pytest.raises(CurveError, match="coincide at float64 resolution"):
+            statistic(anchor, test, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["cubic", "pchip"])
+    def test_rates_with_equal_log10(self, mode):
+        anchor = curve([1e300, np.nextafter(1e300, 2e300), 2e300, 3e300], [1, 2, 3, 4])
+        test = curve([1e300, 1.5e300, 2e300, 3e300], [1, 2, 3, 4])
+        assert np.log10(anchor.rates[0]) == np.log10(anchor.rates[1])
+        with pytest.raises(CurveError, match="coincide at float64 resolution"):
+            bd_quality(anchor, test, mode=mode)
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "curve.csv"

@@ -211,6 +211,24 @@ class TestQpmapCommand:
         assert run("qpmap", "--stepmap", qsmap, "--base-qp", 99,
                    tmp_path / "o.qpmap")[0] == 2
 
+    @pytest.mark.parametrize("base_qp,offsets", [(0, [0, 2]), (63, [-2, 0])])
+    def test_block_qps_clipped_to_legal_range(self, run, tmp_path, base_qp, offsets):
+        # unclipped offsets {-2, +2}; at base 63 or 0 they used to give block
+        # QPs of 65 or -2, which simulate rejects
+        values = np.ones((4, 8))
+        values[:, 4:] = 2.0
+        qsmap = tmp_path / "two.qsmap"
+        write_qsmap(qsmap, values)
+        image = tmp_path / "img.ppm"
+        save_ppm(RasterImage(pixels=textured_pixels(64, 128, seed=3)), image)
+        out = tmp_path / "o.qpmap"
+        assert run("qpmap", "--stepmap", qsmap, "--base-qp", base_qp, out)[0] == 0
+        np.testing.assert_array_equal(read_grid_file(out).values[0], offsets)
+        np.testing.assert_array_equal(read_grid_file(str(out) + ".lscale").values[0],
+                                      2.0 ** (np.array(offsets) / 3))
+        code, _, err = run("simulate", image, "--qpmap", out, tmp_path / "sim")
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("flags,code", [
         (["--slope", "inf"], 2), (["--slope", "nan"], 2),
         (["--beta", "inf"], 2), (["--beta", "nan"], 2),
@@ -410,6 +428,19 @@ class TestBdrateCommand:
         assert (code, err) == (0, "")
         result = json.loads(out)
         assert np.isfinite([result["bd_rate_percent"], result["bd_quality"]]).all()
+
+    @pytest.mark.parametrize("interp", ["cubic", "pchip"])
+    def test_subresolution_quality_spacing_is_exit_2(self, run, tmp_path, interp):
+        # used to print "Singular matrix" (cubic), or four RuntimeWarnings
+        # and then "rate ratio 10^nan is not finite" (pchip)
+        anchor = tmp_path / "a.csv"
+        test = tmp_path / "t.csv"
+        self.write_curve(anchor, [1, 2, 3, 4], [0, 5e-324, 1, 2])
+        self.write_curve(test, [1, 2, 3, 4], [0, 0.5, 1, 2])
+        code, out, err = run("bdrate", anchor, test, "--interp", interp)
+        assert (code, out) == (2, "")
+        assert "coincide at float64 resolution" in err
+        assert "RuntimeWarning" not in err
 
 
 class TestSimulateCommand:

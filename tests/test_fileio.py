@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qpalloc._fileio import atomic_write_bytes, parse_ints, parse_reals
+from qpalloc.bdrate import read_rd_rows
 from qpalloc.errors import FormatError, OutputIOError
 from qpalloc.gridfile import read_grid_file
 from qpalloc.stepnet import load_weights, read_step_map
@@ -45,17 +46,20 @@ class TestParseInts:
 
 
 class TestParseReals:
-    # float() spellings, good and bad, that the readers must keep treating
-    # exactly as the per-token float() loop they replaced did
     SPELLINGS = ["nan", "NaN", "inf", "-inf", "Infinity", "0x10", "1e", ".", "1_0",
                  "+1", "1e400", "-1e400", "4.9e-324", "1e-400", "-0", "1.", "-.5",
                  "1E5", "1e+16", "0b1", "1.5f", "1,5", "e5", "--1", "", "١", "1e-05"]
+    # float() reads these, but as a non-finite value or through a '_'
+    # separator or a '+' that is not an exponent sign
+    STRICTER = {"nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400", "1_0", "+1"}
 
     @pytest.mark.parametrize("token", SPELLINGS)
     def test_matches_float_per_token(self, token):
         try:
             expected = np.array([float(token)], dtype=np.float64)
         except ValueError:
+            expected = None
+        if expected is None or token in self.STRICTER:
             with pytest.raises(ValueError):
                 parse_reals(["1.0", token])
             return
@@ -68,15 +72,29 @@ class TestParseReals:
         "QSMAP": (read_step_map, "QSMAP 1\n2 1\n1.0 {}\n"),
         "LSCALE": (read_grid_file, "LSCALE 1\n2 1 64 32\n1.0 {}\n"),
         "BMAP": (read_grid_file, "BMAP 1\n2 1 64 0\n1.0 {}\n"),
+        "RD CSV": (read_rd_rows, "rate_bpp,quality\n0.1,30\n0.2, {}\n"),
     }
 
     @pytest.mark.parametrize("fmt", list(READERS))
-    @pytest.mark.parametrize("token", ["nan", "inf", "0x10", "1e", "1_0", "+1"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400", "0x10", "1e", "1_0", "+1", "١"])
     def test_real_readers_reject(self, tmp_path, fmt, token):
         reader, template = self.READERS[fmt]
         path = tmp_path / "f.txt"
-        path.write_text(template.format(token))
+        path.write_text(template.format(token), encoding="utf-8")
         with pytest.raises(FormatError):
             reader(path)
         path.write_text(template.format("0.5"))
         reader(path)
+
+
+class TestReadText:
+    # a non-ASCII byte in an integer field, as in a real one above
+    @pytest.mark.parametrize("reader,text", [
+        (read_grid_file, "QPMAP 1\n1 1 64 32\n١\n"),
+        (load_weights, "QSNW1\nlayers ١\n"),
+    ], ids=["QPMAP", "QSNW1"])
+    def test_non_ascii_byte_is_format_error(self, tmp_path, reader, text):
+        path = tmp_path / "f.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match="not ASCII"):
+            reader(path)

@@ -68,7 +68,8 @@ def test_allocation_matches_per_block_oracles(width, height, seed, slope, beta, 
                                               clamp=clamp))
     qs = reference_block_mean_step(values, allocation.grid)
     np.testing.assert_allclose(allocation.qs, qs, rtol=1e-14, atol=0)
-    dqp = [reference_qp_offset(r, beta, slope, clamp)
+    # each block QP 32 + dqp is clipped to [0, 63]
+    dqp = [min(max(reference_qp_offset(r, beta, slope, clamp), -32), 31)
            for r in bit_ratios(qs, allocation.grid)]
     np.testing.assert_array_equal(allocation.dqp, dqp)
 
