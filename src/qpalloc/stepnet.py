@@ -3,9 +3,11 @@
 The network maps an RGB image to a positive step map at 1/16 spatial
 resolution: a strided convolutional stem, residual blocks, and a single
 channel head passed through softplus. Weights travel in the text QSNW1
-format. Convolutions run in float32 as one matrix product per band of
-output rows; the same image and weights give byte-identical results
-run to run on one host. The softplus head runs in float64.
+format, which the loader reads a few lines at a time. Convolutions run
+in float32 as one matrix product per band of output rows, and a forward
+pass allocates one workspace that every layer reuses; the same image
+and weights give byte-identical results run to run on one host. The
+softplus head runs in float64.
 
 No trained weights ship with the package. ``make_random_weights`` builds
 a seeded instance of the reference layer plan for tests and demos;
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write_text, parse_ints, parse_reals, read_text
+from ._fileio import TokenReader, atomic_write_text, parse_ints, parse_reals, read_text
 from .errors import FormatError, InferenceError
 from .imageio import RasterImage
 
@@ -146,71 +148,76 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
     parameters (out-channel-major weights, then biases; a resblock
     carries its two convolutions in order). Each block of values parses
     as finite float64 in one parse_reals pass and is stored as float32.
+
+    Tokens stream in through a TokenReader, whole lines about 64 KB at a
+    time, so the loader holds the arrays parsed so far and the tokens of
+    the lines in hand, not the file. save_weights writes one block per
+    line, so such a file peaks at about its largest block. Any other
+    whitespace layout loads to the same bits; a file written all on one
+    line holds all its tokens at once and peaks as high as splitting the
+    whole file.
     """
-    tokens = read_text(path).split()
-    cursor = 0
+    with TokenReader(path) as reader:
 
-    def take(n: int) -> list[str]:
-        nonlocal cursor
-        if cursor + n > len(tokens):
-            raise FormatError(f"{path}: parameter count mismatch, file ends early")
-        out = tokens[cursor:cursor + n]
-        cursor += n
-        return out
+        def take(n: int) -> list[str]:
+            out = reader.take(n)
+            if len(out) < n:
+                raise FormatError(f"{path}: parameter count mismatch, file ends early")
+            return out
 
-    magic = take(1)[0]
-    if magic != "QSNW1":
-        if magic.startswith("QSNW"):
-            raise FormatError(f"{path}: unsupported version {magic!r}")
-        raise FormatError(f"{path}: bad magic {magic!r}, expected QSNW1")
-    kw, count = take(2)
-    try:
-        (n_layers,) = parse_ints([count])
-    except ValueError as exc:
-        raise FormatError(f"{path}: expected 'layers N' after the magic") from exc
-    if kw != "layers" or n_layers < 1:
-        raise FormatError(f"{path}: expected 'layers N' after the magic")
-
-    def take_floats(n: int, what: str) -> np.ndarray:
-        raw = take(n)
+        magic = take(1)[0]
+        if magic != "QSNW1":
+            if magic.startswith("QSNW"):
+                raise FormatError(f"{path}: unsupported version {magic!r}")
+            raise FormatError(f"{path}: bad magic {magic!r}, expected QSNW1")
+        kw, count = take(2)
         try:
-            return parse_reals(raw)
+            (n_layers,) = parse_ints([count])
         except ValueError as exc:
-            raise FormatError(f"{path}: {exc} in {what}") from exc
+            raise FormatError(f"{path}: expected 'layers N' after the magic") from exc
+        if kw != "layers" or n_layers < 1:
+            raise FormatError(f"{path}: expected 'layers N' after the magic")
 
-    def take_conv(c_in: int, c_out: int, k: int, stride: int, what: str) -> ConvLayer:
-        w = take_floats(c_out * c_in * k * k, what + " weights")
-        b = take_floats(c_out, what + " bias")
-        return ConvLayer(weights=w.reshape(c_out, c_in, k, k).astype(np.float32),
-                         bias=b.astype(np.float32), stride=stride)
+        def take_floats(n: int, what: str) -> np.ndarray:
+            raw = take(n)
+            try:
+                return parse_reals(raw)
+            except ValueError as exc:
+                raise FormatError(f"{path}: {exc} in {what}") from exc
 
-    layers = []
-    for idx in range(n_layers):
-        kind = take(1)[0]
-        if kind == "conv":
-            dims = take(4)
-            try:
-                c_in, c_out, k, stride = parse_ints(dims)
-            except ValueError as exc:
-                raise FormatError(f"{path}: bad conv header in layer {idx}") from exc
-            if min(c_in, c_out, k, stride) < 1:
-                raise FormatError(f"{path}: bad conv header in layer {idx}")
-            layers.append(take_conv(c_in, c_out, k, stride, f"layer {idx}"))
-        elif kind == "resblock":
-            try:
-                (ch,) = parse_ints(take(1))
-            except ValueError as exc:
-                raise FormatError(f"{path}: bad resblock header in layer {idx}") from exc
-            if ch < 1:
-                raise FormatError(f"{path}: bad resblock header in layer {idx}")
-            conv1 = take_conv(ch, ch, 3, 1, f"layer {idx} (resblock conv1)")
-            conv2 = take_conv(ch, ch, 3, 1, f"layer {idx} (resblock conv2)")
-            layers.append(ResBlock(conv1=conv1, conv2=conv2))
-        else:
-            raise FormatError(f"{path}: unknown layer kind {kind!r} in layer {idx}")
-    if cursor != len(tokens):
-        raise FormatError(
-            f"{path}: parameter count mismatch, {len(tokens) - cursor} trailing values")
+        def take_conv(c_in: int, c_out: int, k: int, stride: int, what: str) -> ConvLayer:
+            w = take_floats(c_out * c_in * k * k, what + " weights")
+            b = take_floats(c_out, what + " bias")
+            return ConvLayer(weights=w.reshape(c_out, c_in, k, k).astype(np.float32),
+                             bias=b.astype(np.float32), stride=stride)
+
+        layers = []
+        for idx in range(n_layers):
+            kind = take(1)[0]
+            if kind == "conv":
+                dims = take(4)
+                try:
+                    c_in, c_out, k, stride = parse_ints(dims)
+                except ValueError as exc:
+                    raise FormatError(f"{path}: bad conv header in layer {idx}") from exc
+                if min(c_in, c_out, k, stride) < 1:
+                    raise FormatError(f"{path}: bad conv header in layer {idx}")
+                layers.append(take_conv(c_in, c_out, k, stride, f"layer {idx}"))
+            elif kind == "resblock":
+                try:
+                    (ch,) = parse_ints(take(1))
+                except ValueError as exc:
+                    raise FormatError(f"{path}: bad resblock header in layer {idx}") from exc
+                if ch < 1:
+                    raise FormatError(f"{path}: bad resblock header in layer {idx}")
+                conv1 = take_conv(ch, ch, 3, 1, f"layer {idx} (resblock conv1)")
+                conv2 = take_conv(ch, ch, 3, 1, f"layer {idx} (resblock conv2)")
+                layers.append(ResBlock(conv1=conv1, conv2=conv2))
+            else:
+                raise FormatError(f"{path}: unknown layer kind {kind!r} in layer {idx}")
+        trailing = reader.count_rest()
+    if trailing:
+        raise FormatError(f"{path}: parameter count mismatch, {trailing} trailing values")
     return ModelWeights(layers=tuple(layers))
 
 
@@ -229,8 +236,9 @@ def _float32_tokens(values: np.ndarray) -> list[str]:
 
 
 def save_weights(weights: ModelWeights, path: str | os.PathLike) -> None:
-    """Write QSNW1 text: each float32 parameter as a 9-significant-digit
-    decimal that loads back to the same bits (see _float32_tokens)."""
+    """Write QSNW1 text, one header or block of values per line: each
+    float32 parameter as a 9-significant-digit decimal that loads back to
+    the same bits (see _float32_tokens)."""
     lines = ["QSNW1", f"layers {len(weights.layers)}"]
 
     def emit_params(conv: ConvLayer) -> None:
@@ -253,46 +261,104 @@ def save_weights(weights: ModelWeights, path: str | os.PathLike) -> None:
 # Inference
 # ---------------------------------------------------------------------------
 
-def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Strided convolution with same-ceil geometry and replicate padding.
-
-    Output dims are ceil(input/stride); the total pad per axis is
-    max((out-1)*stride + k - in, 0) with floor(pad/2) on the leading
-    side. The padded input is split into stride x stride flattened phase
-    planes, so each kernel tap over a band of output rows is a contiguous
-    slice; the k*k slices of a band are stacked into a bounded columns
-    buffer for one float32 GEMM with the weights, and the bias is added.
-    The same input and layer give byte-identical results run to run on
-    one host.
-    """
-    if x.ndim != 3 or x.shape[0] != layer.in_channels:
-        raise InferenceError(
-            f"channel mismatch: input has {x.shape[0] if x.ndim == 3 else '?'} "
-            f"channels, layer expects {layer.in_channels}")
-    x = np.asarray(x, dtype=np.float32)
-    c, h, w = x.shape
+def _geometry(layer: ConvLayer, h: int, w: int) -> tuple[int, ...]:
+    """(out_h, out_w, top, left, qh, qw, rows) of layer on an h x w input:
+    output dims, leading pad rows and columns, phase-plane dims, and
+    output rows per band."""
     s, k = layer.stride, layer.kernel_size
     out_h, out_w = -(-h // s), -(-w // s)
     pad_h = max((out_h - 1) * s + k - h, 0)
     pad_w = max((out_w - 1) * s + k - w, 0)
     qh, qw = -(-(h + pad_h) // s), -(-(w + pad_w) // s)  # whole phase planes
-    planes = np.pad(x, ((0, 0), (pad_h // 2, qh * s - h - pad_h // 2),
-                        (pad_w // 2, qw * s - w - pad_w // 2)), mode="edge")
-    planes = planes.reshape(c, qh, s, qw, s).transpose(2, 4, 0, 1, 3).reshape(s, s, c, -1)
+    rows = max(1, min(out_h, _BAND_FLOATS // (k * k * layer.in_channels * qw)))
+    return out_h, out_w, pad_h // 2, pad_w // 2, qh, qw, rows
+
+
+def _buffer_floats(layer: ConvLayer, h: int, w: int) -> tuple[int, int, int]:
+    """Floats that _conv_into needs for its phase planes, its columns
+    buffer and its output rows (which keep the phase-plane pitch)."""
+    out_h, out_w, _, _, qh, qw, rows = _geometry(layer, h, w)
+    s, k, c = layer.stride, layer.kernel_size, layer.in_channels
+    return (s * s * c * qh * qw, k * k * c * ((rows - 1) * qw + out_w),
+            layer.out_channels * out_h * qw)
+
+
+def _phase_spans(first: int, s: int, q: int, n: int) -> list[tuple[slice, slice]]:
+    """(plane, source) slice pairs along one axis of a phase plane whose
+    entry i holds source index first + i*s clipped to [0, n): a lead that
+    repeats index 0, the run inside the source, a tail that repeats n-1."""
+    lead = min(q, max(0, -(first // s)))
+    start = first + lead * s
+    run = min(q - lead, max(0, -(-(n - start) // s)))
+    return [(slice(0, lead), slice(0, 1)),
+            (slice(lead, lead + run), slice(start, start + run * s, s)),
+            (slice(lead + run, q), slice(n - 1, n))]
+
+
+def _edge_pad(x: np.ndarray, planes: np.ndarray, top: int, left: int) -> None:
+    """Replicate-pad x (c, h, w) straight into planes (s, s, c, qh, qw):
+    the padded pixel (i*s + ph, j*s + pw) lands at [ph, pw, :, i, j]."""
+    s, _, _, qh, qw = planes.shape
+    _, h, w = x.shape
+    for ph in range(s):
+        rows = _phase_spans(ph - top, s, qh, h)
+        for pw in range(s):
+            cols = _phase_spans(pw - left, s, qw, w)
+            for plane_r, src_r in rows:
+                for plane_c, src_c in cols:
+                    planes[ph, pw, :, plane_r, plane_c] = x[:, src_r, src_c]
+
+
+def _conv_into(x: np.ndarray, layer: ConvLayer, planes_buf: np.ndarray,
+               cols_buf: np.ndarray, out_buf: np.ndarray) -> np.ndarray:
+    """conv2d of x (c, h, w) through float32 buffers the caller owns, each
+    at least as long as _buffer_floats says. Returns the (out, out_h,
+    out_w) view of out_buf. x is read only while the planes are filled,
+    so out_buf may hold x."""
+    c, h, w = x.shape
+    s, k = layer.stride, layer.kernel_size
+    out_h, out_w, top, left, qh, qw, rows = _geometry(layer, h, w)
+    planes = planes_buf[:s * s * c * qh * qw].reshape(s, s, c, qh, qw)
+    _edge_pad(x, planes, top, left)
+    planes = planes.reshape(s, s, c, qh * qw)
     weights = layer.weights.transpose(0, 2, 3, 1).reshape(layer.out_channels, -1)
-    out = np.empty((layer.out_channels, out_h * qw), np.float32)
-    rows = max(1, min(out_h, _BAND_FLOATS // (k * k * c * qw)))
-    buf = np.empty(k * k * c * ((rows - 1) * qw + out_w), np.float32)
+    out = out_buf[:layer.out_channels * out_h * qw].reshape(layer.out_channels, -1)
     for r0 in range(0, out_h, rows):
         # The band's last row stops at out_w, so no slice reads past a plane.
         n = (min(rows, out_h - r0) - 1) * qw + out_w
-        cols = buf[:k * k * c * n].reshape(k, k, c, n)
+        cols = cols_buf[:k * k * c * n].reshape(k, k, c, n)
         for kr, kc in np.ndindex(k, k):
             off = (kr // s + r0) * qw + kc // s
             cols[kr, kc] = planes[kr % s, kc % s, :, off:off + n]
         band = np.matmul(weights, cols.reshape(-1, n), out=out[:, r0 * qw:r0 * qw + n])
         band += layer.bias[:, None]
     return out.reshape(layer.out_channels, out_h, qw)[:, :, :out_w]
+
+
+def _channel_mismatch(has, layer: ConvLayer) -> InferenceError:
+    return InferenceError(f"channel mismatch: input has {has} channels, "
+                          f"layer expects {layer.in_channels}")
+
+
+def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """Strided convolution with same-ceil geometry and replicate padding.
+
+    Output dims are ceil(input/stride); the total pad per axis is
+    max((out-1)*stride + k - in, 0) with floor(pad/2) on the leading
+    side. The input is edge-padded straight into stride x stride
+    flattened phase planes, so each kernel tap over a band of output
+    rows is a contiguous slice; the k*k slices of a band are stacked into
+    a bounded columns buffer for one float32 GEMM with the weights, and
+    the bias is added. Each call allocates its own planes, columns and
+    output; a forward pass runs the same kernel in one workspace. The
+    same input and layer give byte-identical results run to run on one
+    host.
+    """
+    if x.ndim != 3 or x.shape[0] != layer.in_channels:
+        raise _channel_mismatch(x.shape[0] if x.ndim == 3 else "?", layer)
+    x = np.asarray(x, dtype=np.float32)
+    return _conv_into(x, layer, *(np.empty(n, np.float32)
+                                  for n in _buffer_floats(layer, *x.shape[1:])))
 
 
 def softplus(x):
@@ -304,12 +370,16 @@ def softplus(x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, np.float32(0.0))
-
-
 def _forward(img: RasterImage, weights: ModelWeights) -> np.ndarray:
-    """Pre-activation head output (single channel, float32)."""
+    """Pre-activation head output (single channel, float32).
+
+    The pass allocates one float32 workspace: the largest phase planes,
+    the largest columns buffer and two activation buffers. x lives in the
+    first activation buffer throughout: a plain convolution overwrites
+    its own input there, and a residual block runs its first convolution
+    into the second buffer, applies ReLU there in place, runs its second
+    convolution over it in place and adds the result into x.
+    """
     if img.channels != 3:
         raise InferenceError("inference requires a 3-channel image")
     if weights.total_stride != DOWNSAMPLE_FACTOR:
@@ -319,14 +389,29 @@ def _forward(img: RasterImage, weights: ModelWeights) -> np.ndarray:
     if weights.out_channels != 1:
         raise InferenceError("final layer must produce a single channel")
 
-    x = np.ascontiguousarray(
-        img.pixels.transpose(2, 0, 1).astype(np.float32) / np.float32(255.0))
+    c, h, w = 3, img.height, img.width
+    need = [0, 0, c * h * w]  # planes, columns, one activation
+    for layer in weights.layers:
+        for conv in (layer,) if isinstance(layer, ConvLayer) else (layer.conv1, layer.conv2):
+            if conv.in_channels != c:
+                raise _channel_mismatch(c, conv)
+            need = [max(a, b) for a, b in zip(need, _buffer_floats(conv, h, w))]
+            c, h, w = conv.out_channels, -(-h // conv.stride), -(-w // conv.stride)
+    planes_n, cols_n, act_n = need
+    ws = np.empty(planes_n + cols_n + 2 * act_n, np.float32)
+    planes, cols = ws[:planes_n], ws[planes_n:planes_n + cols_n]
+    act, scratch = ws[planes_n + cols_n:-act_n], ws[-act_n:]
+
+    x = act[:3 * img.height * img.width].reshape(3, img.height, img.width)
+    np.divide(img.pixels.transpose(2, 0, 1), np.float32(255.0), out=x, dtype=np.float32)
     for layer in weights.layers:
         if isinstance(layer, ConvLayer):
-            x = conv2d(x, layer)
+            x = _conv_into(x, layer, planes, cols, act)
         else:
-            x = x + conv2d(_relu(conv2d(x, layer.conv1)), layer.conv2)
-    return x[0]
+            y = _conv_into(x, layer.conv1, planes, cols, scratch)
+            np.maximum(y, np.float32(0.0), out=y)
+            x += _conv_into(y, layer.conv2, planes, cols, scratch)
+    return x[0].copy()
 
 
 def infer_step_map(img: RasterImage, weights: ModelWeights) -> StepMap:

@@ -62,6 +62,13 @@ class TestStepmapCommand:
         assert code == 2
         assert "nope.qsnw" in err
 
+    def test_non_ascii_last_line_of_weights_is_input_error(self, run, tmp_path, ppm_64,
+                                                             weights_file):
+        weights_file.write_bytes(weights_file.read_bytes() + "\u00e9\n".encode("utf-8"))
+        code, _, err = run("stepmap", ppm_64, weights_file, tmp_path / "map.qsmap")
+        assert code == 2
+        assert "not ASCII text" in err
+
     def test_unwritable_output_is_io_error(self, run, tmp_path, ppm_64, weights_file):
         # parent of the output path is a file, not a directory
         code, _, err = run("stepmap", ppm_64, weights_file,

@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from qpalloc._fileio import atomic_write_bytes, parse_ints, parse_reals
+from qpalloc import _fileio
+from qpalloc._fileio import TokenReader, atomic_write_bytes, parse_ints, parse_reals
 from qpalloc.bdrate import read_rd_rows
 from qpalloc.errors import FormatError, OutputIOError
 from qpalloc.gridfile import read_grid_file
@@ -33,6 +34,33 @@ class TestAtomicWrite:
         plain.write_bytes(b"")
         assert target.read_bytes() == b"second"
         assert os.stat(target).st_mode == os.stat(plain).st_mode
+
+
+class TestTokenReader:
+    TEXT = b"a b\n\n c\r\nd\te f\r  \n\x0bg"
+
+    # a batch of one line, of a few lines, of the whole file
+    @pytest.mark.parametrize("batch", [1, 8, 1 << 16])
+    def test_takes_span_lines_and_batches(self, tmp_path, monkeypatch, batch):
+        monkeypatch.setattr(_fileio, "_BATCH_CHARS", batch)
+        path = tmp_path / "t.txt"
+        path.write_bytes(self.TEXT)
+        with TokenReader(path) as reader:
+            assert reader.take(1) == ["a"]
+            assert reader.take(3) == ["b", "c", "d"]
+            assert reader.take(0) == []
+            assert reader.take(1) == ["e"]
+            assert reader.count_rest() == 2
+            assert reader.take(1) == []
+        with TokenReader(path) as reader:
+            assert reader.take(9) == self.TEXT.decode().split()
+
+    def test_non_ascii_byte_once_read(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"a b\nc \xff\n")
+        with pytest.raises(FormatError, match="not ASCII text"):
+            with TokenReader(path) as reader:
+                reader.count_rest()
 
 
 class TestParseInts:

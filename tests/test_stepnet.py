@@ -1,5 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +20,22 @@ from qpalloc.stepnet import (ConvLayer, ModelWeights, ResBlock, StepMap, conv2d,
                              softplus, write_step_map)
 
 from _oracles import reference_conv2d, write_qsnw1_repr
+from conftest import textured_pixels
 
 MINIMAL_QSNW1 = "QSNW1\nlayers 1\nconv 3 1 1 1\n0.25 0.5 0.25\n0.0\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="module")
+def reference_plan():
+    return make_random_weights(seed=7, width=64)
+
+
+@pytest.fixture(scope="module")
+def reference_plan_file(tmp_path_factory, reference_plan):
+    path = tmp_path_factory.mktemp("plan") / "w64.qsnw"
+    save_weights(reference_plan, path)
+    return path
 
 
 class TestWeightFormat:
@@ -48,9 +69,10 @@ class TestWeightFormat:
 
     def test_trailing_values_rejected(self, tmp_path):
         path = tmp_path / "w.qsnw"
-        path.write_text(MINIMAL_QSNW1 + "42.0\n")
-        with pytest.raises(FormatError, match="parameter count mismatch"):
+        path.write_text(MINIMAL_QSNW1 + "42.0\n\n1 2\n")
+        with pytest.raises(FormatError) as info:
             load_weights(path)
+        assert str(info.value) == f"{path}: parameter count mismatch, 3 trailing values"
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "w.qsnw"
@@ -163,18 +185,52 @@ class TestFloat32Tokens:
         assert again.read_bytes() == new.read_bytes()
         assert new.stat().st_size < 0.7 * old.stat().st_size
 
-    def test_reference_plan_load_peak_memory(self, tmp_path):
-        # the tokens of the 408,599 parameters dominate; 17-digit tokens
-        # peaked at 40.1 MB traced
-        path = tmp_path / "w64.qsnw"
-        save_weights(make_random_weights(seed=7, width=64), path)
+    def test_reference_plan_load_peak_memory(self, reference_plan_file):
+        # The loader holds the 1.6 MB of float32 parameters and the tokens
+        # of one block (36,864 for a 64-channel 3x3 convolution); it peaked
+        # at 5.2 MB traced. Splitting the whole file peaked at 34.0 MB.
         tracemalloc.start()
         try:
-            load_weights(path)
+            load_weights(reference_plan_file)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 36e6
+        assert peak < 8e6
+
+
+class TestWeightLayouts:
+    """save_weights writes one block per line; any other whitespace
+    layout of the same tokens loads to the same bits."""
+
+    LAYOUTS = {
+        "token_per_line": lambda text: "\n".join(text.split()) + "\n",
+        "one_line": lambda text: " ".join(text.split()),
+        "blank_lines": lambda text: "\n" + text.replace("\n", "\n\n \t\n"),
+        "crlf": lambda text: text.replace("\n", "\r\n"),
+    }
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_layout_loads_to_the_same_bits(self, tmp_path, layout):
+        # width 16 spans several of the reader's 64 KB batches
+        weights = make_random_weights(seed=3, width=16)
+        path, relaid = tmp_path / "w.qsnw", tmp_path / "relaid.qsnw"
+        save_weights(weights, path)
+        relaid.write_bytes(self.LAYOUTS[layout](path.read_text()).encode("ascii"))
+        assert relaid.stat().st_size > 4 << 16
+        assert np.array_equal(_param_bits(load_weights(relaid)), _param_bits(weights))
+
+    def test_token_per_line_loads_in_linear_time(self, tmp_path, reference_plan_file):
+        # a buffer that copied its tokens on every line would be quadratic
+        # in the 36,864 lines of a 64-channel block
+        split = tmp_path / "split.qsnw"
+        split.write_text("\n".join(reference_plan_file.read_text().split()) + "\n")
+        best = {reference_plan_file: math.inf, split: math.inf}
+        for _ in range(3):
+            for path in best:
+                start = time.perf_counter()
+                load_weights(path)
+                best[path] = min(best[path], time.perf_counter() - start)
+        assert best[split] <= 2 * best[reference_plan_file]
 
 
 def _conv(weights, bias, stride):
@@ -289,6 +345,7 @@ class TestConv2d:
         assert peak < bound
 
 
+
 class TestSoftplus:
     def test_zero(self):
         assert softplus(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
@@ -357,6 +414,83 @@ class TestInference:
         single = _forward(RasterImage(pixels=half), weights)
         double = _forward(RasterImage(pixels=(half * 2).astype(np.uint8)), weights)
         np.testing.assert_allclose(double, 2.0 * single, rtol=1e-9)
+
+
+    def test_rejects_mismatched_channels_before_running(self):
+        first = _conv(np.ones((4, 3, 1, 1)), np.zeros(4), stride=16)
+        head = _conv(np.ones((1, 5, 1, 1)), [0.0], stride=1)
+        img = RasterImage(pixels=np.zeros((16, 16, 3), np.uint8))
+        with pytest.raises(InferenceError, match="input has 4 channels, layer expects 5"):
+            infer_step_map(img, ModelWeights(layers=(first, head)))
+
+    # ragged frames: odd sizes, phase planes with a lead and a tail on
+    # both axes, and a frame only one step-map block wide
+    @pytest.mark.parametrize("h,w", [(131, 77), (61, 203), (16, 16)])
+    def test_equals_public_composition(self, reference_plan, h, w):
+        # pipebench's traced run composes the pass this way to time each
+        # convolution; its result must not depend on the workspace
+        img = RasterImage(pixels=textured_pixels(h, w, seed=h))
+        x = img.pixels.transpose(2, 0, 1).astype(np.float32) / np.float32(255.0)
+        for layer in reference_plan.layers:
+            if isinstance(layer, ConvLayer):
+                x = conv2d(x, layer)
+            else:
+                x = x + conv2d(np.maximum(conv2d(x, layer.conv1), np.float32(0.0)),
+                               layer.conv2)
+        values = infer_step_map(img, reference_plan).values
+        assert values.tobytes() == softplus(x[0]).tobytes()
+
+    def test_forward_peak_is_two_activations_one_padded_input_and_the_bands(
+            self, reference_plan):
+        # The workspace of a 256x256 pass: the first residual block's
+        # phase plane (64 x 130 x 130), two outputs at its 130-column
+        # pitch, and the columns buffer. The band budget is counted twice:
+        # a convolution also holds its transposed weight matrix (147 KB)
+        # and the copy numpy makes of a strided band to add the bias
+        # (99 KB). Fresh arrays per layer held three outputs at once.
+        img = RasterImage(pixels=textured_pixels(256, 256, seed=9))
+        c, n, pitch = 64, 128, 130
+        bound = 4 * (2 * c * n * pitch + c * pitch * pitch + 2 * stepnet._BAND_FLOATS)
+        tracemalloc.start()
+        try:
+            infer_step_map(img, reference_plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts Linux minor page faults")
+def test_steady_inference_takes_no_page_faults():
+    # A fresh process whose weights come from make_random_weights frees no
+    # large block first. The first pass maps its workspace fresh; freeing
+    # it raises glibc's dynamic mmap threshold, so the second pass grows
+    # the heap once; from then on each pass reuses those pages. Fresh
+    # arrays per layer took about 1,500 faults per 128x128 pass.
+    code = textwrap.dedent("""
+        import json, resource
+        import numpy as np
+        from qpalloc.imageio import RasterImage
+        from qpalloc.stepnet import infer_step_map, make_random_weights
+        weights = make_random_weights(seed=7, width=64)
+        img = RasterImage(pixels=np.random.default_rng(1)
+                          .integers(0, 256, (128, 128, 3), dtype=np.uint8))
+        faults = []
+        for _ in range(4):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            infer_step_map(img, weights)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        print(json.dumps(faults))
+    """)
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout)
+    assert sum(faults[-2:]) < 2 * 50, faults
 
 
 class TestStepMapFiles:
