@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import GridMismatchError
-from .imageio import BlockGrid
+from .imageio import BLOCK_SIZE, BlockGrid
 from .stepnet import DOWNSAMPLE_FACTOR, StepMap
 
 __all__ = ["AllocConfig", "BlockAllocation", "LinearityReport",
@@ -34,7 +34,6 @@ __all__ = ["AllocConfig", "BlockAllocation", "LinearityReport",
            "build_allocation", "linearity_fit"]
 
 N_CONST = 3        # QP steps per doubling of the RD multiplier
-BLOCK_SIZE = 64    # block edge in pixels: 4x4 step-map cells
 EPS = 1e-6         # floor on a block's mean step before its reciprocal
 DEFAULT_BETA = -1.367
 # Base-QP operating points and the frame-level rate-control multiplier
@@ -100,21 +99,16 @@ def block_mean_step(step_map: StepMap, grid: BlockGrid) -> np.ndarray:
     cover.
     """
     f = DOWNSAMPLE_FACTOR
-    if grid.block_size != BLOCK_SIZE:
-        raise GridMismatchError(
-            f"block size {grid.block_size}, expected {BLOCK_SIZE}")
     if (step_map.grid_w != -(-grid.width // f)
             or step_map.grid_h != -(-grid.height // f)):
         raise GridMismatchError(
             f"step map {step_map.grid_w}x{step_map.grid_h} does not match "
             f"a {grid.width}x{grid.height} frame (expected "
             f"{-(-grid.width // f)}x{-(-grid.height // f)})")
-    # cell values and a 1 per real cell, zero-padded to whole blocks
-    per = BLOCK_SIZE // f
-    cells = np.zeros((2, grid.blocks_y * per, grid.blocks_x * per))
-    cells[0, :step_map.grid_h, :step_map.grid_w] = step_map.values
-    cells[1, :step_map.grid_h, :step_map.grid_w] = 1.0
-    sums, counts = cells.reshape(2, grid.blocks_y, per, grid.blocks_x, per).sum(axis=(2, 4))
+    # cell values and a 1 per real cell, summed per block
+    cells = np.ones((2, step_map.grid_h, step_map.grid_w))
+    cells[0] = step_map.values
+    sums, counts = grid.block_sums(cells, f)
     return (sums / counts).reshape(-1)
 
 
@@ -173,7 +167,7 @@ def _beta_per_block(beta, grid: BlockGrid) -> np.ndarray:
 def build_allocation(step_map: StepMap, width: int, height: int,
                      cfg: AllocConfig) -> BlockAllocation:
     """Full chain from step map to per-block QP offsets and scales."""
-    grid = BlockGrid(width, height, BLOCK_SIZE)
+    grid = BlockGrid(width, height)
     qs = block_mean_step(step_map, grid)
     ratio = bit_ratios(qs, grid)
     dqp = qp_offset(ratio, _beta_per_block(cfg.beta, grid), cfg.slope, cfg.clamp)

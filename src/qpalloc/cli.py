@@ -1,8 +1,11 @@
 """Command-line surface: stepmap, qpmap, metrics, bdrate, simulate.
 
 Every command is deterministic: the same inputs and flags produce
-byte-identical outputs (run manifests carry no timestamps). Outputs are
-written atomically, so failures leave no partial files.
+byte-identical outputs (run manifests carry no timestamps). Each output
+file is replaced whole, in the order written (qpmap: QPMAP, .lscale,
+.manifest.json; simulate: .rd.csv, .bits, .recon.ppm); on exit 4 the
+files before the named one may already be new. A grid file laid over a
+frame (--beta-map, simulate --qpmap) must be its 64-px partition (exit 5).
 
 Exit codes:
     0  success
@@ -24,7 +27,7 @@ import numpy as np
 from . import __version__, alloc, bdrate, gridfile, metrics, stepnet, toysim
 from ._fileio import atomic_write_text
 from .errors import GridMismatchError, InferenceError, OutputIOError, OverlapError
-from .imageio import BlockGrid, RasterImage, load_ppm, rgb_to_gray, save_ppm
+from .imageio import BLOCK_SIZE, BlockGrid, RasterImage, load_ppm, rgb_to_gray, save_ppm
 
 EXIT_BAD_INPUT = 2
 EXIT_INFERENCE = 3
@@ -35,6 +38,16 @@ EXIT_NO_OVERLAP = 6
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _check_partition(path: str, grid_file: gridfile.GridFile, grid: BlockGrid) -> None:
+    """Raise GridMismatchError unless grid_file is laid on the frame's blocks."""
+    if (grid_file.blocks_x, grid_file.blocks_y, grid_file.block_size) != \
+            (grid.blocks_x, grid.blocks_y, BLOCK_SIZE):
+        raise GridMismatchError(
+            f"{path}: grid {grid_file.blocks_x}x{grid_file.blocks_y} "
+            f"block {grid_file.block_size} does not match the "
+            f"{grid.blocks_x}x{grid.blocks_y} block {BLOCK_SIZE} frame partition")
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +104,7 @@ def _cmd_qpmap(args) -> int:
     cfg = alloc.AllocConfig(base_qp=args.base_qp, beta=beta, slope=args.slope,
                             clamp=args.clamp)
     if args.beta_map:
-        expected = BlockGrid(width, height, alloc.BLOCK_SIZE)
-        if (bmap.blocks_x, bmap.blocks_y, bmap.block_size) != \
-                (expected.blocks_x, expected.blocks_y, expected.block_size):
-            raise GridMismatchError(
-                f"{args.beta_map}: grid {bmap.blocks_x}x{bmap.blocks_y} "
-                f"block {bmap.block_size} does not match the "
-                f"{expected.blocks_x}x{expected.blocks_y} frame partition")
+        _check_partition(args.beta_map, bmap, BlockGrid(width, height))
 
     allocation = alloc.build_allocation(step_map, width, height, cfg)
     grid = allocation.grid
@@ -105,9 +112,9 @@ def _cmd_qpmap(args) -> int:
 
     lscale_path = args.out + ".lscale"
     manifest_path = args.out + ".manifest.json"
-    gridfile.write_grid_file(args.out, "QPMAP", grid.block_size, cfg.base_qp,
+    gridfile.write_grid_file(args.out, "QPMAP", BLOCK_SIZE, cfg.base_qp,
                              allocation.dqp.reshape(shape))
-    gridfile.write_grid_file(lscale_path, "LSCALE", grid.block_size, cfg.base_qp,
+    gridfile.write_grid_file(lscale_path, "LSCALE", BLOCK_SIZE, cfg.base_qp,
                              allocation.lambda_scale.reshape(shape))
 
     manifest = {
@@ -125,7 +132,7 @@ def _cmd_qpmap(args) -> int:
             "slope": cfg.slope,
             "clamp": cfg.clamp,
             "n_const": alloc.N_CONST,
-            "block_size": alloc.BLOCK_SIZE,
+            "block_size": BLOCK_SIZE,
             "eps": alloc.EPS,
             "lambda_table": {str(k): v
                              for k, v in sorted(alloc.QP_LAMBDA_ALIGNMENT.items())},
@@ -195,6 +202,7 @@ def _cmd_bdrate(args) -> int:
 def _cmd_simulate(args) -> int:
     img = load_ppm(args.image)
     luma = rgb_to_gray(img)
+    grid = BlockGrid(img.width, img.height)
 
     if args.qpmap:
         qpm = gridfile.read_grid_file(args.qpmap, expect_tag="QPMAP")
@@ -202,11 +210,7 @@ def _cmd_simulate(args) -> int:
         if args.qp is not None and args.qp != base_qp:
             raise ValueError(
                 f"--qp {args.qp} conflicts with {args.qpmap} base QP {base_qp}")
-        grid = BlockGrid(img.width, img.height, qpm.block_size)
-        if (grid.blocks_x, grid.blocks_y) != (qpm.blocks_x, qpm.blocks_y):
-            raise GridMismatchError(
-                f"{args.qpmap}: grid {qpm.blocks_x}x{qpm.blocks_y} does not "
-                f"match the {grid.blocks_x}x{grid.blocks_y} frame partition")
+        _check_partition(args.qpmap, qpm, grid)
         allocation = alloc.BlockAllocation(
             grid=grid, base_qp=base_qp,
             qs=np.ones(grid.n_blocks), ratio=np.ones(grid.n_blocks),
@@ -215,14 +219,13 @@ def _cmd_simulate(args) -> int:
     else:
         base_qp = args.qp if args.qp is not None else 32
         point, recon = toysim.encode_image(luma, base_qp)
-        grid = BlockGrid(img.width, img.height, alloc.BLOCK_SIZE)
 
     csv_path = args.out_prefix + ".rd.csv"
     bits_path = args.out_prefix + ".bits"
     recon_path = args.out_prefix + ".recon.ppm"
     atomic_write_text(csv_path, "rate_bpp,quality\n"
                       f"{_fmt(point.rate)},{_fmt(point.quality)}\n")
-    gridfile.write_grid_file(bits_path, "BITS", grid.block_size, base_qp,
+    gridfile.write_grid_file(bits_path, "BITS", BLOCK_SIZE, base_qp,
                              point.per_block_bits.reshape(grid.blocks_y,
                                                           grid.blocks_x))
     save_ppm(RasterImage(pixels=recon[:, :, None]), recon_path)

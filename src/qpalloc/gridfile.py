@@ -8,6 +8,8 @@ All four share one layout so a single parser covers them:
 
 QPMAP and BITS carry integers, LSCALE and BMAP finite reals. BASE_QP is
 meaningful for QPMAP/LSCALE/BITS and written as 0 where it is not.
+Writers pass imageio.BLOCK_SIZE (64); the reader takes any positive
+size, and the CLI rejects a grid that is not the frame's partition.
 Writing is canonical (single spaces, trailing newline), so files
 round-trip byte-identically.
 """

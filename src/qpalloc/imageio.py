@@ -3,7 +3,8 @@
 Only binary PPM (P6, maxval 255) is read or written. The gray plane is
 full-range BT.601 luma with fixed coefficients and half-up rounding, so
 it is bit-exact across platforms. BlockGrid tiles a frame into the
-row-major blocks that QP maps, beta maps and bit counts are laid out on.
+row-major BLOCK_SIZE (64 px) blocks that QP maps, beta maps and bit
+counts are laid out on; the block size is fixed, not a parameter.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import numpy as np
 from ._fileio import atomic_write_bytes
 from .errors import FormatError
 
+BLOCK_SIZE = 64    # block edge in pixels: 4x4 step-map cells, 8x8 transform units
+
 __all__ = [
+    "BLOCK_SIZE",
     "RasterImage",
     "BlockGrid",
     "load_ppm",
@@ -55,7 +59,7 @@ class RasterImage:
 
 @dataclass(frozen=True)
 class BlockGrid:
-    """Row-major tiling of a frame into block_size squares.
+    """Row-major tiling of a frame into BLOCK_SIZE squares.
 
     Blocks at the right and bottom edges may be smaller; the union of
     block extents tiles the frame exactly.
@@ -63,15 +67,14 @@ class BlockGrid:
 
     width: int
     height: int
-    block_size: int
     blocks_x: int = field(init=False)
     blocks_y: int = field(init=False)
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1 or self.block_size < 1:
-            raise ValueError("width, height, and block_size must be at least 1")
-        object.__setattr__(self, "blocks_x", -(-self.width // self.block_size))
-        object.__setattr__(self, "blocks_y", -(-self.height // self.block_size))
+        if self.width < 1 or self.height < 1:
+            raise ValueError("width and height must be at least 1")
+        object.__setattr__(self, "blocks_x", -(-self.width // BLOCK_SIZE))
+        object.__setattr__(self, "blocks_y", -(-self.height // BLOCK_SIZE))
 
     @property
     def n_blocks(self) -> int:
@@ -79,11 +82,18 @@ class BlockGrid:
 
     def pixel_counts(self) -> np.ndarray:
         """Per-block pixel counts, row-major (edge blocks are smaller)."""
-        ws = np.minimum(self.block_size,
-                        self.width - np.arange(self.blocks_x) * self.block_size)
-        hs = np.minimum(self.block_size,
-                        self.height - np.arange(self.blocks_y) * self.block_size)
+        ws = np.minimum(BLOCK_SIZE, self.width - np.arange(self.blocks_x) * BLOCK_SIZE)
+        hs = np.minimum(BLOCK_SIZE, self.height - np.arange(self.blocks_y) * BLOCK_SIZE)
         return (hs[:, None] * ws[None, :]).reshape(-1).astype(np.int64)
+
+    def block_sums(self, cells: np.ndarray, cell: int) -> np.ndarray:
+        """Per-block sums of (..., rows, cols) cells of cell px (a divisor of
+        BLOCK_SIZE), zero-padded to whole blocks: (..., blocks_y, blocks_x)."""
+        per = BLOCK_SIZE // cell
+        *lead, rows, cols = cells.shape
+        padded = np.zeros((*lead, self.blocks_y * per, self.blocks_x * per), cells.dtype)
+        padded[..., :rows, :cols] = cells
+        return padded.reshape(*lead, self.blocks_y, per, self.blocks_x, per).sum(axis=(-3, -1))
 
 
 def load_ppm(path: str | os.PathLike) -> RasterImage:

@@ -194,27 +194,22 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
         layers = []
         for idx in range(n_layers):
             kind = take(1)[0]
-            if kind == "conv":
-                dims = take(4)
-                try:
-                    c_in, c_out, k, stride = parse_ints(dims)
-                except ValueError as exc:
-                    raise FormatError(f"{path}: bad conv header in layer {idx}") from exc
-                if min(c_in, c_out, k, stride) < 1:
-                    raise FormatError(f"{path}: bad conv header in layer {idx}")
-                layers.append(take_conv(c_in, c_out, k, stride, f"layer {idx}"))
-            elif kind == "resblock":
-                try:
-                    (ch,) = parse_ints(take(1))
-                except ValueError as exc:
-                    raise FormatError(f"{path}: bad resblock header in layer {idx}") from exc
-                if ch < 1:
-                    raise FormatError(f"{path}: bad resblock header in layer {idx}")
+            if kind not in ("conv", "resblock"):
+                raise FormatError(f"{path}: unknown layer kind {kind!r} in layer {idx}")
+            header = take(4 if kind == "conv" else 1)
+            try:
+                dims = parse_ints(header)
+            except ValueError as exc:
+                raise FormatError(f"{path}: bad {kind} header in layer {idx}") from exc
+            if min(dims) < 1:
+                raise FormatError(f"{path}: bad {kind} header in layer {idx}")
+            if kind == "conv":  # IN OUT K STRIDE
+                layers.append(take_conv(*dims, f"layer {idx}"))
+            else:
+                (ch,) = dims
                 conv1 = take_conv(ch, ch, 3, 1, f"layer {idx} (resblock conv1)")
                 conv2 = take_conv(ch, ch, 3, 1, f"layer {idx} (resblock conv2)")
                 layers.append(ResBlock(conv1=conv1, conv2=conv2))
-            else:
-                raise FormatError(f"{path}: unknown layer kind {kind!r} in layer {idx}")
         trailing = reader.count_rest()
     if trailing:
         raise FormatError(f"{path}: parameter count mismatch, {trailing} trailing values")

@@ -1,11 +1,12 @@
 """Toy block-DCT intra codec for checking QP maps at desk scale.
 
 Deliberately minimal: no prediction, no entropy contexts, no bitstream.
-Each 8x8 transform unit inside a 64x64 block is transformed with the
-orthonormal 2-D DCT-II, quantized with step Q(qp) = 2^((qp-4)/6), and
-its levels are priced with order-0 exponential-Golomb codes. That is
-enough for the property that matters: blocks whose QP drops spend more
-bits, independently of every other block.
+Each 8x8 transform unit takes the QP of the 64x64 block (BLOCK_SIZE)
+that holds it, is transformed with the orthonormal 2-D DCT-II,
+quantized with step Q(qp) = 2^((qp-4)/6), and its levels are priced
+with order-0 exponential-Golomb codes. That is enough for the property
+that matters: blocks whose QP drops spend more bits, independently of
+every other block.
 
 Planes that are not multiples of 8 are edge-replicated up to the next
 transform unit; padded samples are priced with their block but excluded
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import BLOCK_SIZE, BlockAllocation
+from .alloc import BlockAllocation
 from .errors import GridMismatchError
-from .imageio import BlockGrid
+from .imageio import BLOCK_SIZE, BlockGrid
 
 __all__ = ["RdPoint", "encode_image"]
 
@@ -63,17 +64,14 @@ def _code_blocks(coeffs: np.ndarray, qsteps: np.ndarray):
     return bits, levels * q
 
 
-def _qp_grid(plane_shape: tuple[int, int], qp_map) -> tuple[BlockGrid, np.ndarray]:
-    h, w = plane_shape
+def _qp_blocks(grid: BlockGrid, qp_map) -> np.ndarray:
     if isinstance(qp_map, BlockAllocation):
-        grid = qp_map.grid
-        if grid.width != w or grid.height != h:
+        if qp_map.grid != grid:
             raise GridMismatchError(
-                f"QP map covers {grid.width}x{grid.height}, plane is {w}x{h}")
-        qp = np.asarray(qp_map.qp, np.int64).reshape(grid.blocks_y, grid.blocks_x)
-        return grid, qp
-    grid = BlockGrid(w, h, BLOCK_SIZE)
-    return grid, np.full((grid.blocks_y, grid.blocks_x), int(qp_map), np.int64)
+                f"QP map covers {qp_map.grid.width}x{qp_map.grid.height}, "
+                f"plane is {grid.width}x{grid.height}")
+        return np.asarray(qp_map.qp, np.int64).reshape(grid.blocks_y, grid.blocks_x)
+    return np.full((grid.blocks_y, grid.blocks_x), int(qp_map), np.int64)
 
 
 def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
@@ -92,12 +90,11 @@ def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
     h, w = luma.shape
     if h < TU_SIZE or w < TU_SIZE:
         raise ValueError(f"plane {w}x{h} smaller than one {TU_SIZE}x{TU_SIZE} unit")
-    grid, qp_blocks = _qp_grid((h, w), qp_map)
+    grid = BlockGrid(w, h)
+    qp_blocks = _qp_blocks(grid, qp_map)
     if qp_blocks.min() < 0 or qp_blocks.max() > 63:
         raise ValueError(f"block QPs span [{qp_blocks.min()}, {qp_blocks.max()}], "
                          "outside [0, 63]")
-    if grid.block_size % TU_SIZE:
-        raise ValueError("block size must be a multiple of the transform unit")
 
     pad_h = (-h) % TU_SIZE
     pad_w = (-w) % TU_SIZE
@@ -108,11 +105,8 @@ def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
     # holding its top-left pixel (always inside the unpadded frame).
     tus = (plane.reshape(tu_y, TU_SIZE, tu_x, TU_SIZE)
            .transpose(0, 2, 1, 3).reshape(-1, TU_SIZE, TU_SIZE))
-    tu_rows = np.repeat(np.arange(tu_y), tu_x)
-    tu_cols = np.tile(np.arange(tu_x), tu_y)
-    block_rows = (tu_rows * TU_SIZE) // grid.block_size
-    block_cols = (tu_cols * TU_SIZE) // grid.block_size
-    tu_qps = qp_blocks[block_rows, block_cols]
+    per = BLOCK_SIZE // TU_SIZE
+    tu_qps = qp_blocks.repeat(per, 0).repeat(per, 1)[:tu_y, :tu_x].reshape(-1)
 
     qsteps = np.power(2.0, (tu_qps - 4) / 6.0)
     coeffs = DCT_BASIS @ tus @ DCT_BASIS.T
@@ -123,9 +117,7 @@ def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
              .transpose(0, 2, 1, 3).reshape(plane.shape))[:h, :w]
     recon = np.clip(np.floor(recon + 0.5), 0, 255).astype(np.uint8)
 
-    per_block = np.zeros((grid.blocks_y, grid.blocks_x), np.int64)
-    np.add.at(per_block, (block_rows, block_cols), tu_bits)
-    per_block = per_block.reshape(-1)
+    per_block = grid.block_sums(tu_bits.reshape(tu_y, tu_x), TU_SIZE).reshape(-1)
 
     diff = luma.astype(np.float64) - recon.astype(np.float64)
     mse = float(np.mean(diff * diff))

@@ -128,12 +128,13 @@ def noisy_variant(img: RasterImage, sigma: float, seed: int) -> RasterImage:
 
 def reference_block_mean_step(values: np.ndarray, grid: BlockGrid) -> np.ndarray:
     """Mean of the 16-px step cells each block overlaps, one block at a time."""
+    b = 64
     out = np.empty(grid.n_blocks, np.float64)
     for k in range(grid.n_blocks):
         by, bx = divmod(k, grid.blocks_x)
-        x0, y0 = bx * grid.block_size, by * grid.block_size
-        x1 = min(x0 + grid.block_size, grid.width)
-        y1 = min(y0 + grid.block_size, grid.height)
+        x0, y0 = bx * b, by * b
+        x1 = min(x0 + b, grid.width)
+        y1 = min(y0 + b, grid.height)
         out[k] = values[y0 // 16:-(-y1 // 16), x0 // 16:-(-x1 // 16)].mean()
     return out
 

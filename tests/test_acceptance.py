@@ -72,7 +72,7 @@ def test_c03_ratio_normalization_invariant():
     for _ in range(1000):
         width = int(rng.integers(1, 700))
         height = int(rng.integers(1, 700))
-        grid = BlockGrid(width, height, 64)
+        grid = BlockGrid(width, height)
         grid_w = -(-width // 16)
         grid_h = -(-height // 16)
         step_map = StepMap(values=rng.uniform(1e-3, 30.0, (grid_h, grid_w)))
@@ -168,7 +168,7 @@ def test_c08_toy_codec_rate_behavior():
             (seed, totals)
 
     luma = textured_pixels(128, 128, seed=9)[:, :, 0].copy()
-    grid = BlockGrid(128, 128, 64)
+    grid = BlockGrid(128, 128)
     base_point, _ = encode_image(luma, _offsets_allocation(grid, 32, [0, 0, 0, 0]))
     for target in range(4):
         dqp = np.zeros(4, np.int64)

@@ -43,14 +43,14 @@ def uniform_map(grid_h, grid_w, value=1.0):
 
 class TestBlockMeanStep:
     def test_uniform_map(self):
-        grid = BlockGrid(128, 128, 64)
+        grid = BlockGrid(128, 128)
         qs = block_mean_step(uniform_map(8, 8, 3.25), grid)
         np.testing.assert_array_equal(qs, np.full(4, 3.25))
 
     def test_quadrant_means(self):
         values = np.ones((8, 8))
         values[:4, :4] = 2.0
-        grid = BlockGrid(128, 128, 64)
+        grid = BlockGrid(128, 128)
         qs = block_mean_step(StepMap(values=values), grid)
         np.testing.assert_array_equal(qs, [2.0, 1.0, 1.0, 1.0])
 
@@ -59,7 +59,7 @@ class TestBlockMeanStep:
         # column and 16px-tall bottom row
         rng = np.random.default_rng(0)
         values = rng.uniform(0.5, 4.0, (5, 7))
-        grid = BlockGrid(100, 80, 64)
+        grid = BlockGrid(100, 80)
         qs = block_mean_step(StepMap(values=values), grid)
         assert qs.shape == (4,)
         expected = [values[0:4, 0:4].mean(), values[0:4, 4:7].mean(),
@@ -68,19 +68,19 @@ class TestBlockMeanStep:
         np.testing.assert_allclose(qs, expected, rtol=1e-15, atol=0)
 
     def test_dimension_consistency_enforced(self):
-        grid = BlockGrid(128, 128, 64)
+        grid = BlockGrid(128, 128)
         with pytest.raises(GridMismatchError):
             block_mean_step(uniform_map(4, 4), grid)
 
 
 class TestBitRatios:
     def test_uniform_steps_normalize_to_one(self):
-        grid = BlockGrid(128, 128, 64)
+        grid = BlockGrid(128, 128)
         np.testing.assert_allclose(bit_ratios(np.full(4, 2.5), grid), 1.0,
                                    atol=1e-12)
 
     def test_two_equal_blocks(self):
-        grid = BlockGrid(128, 64, 64)
+        grid = BlockGrid(128, 64)
         r = bit_ratios(np.array([1.0, 2.0]), grid)
         np.testing.assert_allclose(r, [4.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
 
@@ -89,26 +89,26 @@ class TestBitRatios:
         for _ in range(200):
             w = int(rng.integers(1, 400))
             h = int(rng.integers(1, 400))
-            grid = BlockGrid(w, h, 64)
+            grid = BlockGrid(w, h)
             qs = rng.uniform(1e-4, 50.0, grid.n_blocks)
             r = bit_ratios(qs, grid)
             weights = grid.pixel_counts().astype(np.float64)
             assert abs(np.dot(weights, r) / weights.sum() - 1.0) < 1e-9
 
     def test_eps_floors_degenerate_steps(self):
-        grid = BlockGrid(128, 64, 64)
+        grid = BlockGrid(128, 64)
         r = bit_ratios(np.array([0.0, 1.0]), grid)
         assert np.all(np.isfinite(r)) and r[0] > r[1]
         assert r[0] / r[1] == pytest.approx(1.0 / EPS)
 
     def test_empty_rejected(self):
-        grid = BlockGrid(64, 64, 64)
+        grid = BlockGrid(64, 64)
         with pytest.raises(ValueError):
             bit_ratios(np.array([]), grid)
 
     def test_normalization_is_idempotent(self):
         rng = np.random.default_rng(2)
-        grid = BlockGrid(200, 137, 64)
+        grid = BlockGrid(200, 137)
         qs = rng.uniform(0.1, 10.0, grid.n_blocks)
         first = bit_ratios(1.0 / qs, grid)
         second = bit_ratios(1.0 / first, grid)

@@ -174,6 +174,12 @@ class TestQpmapCommand:
         code, _, _ = run("qpmap", "--stepmap", qsmap, "--base-qp", 32,
                          "--beta-map", bmap, tmp_path / "o.qpmap")
         assert code == 5
+        # the block count matches the 64x64 frame, the block size does not
+        bmap.write_text("BMAP 1\n1 1 32 0\n-1.0\n")
+        code, stdout, _ = run("qpmap", "--stepmap", qsmap, "--base-qp", 32,
+                              "--beta-map", bmap, tmp_path / "o.qpmap")
+        assert (code, stdout) == (5, "")
+        assert not list(tmp_path.glob("o.*"))
 
     def test_beta_map_applies_per_block(self, run, tmp_path):
         values = np.ones((4, 8))
@@ -485,6 +491,13 @@ class TestSimulateCommand:
         qpmap = tmp_path / "wrong.qpmap"
         qpmap.write_text("QPMAP 1\n4 4 64 32\n" + "\n".join(["0 0 0 0"] * 4) + "\n")
         assert run("simulate", ppm_64, "--qpmap", qpmap, tmp_path / "x")[0] == 5
+        # grids that tile the 64x64 frame, but not in 64-px blocks
+        for bx, size in ((2, 32), (1, 128), (6, 12)):
+            rows = "\n".join([" ".join(["0"] * bx)] * bx)
+            qpmap.write_text(f"QPMAP 1\n{bx} {bx} {size} 32\n{rows}\n")
+            code, stdout, _ = run("simulate", ppm_64, "--qpmap", qpmap, tmp_path / "x")
+            assert (code, stdout) == (5, ""), size
+            assert not list(tmp_path.glob("x.*"))
 
     def test_conflicting_qp_is_exit_2(self, run, tmp_path, ppm_64):
         qpmap = tmp_path / "zero.qpmap"

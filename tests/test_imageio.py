@@ -84,28 +84,28 @@ class TestGray:
 
 class TestBlockPartition:
     def test_exact_tiling(self):
-        grid = BlockGrid(128, 128, 64)
+        grid = BlockGrid(128, 128)
         assert (grid.blocks_x, grid.blocks_y) == (2, 2)
         np.testing.assert_array_equal(grid.pixel_counts(), 64 * 64)
 
     def test_partial_edges(self):
-        grid = BlockGrid(100, 80, 64)
+        grid = BlockGrid(100, 80)
         assert (grid.blocks_x, grid.blocks_y) == (2, 2)
         # right column 36 px wide, bottom row 16 px tall
         np.testing.assert_array_equal(grid.pixel_counts(),
                                       [64 * 64, 36 * 64, 64 * 16, 36 * 16])
 
     def test_identity_case(self):
-        grid = BlockGrid(64, 64, 64)
+        grid = BlockGrid(64, 64)
         assert grid.n_blocks == 1
         np.testing.assert_array_equal(grid.pixel_counts(), [64 * 64])
 
     def test_extents_tile_the_frame(self):
         rng = np.random.default_rng(4)
+        b = 64
         for _ in range(50):
             w, h = rng.integers(1, 300, 2)
-            b = int(rng.integers(1, 80))
-            grid = BlockGrid(int(w), int(h), b)
+            grid = BlockGrid(int(w), int(h))
             counts = grid.pixel_counts()
             assert counts.sum() == w * h
             covered = np.zeros((h, w), np.int32)
@@ -116,6 +116,21 @@ class TestBlockPartition:
                 assert counts[k] == block.size
             assert np.all(covered == 1)
 
+    def test_block_sums_pool_cells_into_blocks(self):
+        grid = BlockGrid(100, 80)
+        # one sum per block of its real pixels, and of its 16-px cells
+        np.testing.assert_array_equal(
+            grid.block_sums(np.ones((80, 100), np.int64), 1).reshape(-1),
+            grid.pixel_counts())
+        np.testing.assert_array_equal(grid.block_sums(np.ones((5, 7)), 16),
+                                      [[16, 12], [4, 3]])
+        # leading axes are carried through
+        stacked = grid.block_sums(np.arange(70.0).reshape(2, 5, 7), 16)
+        assert stacked.shape == (2, 2, 2)
+        assert stacked[1, 1, 1] == np.arange(35.0, 70.0).reshape(5, 7)[4:, 4:].sum()
+
     def test_rejects_degenerate_arguments(self):
         with pytest.raises(ValueError):
-            BlockGrid(width=0, height=4, block_size=64)
+            BlockGrid(width=0, height=4)
+        with pytest.raises(TypeError):  # blocks are always 64 px
+            BlockGrid(64, 64, 64)

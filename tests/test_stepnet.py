@@ -67,6 +67,13 @@ class TestWeightFormat:
         with pytest.raises(FormatError, match="parameter count mismatch"):
             load_weights(path)
 
+    @pytest.mark.parametrize("header", ["conv 1 1 1", "resblock"])
+    def test_file_ending_in_a_layer_header(self, tmp_path, header):
+        path = tmp_path / "w.qsnw"
+        path.write_text(f"QSNW1\nlayers 1\n{header}\n")
+        with pytest.raises(FormatError, match="file ends early"):
+            load_weights(path)
+
     def test_trailing_values_rejected(self, tmp_path):
         path = tmp_path / "w.qsnw"
         path.write_text(MINIMAL_QSNW1 + "42.0\n\n1 2\n")

@@ -103,7 +103,7 @@ class TestEncode:
             assert np.array_equal(recon, plane)
 
     def test_zero_offset_map_equals_scalar_qp(self, textured_luma):
-        grid = BlockGrid(128, 128, 64)
+        grid = BlockGrid(128, 128)
         allocation = allocation_with_offsets(grid, 32, np.zeros(4, np.int64))
         point_map, recon_map = encode_image(textured_luma, allocation)
         point_qp, recon_qp = encode_image(textured_luma, 32)
@@ -119,7 +119,7 @@ class TestEncode:
             assert all(b >= a for a, b in zip(bits[1:], bits[:-1]))
 
     def test_lowering_one_block_only_raises_its_own_bits(self, textured_luma):
-        grid = BlockGrid(128, 128, 64)
+        grid = BlockGrid(128, 128)
         base = allocation_with_offsets(grid, 32, np.zeros(4, np.int64))
         point_base, _ = encode_image(textured_luma, base)
         for target in range(4):
@@ -140,7 +140,7 @@ class TestEncode:
         luma = textured_pixels(100, 84, seed=3)[:, :, 0].copy()
         point, recon = encode_image(luma, 30)
         assert recon.shape == luma.shape
-        grid = BlockGrid(84, 100, 64)
+        grid = BlockGrid(84, 100)
         assert point.per_block_bits.shape == (grid.n_blocks,)
         assert point.rate == point.per_block_bits.sum() / (84 * 100)
 
@@ -152,7 +152,7 @@ class TestEncode:
         assert (a.rate, a.distortion, a.quality) == (b.rate, b.distortion, b.quality)
 
     def test_grid_mismatch(self, textured_luma):
-        wrong = BlockGrid(256, 256, 64)
+        wrong = BlockGrid(256, 256)
         allocation = allocation_with_offsets(wrong, 32, np.zeros(16, np.int64))
         with pytest.raises(GridMismatchError):
             encode_image(textured_luma, allocation)
@@ -167,7 +167,7 @@ class TestEncode:
             encode_image(textured_luma, qp)
 
     def test_block_qp_out_of_range(self, textured_luma):
-        grid = BlockGrid(128, 128, 64)
+        grid = BlockGrid(128, 128)
         allocation = allocation_with_offsets(grid, 62, [0, 0, 0, 2])
         with pytest.raises(ValueError, match=r"outside \[0, 63\]"):
             encode_image(textured_luma, allocation)
@@ -184,7 +184,7 @@ class TestReferenceEncode:
             luma = rng.integers(0, 256, (h, w)).astype(np.uint8)
         else:
             luma = textured_pixels(h, w, seed=seed)[:, :, 0].copy()
-        grid = BlockGrid(w, h, 64)
+        grid = BlockGrid(w, h)
         dqp = rng.integers(0, 64, grid.n_blocks)
         point, recon = encode_image(luma, allocation_with_offsets(grid, 0, dqp))
         bits, expected = reference_encode(luma, dqp.reshape(grid.blocks_y,
@@ -198,7 +198,7 @@ class TestLinearityEcho:
         # varied offsets over a textured frame: normalized bits against
         # normalized reciprocal quantizer step should sit near slope 1
         luma = textured_pixels(192, 192, seed=5)[:, :, 0].copy()
-        grid = BlockGrid(192, 192, 64)
+        grid = BlockGrid(192, 192)
         rng = np.random.default_rng(5)
         dqp = rng.integers(-4, 5, grid.n_blocks)
         allocation = allocation_with_offsets(grid, 32, dqp)
