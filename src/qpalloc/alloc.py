@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .errors import GridMismatchError
-from .imageio import BLOCK_SIZE, BlockGrid
-from .stepnet import DOWNSAMPLE_FACTOR, StepMap
+from .imageio import BLOCK_SIZE, DOWNSAMPLE_FACTOR, BlockGrid
+
+if TYPE_CHECKING:
+    from .stepnet import StepMap
 
 __all__ = ["AllocConfig", "BlockAllocation", "LinearityReport",
            "BLOCK_SIZE", "DEFAULT_BETA", "EPS", "N_CONST", "QP_LAMBDA_ALIGNMENT",

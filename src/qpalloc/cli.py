@@ -7,6 +7,10 @@ file is replaced whole, in the order written (qpmap: QPMAP, .lscale,
 files before the named one may already be new. A grid file laid over a
 frame (--beta-map, simulate --qpmap) must be its 64-px partition (exit 5).
 
+At import this module loads only the standard library and
+qpalloc.errors; each command imports the modules it runs. So --help,
+--version and usage errors load no numpy.
+
 Exit codes:
     0  success
     2  unreadable or malformed input (parse errors, bad combinations)
@@ -21,13 +25,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, alloc, bdrate, gridfile, metrics, stepnet, toysim
-from ._fileio import atomic_write_text
+from . import __version__
 from .errors import GridMismatchError, InferenceError, OutputIOError, OverlapError
-from .imageio import BLOCK_SIZE, BlockGrid, RasterImage, load_ppm, rgb_to_gray, save_ppm
+
+if TYPE_CHECKING:
+    from .bdrate import RdCurve
+    from .gridfile import GridFile
+    from .imageio import BlockGrid
 
 EXIT_BAD_INPUT = 2
 EXIT_INFERENCE = 3
@@ -35,13 +41,19 @@ EXIT_OUTPUT_IO = 4
 EXIT_GRID_MISMATCH = 5
 EXIT_NO_OVERLAP = 6
 
+# alloc.DEFAULT_BETA and bdrate.METRIC_TAGS, written out so that building
+# the parser imports neither module; a test pins them equal.
+_DEFAULT_BETA = -1.367
+_METRIC_TAGS = ("psnr", "ssim", "msssim", "lpips_db")
+
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _check_partition(path: str, grid_file: gridfile.GridFile, grid: BlockGrid) -> None:
+def _check_partition(path: str, grid_file: GridFile, grid: BlockGrid) -> None:
     """Raise GridMismatchError unless grid_file is laid on the frame's blocks."""
+    from .imageio import BLOCK_SIZE
     if (grid_file.blocks_x, grid_file.blocks_y, grid_file.block_size) != \
             (grid.blocks_x, grid.blocks_y, BLOCK_SIZE):
         raise GridMismatchError(
@@ -55,6 +67,8 @@ def _check_partition(path: str, grid_file: gridfile.GridFile, grid: BlockGrid) -
 # ---------------------------------------------------------------------------
 
 def _cmd_stepmap(args) -> int:
+    from . import stepnet
+    from .imageio import load_ppm
     img = load_ppm(args.image)
     weights = stepnet.load_weights(args.weights)
     step_map = stepnet.infer_step_map(img, weights)
@@ -70,6 +84,8 @@ def _cmd_stepmap(args) -> int:
 
 def _resolve_step_source(args):
     """Returns (StepMap, width, height). Exactly one source is allowed."""
+    from . import stepnet
+    from .imageio import load_ppm
     if args.stepmap and args.image:
         raise ValueError("ambiguous source: give either --stepmap or --image, not both")
     if args.stepmap:
@@ -93,6 +109,9 @@ def _resolve_step_source(args):
 
 
 def _cmd_qpmap(args) -> int:
+    from . import alloc, gridfile
+    from ._fileio import atomic_write_text
+    from .imageio import BLOCK_SIZE, BlockGrid
     if args.beta is not None and args.beta_map:
         raise ValueError("give either --beta or --beta-map, not both")
     step_map, width, height = _resolve_step_source(args)
@@ -152,15 +171,13 @@ def _cmd_qpmap(args) -> int:
 # metrics
 # ---------------------------------------------------------------------------
 
-def _luma_image(img: RasterImage) -> RasterImage:
-    return RasterImage(pixels=rgb_to_gray(img)[:, :, None])
-
-
 def _cmd_metrics(args) -> int:
+    from . import metrics
+    from .imageio import RasterImage, load_ppm, rgb_to_gray
     ref = load_ppm(args.reference)
     test = load_ppm(args.test)
     if args.luma_only:
-        ref, test = _luma_image(ref), _luma_image(test)
+        ref, test = (RasterImage(pixels=rgb_to_gray(img)[:, :, None]) for img in (ref, test))
     report = metrics.metric_report(ref, test, lpips=args.lpips)
     row = [args.test, _fmt(report.psnr), _fmt(report.ssim), _fmt(report.ms_ssim)]
     if report.lpips_db is not None:
@@ -173,16 +190,18 @@ def _cmd_metrics(args) -> int:
 # bdrate
 # ---------------------------------------------------------------------------
 
-def _load_curve(path: str, metric: str) -> bdrate.RdCurve:
+def _load_curve(path: str, metric: str) -> RdCurve:
+    from . import bdrate
     if metric == "lpips":
+        from . import metrics
         rates, raw = bdrate.read_rd_rows(path)
-        converted = np.array([metrics.lpips_to_db(q) for q in raw])
-        return bdrate.RdCurve(rates=rates, qualities=converted,
+        return bdrate.RdCurve(rates=rates, qualities=[metrics.lpips_to_db(q) for q in raw],
                               metric_tag="lpips_db")
     return bdrate.read_rd_csv(path, metric_tag=metric)
 
 
 def _cmd_bdrate(args) -> int:
+    from . import bdrate
     anchor = _load_curve(args.anchor, args.metric)
     test = _load_curve(args.test, args.metric)
     lo, hi = bdrate.quality_overlap(anchor, test)
@@ -200,6 +219,11 @@ def _cmd_bdrate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
+    from . import alloc, gridfile, toysim
+    from ._fileio import atomic_write_text
+    from .imageio import BLOCK_SIZE, BlockGrid, RasterImage, load_ppm, rgb_to_gray, save_ppm
     img = load_ppm(args.image)
     luma = rgb_to_gray(img)
     grid = BlockGrid(img.width, img.height)
@@ -263,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "(default: 16 x grid height)")
     p.add_argument("--base-qp", type=int, required=True, help="frame base QP (0-63)")
     p.add_argument("--beta", type=float,
-                   help=f"scalar rate-model exponent (default {alloc.DEFAULT_BETA}); "
+                   help=f"scalar rate-model exponent (default {_DEFAULT_BETA}); "
                    "not with --beta-map")
     p.add_argument("--beta-map", help="per-block beta map (BMAP file)")
     p.add_argument("--slope", type=float, default=1.0,
@@ -292,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("anchor", help="anchor curve CSV (rate_bpp,quality)")
     p.add_argument("test", help="test curve CSV")
     p.add_argument("--metric", default="psnr",
-                   choices=list(bdrate.METRIC_TAGS) + ["lpips"],
+                   choices=list(_METRIC_TAGS) + ["lpips"],
                    help="metric tag; 'lpips' converts a raw column to dB")
     p.add_argument("--interp", default="cubic", choices=["cubic", "pchip"],
                    help="fit mode (default %(default)s)")

@@ -4,7 +4,8 @@ Only binary PPM (P6, maxval 255) is read or written. The gray plane is
 full-range BT.601 luma with fixed coefficients and half-up rounding, so
 it is bit-exact across platforms. BlockGrid tiles a frame into the
 row-major BLOCK_SIZE (64 px) blocks that QP maps, beta maps and bit
-counts are laid out on; the block size is fixed, not a parameter.
+counts are laid out on; the block size is fixed, not a parameter, and
+so is DOWNSAMPLE_FACTOR, the 16-px edge of one step-map cell.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from ._fileio import atomic_write_bytes
 from .errors import FormatError
 
 BLOCK_SIZE = 64    # block edge in pixels: 4x4 step-map cells, 8x8 transform units
+DOWNSAMPLE_FACTOR = 16    # step-map cell edge in pixels: the network's total stride
 
 __all__ = [
     "BLOCK_SIZE",
+    "DOWNSAMPLE_FACTOR",
     "RasterImage",
     "BlockGrid",
     "load_ppm",

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._fileio import TokenReader, atomic_write_text, parse_ints, parse_reals, read_text
 from .errors import FormatError, InferenceError
-from .imageio import RasterImage
+from .imageio import DOWNSAMPLE_FACTOR, RasterImage
 
 __all__ = [
     "ConvLayer",
@@ -41,7 +41,6 @@ __all__ = [
     "make_random_weights",
 ]
 
-DOWNSAMPLE_FACTOR = 16
 _BAND_FLOATS = 1 << 18  # float32 columns per conv2d band, about 1 MB
 
 

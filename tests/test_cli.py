@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpalloc.bdrate import bd_quality, bd_rate, quality_overlap, read_rd_csv
-from qpalloc.cli import main
+from qpalloc.alloc import DEFAULT_BETA
+from qpalloc.bdrate import METRIC_TAGS, bd_quality, bd_rate, quality_overlap, read_rd_csv
+from qpalloc.cli import _DEFAULT_BETA, _METRIC_TAGS, main
 from qpalloc.gridfile import read_grid_file
 from qpalloc.imageio import RasterImage, load_ppm, save_ppm
 from qpalloc.stepnet import make_random_weights, save_weights
@@ -578,41 +579,76 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path):
 
 
 def test_import_leaves_scipy_unloaded(tmp_path, fixture_weights):
-    """Every command starts a process that imports qpalloc and qpalloc.cli,
+    """Every command runs in a fresh process that imports qpalloc.cli,
     which loads no scipy; and with scipy made unimportable, every command
     runs, bdrate --interp pchip included, and prints what the library
-    computes in-process. scipy serves the tests only, as an oracle."""
+    computes in-process. scipy serves the tests only, as an oracle. Each
+    command also loads only the qpalloc modules it runs, and the front
+    door (the import, --version, --help, usage errors) loads no numpy."""
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath)
-    code = ("import sys, qpalloc, qpalloc.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # at exit, the last stderr line lists the numpy, scipy and qpalloc modules loaded
+    listing = ("import atexit, json, sys; atexit.register(lambda: print(json.dumps(sorted("
+               "m for m, mod in list(sys.modules.items()) if mod is not None "
+               "and m.split('.')[0] in ('numpy', 'scipy', 'qpalloc'))), file=sys.stderr)); ")
 
-    blocked = ("import sys; sys.modules['scipy'] = None; "
-               "from qpalloc.cli import main; sys.exit(main(sys.argv[1:]))")
-
-    def cli(*argv):
-        proc = subprocess.run([sys.executable, "-c", blocked, *map(str, argv)],
+    def loaded(code, *argv, returncode=0):
+        """Run code in a fresh process; return its stdout and the
+        qpalloc submodules it loaded, after checking that it loaded no
+        scipy."""
+        proc = subprocess.run([sys.executable, "-c", listing + code, *map(str, argv)],
                               capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, (argv[0], proc.stderr)
-        return proc.stdout
+        assert proc.returncode == returncode, (argv, proc.stderr)
+        modules = json.loads(proc.stderr.splitlines()[-1])
+        assert not [m for m in modules if m.split(".")[0] == "scipy"], argv
+        return proc.stdout, {m for m in modules if m.split(".")[0] != "qpalloc"} | {
+            m.split(".")[1] for m in modules if m.startswith("qpalloc.")}
+
+    def cli(*argv, returncode=0):
+        return loaded("sys.modules['scipy'] = None; "
+                      "from qpalloc.cli import main; sys.exit(main(sys.argv[1:]))",
+                      *argv, returncode=returncode)
+
+    anchor, test = tmp_path / "anchor.csv", tmp_path / "test.csv"
+    front_door = [loaded("import qpalloc, qpalloc.cli")[1], cli("--version")[1],
+                  cli("--help")[1], cli(returncode=2)[1],
+                  cli("qpmap", "--base-qp", 32, returncode=2)[1],
+                  cli("bdrate", anchor, test, "--metric", "mse", returncode=2)[1]]
+    for modules in front_door:
+        assert modules <= {"cli", "errors"}, modules
 
     image, weights, prefix = tmp_path / "img.ppm", tmp_path / "w.qsnw", tmp_path / "run"
     save_ppm(RasterImage(pixels=textured_pixels(176, 176, seed=23)), image)
     save_weights(fixture_weights, weights)
-    cli("stepmap", image, weights, f"{prefix}.qsmap")
-    cli("qpmap", "--stepmap", f"{prefix}.qsmap", "--base-qp", 32, f"{prefix}.qpmap")
-    cli("simulate", image, "--qpmap", f"{prefix}.qpmap", prefix)
-    cli("metrics", image, f"{prefix}.recon.ppm", "--luma-only")
-    anchor, test = tmp_path / "anchor.csv", tmp_path / "test.csv"
+    _, modules = cli("stepmap", image, weights, f"{prefix}.qsmap")
+    assert not modules & {"alloc", "toysim", "metrics", "bdrate", "gridfile"}, modules
+    _, modules = cli("qpmap", "--stepmap", f"{prefix}.qsmap", "--base-qp", 32,
+                     f"{prefix}.qpmap")
+    assert not modules & {"toysim", "metrics", "bdrate"}, modules
+    _, modules = cli("simulate", image, "--qpmap", f"{prefix}.qpmap", prefix)
+    assert not modules & {"stepnet", "metrics", "bdrate"}, modules
+    _, modules = cli("metrics", image, f"{prefix}.recon.ppm", "--luma-only")
+    assert not modules & {"stepnet", "alloc", "toysim", "bdrate", "gridfile"}, modules
     anchor.write_text("rate_bpp,quality\n0.25,30.4\n0.55,33.1\n1.1,35.9\n2.3,38.6\n")
     test.write_text("rate_bpp,quality\n0.2,29.0\n0.3,31.8\n0.9,35.0\n1.6,36.1\n2.8,39.7\n")
     a, t = read_rd_csv(anchor), read_rd_csv(test)
     for interp in ("cubic", "pchip"):
-        assert json.loads(cli("bdrate", anchor, test, "--interp", interp)) == {
+        stdout, modules = cli("bdrate", anchor, test, "--interp", interp)
+        assert not modules & {"imageio", "metrics", "stepnet", "alloc", "toysim",
+                              "gridfile"}, modules
+        assert json.loads(stdout) == {
             "bd_rate_percent": bd_rate(a, t, mode=interp),
             "bd_quality": bd_quality(a, t, mode=interp),
             "overlap": list(quality_overlap(a, t))}
+    raw = tmp_path / "raw.csv"
+    raw.write_text("rate_bpp,quality\n0.25,0.31\n0.55,0.22\n1.1,0.15\n2.3,0.09\n")
+    _, modules = cli("bdrate", raw, raw, "--metric", "lpips")
+    assert "metrics" in modules
+    assert not modules & {"stepnet", "alloc", "toysim", "gridfile"}, modules
+
+
+def test_parser_constants_match_their_modules():
+    """The parser writes these two out so that building it imports
+    neither alloc nor bdrate."""
+    assert _DEFAULT_BETA == DEFAULT_BETA
+    assert _METRIC_TAGS == METRIC_TAGS
