@@ -1,12 +1,13 @@
 """Shared file plumbing: ASCII text in, strict number tokens, atomic writes.
 
-Every text reader gets its numbers here: read_text (or TokenReader,
-which streams whitespace tokens a few lines at a time), then parse_ints
-for integer fields and parse_reals for real ones. A write goes to a uniquely
-named sibling temp file, is fsynced, then renamed over the target, and
-the directory is fsynced so the rename survives a crash. A failed or concurrent write never leaves a partial
-output at the target path; the OS-level cause is wrapped in
-OutputIOError so the CLI can classify it.
+Every text field gets its numbers here: read_text reads a whole text
+file (the QSNW2 weight loader decodes its header lines itself), then
+parse_ints reads integer fields and parse_reals real ones. A write goes
+to a uniquely named sibling temp file, is fsynced, then renamed over the
+target, and the directory is fsynced so the rename survives a crash. A
+failed or concurrent write never leaves a partial output at the target
+path; the OS-level cause is wrapped in OutputIOError so the CLI can
+classify it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import FormatError, OutputIOError
 
 _INT_TOKEN = re.compile(r"-?[0-9]+")
-_BATCH_CHARS = 1 << 16  # TokenReader reads whole lines, about 64 KB of them at a time
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -29,56 +29,6 @@ def read_text(path: str | os.PathLike) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not ASCII text") from exc
-
-
-class TokenReader:
-    """Whitespace tokens of an ASCII text file, read whole lines at a time.
-
-    Each read takes about 64 KB of whole lines, at least one, so the
-    reader holds the tokens of those lines and never the whole file
-    unless the file is one long line. A byte outside ASCII is a
-    FormatError naming the path once a read reaches it. Use it in a
-    with block, which closes the file.
-    """
-
-    def __init__(self, path: str | os.PathLike):
-        self.path = path
-        self._fh = open(path, "r", encoding="ascii")
-        self._tokens: list[str] = []
-        self._pos = 0
-
-    def __enter__(self) -> "TokenReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._fh.close()
-
-    def _refill(self) -> bool:
-        """Hold the next lines' tokens instead; False at the end of the file."""
-        self._tokens = []  # released before the next lines are read and split
-        try:
-            lines = self._fh.readlines(_BATCH_CHARS)
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{self.path}: not ASCII text") from exc
-        self._tokens, self._pos = "".join(lines).split(), 0
-        return bool(lines)
-
-    def take(self, n: int) -> list[str]:
-        """The next n tokens; fewer only where the file ends."""
-        out = self._tokens[self._pos:self._pos + n]
-        self._pos += len(out)
-        while len(out) < n and self._refill():
-            more = self._tokens[:n - len(out)]
-            self._pos = len(more)
-            out += more  # extends in place: linear in n however short the lines
-        return out
-
-    def count_rest(self) -> int:
-        """How many tokens are left; reads to the end of the file."""
-        rest = len(self._tokens) - self._pos
-        while self._refill():
-            rest += len(self._tokens)
-        return rest
 
 
 def parse_ints(tokens: list[str]) -> list[int]:

@@ -273,14 +273,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stepmap", help="run step-map inference on an image")
     p.add_argument("image", help="input PPM (P6)")
-    p.add_argument("weights", help="QSNW1 weight file")
+    p.add_argument("weights", help="QSNW2 weight file")
     p.add_argument("out", help="output QSMAP path")
     p.set_defaults(func=_cmd_stepmap)
 
     p = sub.add_parser("qpmap", help="derive a QP offset map from a step map")
     p.add_argument("--stepmap", help="QSMAP file (mutually exclusive with --image)")
     p.add_argument("--image", help="input PPM; runs inference, needs --weights")
-    p.add_argument("--weights", help="QSNW1 weight file for --image")
+    p.add_argument("--weights", help="QSNW2 weight file for --image")
     p.add_argument("--width", type=int, help="frame width when reading a QSMAP "
                    "(default: 16 x grid width)")
     p.add_argument("--height", type=int, help="frame height when reading a QSMAP "

@@ -6,7 +6,7 @@ class matters more than the message text.
 
 
 class FormatError(ValueError):
-    """A file does not conform to its declared text format."""
+    """A file does not conform to its declared format."""
 
 
 class CurveError(ValueError):

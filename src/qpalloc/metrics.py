@@ -14,10 +14,11 @@ column. MS-SSIM is the five-scale product with exponents
 enters at every scale, the luminance mean only at the coarsest. Each
 scale's contrast-structure mean is clamped at 0 before its fractional
 power, as TensorFlow's ``ssim_multiscale`` does, so anti-correlated
-images score 0 rather than a negative number. Three-channel images score
-each channel and average. SSIM needs at least 11 px per side (one
-window), MS-SSIM at least 176 px per side (one window at the fifth
-scale).
+images score 0 rather than a negative number. SSIM is the mean of
+lum * cs over the same full-resolution maps, so metric_report filters
+scale 0 once for both. Three-channel images score each channel and
+average. SSIM needs at least 11 px per side (one window), MS-SSIM at
+least 176 px per side (one window at the fifth scale).
 
 LPIPS values are never computed here; they arrive from files and only
 the dB conversion -10*log10(v) is provided.
@@ -175,10 +176,14 @@ def _planes(img: RasterImage):
     return (img.pixels[:, :, c] for c in range(img.channels))
 
 
-def _ssim_mean(x: np.ndarray, y: np.ndarray) -> float:
+def _scale0(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(SSIM, contrast-structure mean) of one plane pair at full
+    resolution: mean(lum * cs) and the mean that scale 0 of MS-SSIM takes,
+    both from one pass of _ssim_maps."""
     lum, cs = _ssim_maps(x, y)
+    cs_mean = cs.mean()
     lum *= cs
-    return lum.mean()
+    return lum.mean(), cs_mean
 
 
 def ssim(a: RasterImage, b: RasterImage) -> float:
@@ -187,17 +192,25 @@ def ssim(a: RasterImage, b: RasterImage) -> float:
     if min(a.width, a.height) < _WINDOW_SIZE:
         raise ValueError(
             f"image {a.width}x{a.height} smaller than the {_WINDOW_SIZE}px window")
-    return float(np.mean([_ssim_mean(x, y) for x, y in zip(_planes(a), _planes(b))]))
+    return float(np.mean([_scale0(x, y)[0] for x, y in zip(_planes(a), _planes(b))]))
 
 
-def _ms_ssim_plane(x: np.ndarray, y: np.ndarray) -> float:
-    value = 1.0
-    for scale, weight in enumerate(_MSSSIM_WEIGHTS):
-        if scale > 0:
-            x, y = _down2(x), _down2(y)
+def _ms_ssim_plane(x: np.ndarray, y: np.ndarray, cs0: float) -> float:
+    """MS-SSIM of one plane pair whose scale-0 contrast-structure mean is cs0."""
+    value = max(cs0, 0.0) ** _MSSSIM_WEIGHTS[0]
+    for weight in _MSSSIM_WEIGHTS[1:]:
+        x, y = _down2(x), _down2(y)
         lum, cs = _ssim_maps(x, y)
         value *= max(cs.mean(), 0.0) ** weight
     return value * lum.mean() ** weight
+
+
+def _check_ms_ssim_pair(a: RasterImage, b: RasterImage) -> None:
+    _check_pair(a, b)
+    if min(a.width, a.height) < _MSSSIM_MIN_DIM:
+        raise ValueError(
+            f"image {a.width}x{a.height} too small for 5 scales "
+            f"(needs at least {_MSSSIM_MIN_DIM}px per side)")
 
 
 def ms_ssim(a: RasterImage, b: RasterImage) -> float:
@@ -206,12 +219,8 @@ def ms_ssim(a: RasterImage, b: RasterImage) -> float:
     A negative contrast-structure mean at any scale is clamped to 0, so
     the score of that plane is 0.
     """
-    _check_pair(a, b)
-    if min(a.width, a.height) < _MSSSIM_MIN_DIM:
-        raise ValueError(
-            f"image {a.width}x{a.height} too small for 5 scales "
-            f"(needs at least {_MSSSIM_MIN_DIM}px per side)")
-    return float(np.mean([_ms_ssim_plane(x, y)
+    _check_ms_ssim_pair(a, b)
+    return float(np.mean([_ms_ssim_plane(x, y, _ssim_maps(x, y)[1].mean())
                           for x, y in zip(_planes(a), _planes(b))]))
 
 
@@ -227,6 +236,14 @@ def lpips_to_db(v: float) -> float:
 
 def metric_report(a: RasterImage, b: RasterImage,
                   lpips: float | None = None) -> MetricReport:
+    """PSNR, SSIM and MS-SSIM of a pair, each equal to its standalone
+    function; SSIM and scale 0 of MS-SSIM share one filter pass per plane."""
     lpips_db = None if lpips is None else lpips_to_db(lpips)  # reject before scoring
-    return MetricReport(psnr=psnr(a, b), ms_ssim=ms_ssim(a, b), ssim=ssim(a, b),
-                        lpips_db=lpips_db)
+    _check_ms_ssim_pair(a, b)
+    ssims, ms_ssims = [], []
+    for x, y in zip(_planes(a), _planes(b)):
+        plane_ssim, cs0 = _scale0(x, y)
+        ssims.append(plane_ssim)
+        ms_ssims.append(_ms_ssim_plane(x, y, cs0))
+    return MetricReport(psnr=psnr(a, b), ssim=float(np.mean(ssims)),
+                        ms_ssim=float(np.mean(ms_ssims)), lpips_db=lpips_db)

@@ -2,12 +2,13 @@
 
 The network maps an RGB image to a positive step map at 1/16 spatial
 resolution: a strided convolutional stem, residual blocks, and a single
-channel head passed through softplus. Weights travel in the text QSNW1
-format, which the loader reads a few lines at a time. Convolutions run
-in float32 as one matrix product per band of output rows, and a forward
-pass allocates one workspace that every layer reuses; the same image
-and weights give byte-identical results run to run on one host. The
-softplus head runs in float64.
+channel head passed through softplus. Weights travel in the QSNW2
+format: ASCII lines giving the layer shapes, then every parameter as
+raw little-endian float32. Convolutions run in float32 as one matrix
+product per band of output rows, and a forward pass allocates one
+workspace that every layer reuses; the same image and weights give
+byte-identical results run to run on one host. The softplus head runs
+in float64.
 
 No trained weights ship with the package. ``make_random_weights`` builds
 a seeded instance of the reference layer plan for tests and demos;
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import TokenReader, atomic_write_text, parse_ints, parse_reals, read_text
+from ._fileio import (atomic_write_bytes, atomic_write_text, parse_ints, parse_reals,
+                      read_text)
 from .errors import FormatError, InferenceError
 from .imageio import DOWNSAMPLE_FACTOR, RasterImage
 
@@ -136,119 +138,113 @@ class StepMap:
 
 
 # ---------------------------------------------------------------------------
-# QSNW1 weight format
+# QSNW2 weight format
 # ---------------------------------------------------------------------------
 
+_HEADER_LINE_BYTES = 256  # the most one header line may take, newline included
+
+
 def load_weights(path: str | os.PathLike) -> ModelWeights:
-    """Parse a QSNW1 text weight file.
+    """Read a QSNW2 weight file.
 
-    Layout: magic line ``QSNW1``, a ``layers N`` line, then per layer a
-    ``conv IN OUT K STRIDE`` or ``resblock CH`` header followed by its
-    parameters (out-channel-major weights, then biases; a resblock
-    carries its two convolutions in order). Each block of values parses
-    as finite float64 in one parse_reals pass and is stored as float32.
+    Layout: ASCII header lines, each ending in a newline: the magic
+    ``QSNW2``, ``layers N``, one ``conv IN OUT K STRIDE`` or
+    ``resblock CH`` line per layer, then ``data``. Every parameter
+    follows as a little-endian float32, layer by layer: out-channel-major
+    weights, then biases, and a resblock carries its two convolutions in
+    order. Nothing follows the last parameter.
 
-    Tokens stream in through a TokenReader, whole lines about 64 KB at a
-    time, so the loader holds the arrays parsed so far and the tokens of
-    the lines in hand, not the file. save_weights writes one block per
-    line, so such a file peaks at about its largest block. Any other
-    whitespace layout loads to the same bits; a file written all on one
-    line holds all its tokens at once and peaks as high as splitting the
-    whole file.
+    Each header line is one bounded readline, so a file of another kind
+    is rejected at its first line. The payload must hold exactly the
+    parameters the header declares, each one finite; they are returned
+    as native float32 copies.
     """
-    with TokenReader(path) as reader:
+    with open(path, "rb") as fh:
 
-        def take(n: int) -> list[str]:
-            out = reader.take(n)
-            if len(out) < n:
-                raise FormatError(f"{path}: parameter count mismatch, file ends early")
-            return out
+        def fields() -> list[str]:
+            raw = fh.readline(_HEADER_LINE_BYTES)
+            try:
+                line = raw.decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: not ASCII text") from exc
+            if not line.endswith("\n"):
+                if len(raw) < _HEADER_LINE_BYTES:
+                    raise FormatError(f"{path}: file ends early in the header")
+                raise FormatError(f"{path}: header line longer than "
+                                  f"{_HEADER_LINE_BYTES} bytes")
+            return line.split()
 
-        magic = take(1)[0]
-        if magic != "QSNW1":
-            if magic.startswith("QSNW"):
-                raise FormatError(f"{path}: unsupported version {magic!r}")
-            raise FormatError(f"{path}: bad magic {magic!r}, expected QSNW1")
-        kw, count = take(2)
+        magic = fields()
+        if magic != ["QSNW2"]:
+            if magic and magic[0].startswith("QSNW"):
+                raise FormatError(f"{path}: unsupported version {magic[0]!r}")
+            raise FormatError(f"{path}: bad magic {' '.join(magic)!r}, expected QSNW2")
+        kw = fields()
         try:
-            (n_layers,) = parse_ints([count])
+            (n_layers,) = parse_ints(kw[1:])
         except ValueError as exc:
             raise FormatError(f"{path}: expected 'layers N' after the magic") from exc
-        if kw != "layers" or n_layers < 1:
+        if kw[0] != "layers" or n_layers < 1:
             raise FormatError(f"{path}: expected 'layers N' after the magic")
 
-        def take_floats(n: int, what: str) -> np.ndarray:
-            raw = take(n)
-            try:
-                return parse_reals(raw)
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc} in {what}") from exc
-
-        def take_conv(c_in: int, c_out: int, k: int, stride: int, what: str) -> ConvLayer:
-            w = take_floats(c_out * c_in * k * k, what + " weights")
-            b = take_floats(c_out, what + " bias")
-            return ConvLayer(weights=w.reshape(c_out, c_in, k, k).astype(np.float32),
-                             bias=b.astype(np.float32), stride=stride)
-
-        layers = []
+        # (c_in, c_out, k, stride) of each layer's convolutions, in file order
+        plan = []
         for idx in range(n_layers):
-            kind = take(1)[0]
+            kind, *header = fields() or [""]
             if kind not in ("conv", "resblock"):
                 raise FormatError(f"{path}: unknown layer kind {kind!r} in layer {idx}")
-            header = take(4 if kind == "conv" else 1)
             try:
                 dims = parse_ints(header)
             except ValueError as exc:
                 raise FormatError(f"{path}: bad {kind} header in layer {idx}") from exc
-            if min(dims) < 1:
+            if len(dims) != (4 if kind == "conv" else 1) or min(dims) < 1:
                 raise FormatError(f"{path}: bad {kind} header in layer {idx}")
-            if kind == "conv":  # IN OUT K STRIDE
-                layers.append(take_conv(*dims, f"layer {idx}"))
-            else:
-                (ch,) = dims
-                conv1 = take_conv(ch, ch, 3, 1, f"layer {idx} (resblock conv1)")
-                conv2 = take_conv(ch, ch, 3, 1, f"layer {idx} (resblock conv2)")
-                layers.append(ResBlock(conv1=conv1, conv2=conv2))
-        trailing = reader.count_rest()
-    if trailing:
-        raise FormatError(f"{path}: parameter count mismatch, {trailing} trailing values")
+            plan.append([tuple(dims)] if kind == "conv" else [(dims[0], dims[0], 3, 1)] * 2)
+        if fields() != ["data"]:
+            raise FormatError(f"{path}: expected 'data' after the layer headers")
+        payload = fh.read()
+
+    # out-channel-major weights, then biases, of each convolution in turn
+    sizes = [n for convs in plan for c_in, c_out, k, _ in convs
+             for n in (c_out * c_in * k * k, c_out)]
+    extra = len(payload) - 4 * sum(sizes)
+    if extra < 0:
+        raise FormatError(f"{path}: parameter count mismatch, file ends early")
+    if extra:
+        raise FormatError(f"{path}: parameter count mismatch, {extra} trailing bytes")
+    values = np.frombuffer(payload, "<f4")
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: non-finite parameter")
+    pieces = iter(np.split(values, np.cumsum(sizes)[:-1]))
+
+    def conv(c_in: int, c_out: int, k: int, stride: int) -> ConvLayer:
+        w = next(pieces).astype(np.float32).reshape(c_out, c_in, k, k)
+        return ConvLayer(weights=w, bias=next(pieces).astype(np.float32), stride=stride)
+
+    layers = []
+    for convs in plan:
+        built = [conv(*dims) for dims in convs]
+        layers.append(built[0] if len(built) == 1 else ResBlock(*built))
     return ModelWeights(layers=tuple(layers))
 
 
-def _float32_tokens(values: np.ndarray) -> list[str]:
-    """Decimal tokens that load_weights reads back to the same float32 bits.
-
-    Each is Python's correctly rounded 9-significant-digit form of the
-    exact float64 widening; 9 digits is the binary32 round-trip bound
-    (IEEE 754-2008 5.12.2, C11 FLT_DECIMAL_DIG). The token lies within
-    5e-9 relative of the value, the float64 parse adds at most 2^-53, and
-    the nearest float32 rounding midpoint is at least 2^-25 relative away
-    (2^-24 for subnormals), so the float32 cast returns the original bits.
-    """
-    flat = np.asarray(values, dtype=np.float32).reshape(-1)
-    return [format(v, ".9g") for v in flat.tolist()]
-
-
 def save_weights(weights: ModelWeights, path: str | os.PathLike) -> None:
-    """Write QSNW1 text, one header or block of values per line: each
-    float32 parameter as a 9-significant-digit decimal that loads back to
-    the same bits (see _float32_tokens)."""
-    lines = ["QSNW1", f"layers {len(weights.layers)}"]
-
-    def emit_params(conv: ConvLayer) -> None:
-        lines.append(" ".join(_float32_tokens(conv.weights)))
-        lines.append(" ".join(_float32_tokens(conv.bias)))
-
+    """Write QSNW2: the ASCII header, then every parameter as a
+    little-endian float32 in the order load_weights reads them."""
+    lines = ["QSNW2", f"layers {len(weights.layers)}"]
+    params = []
     for layer in weights.layers:
         if isinstance(layer, ConvLayer):
             lines.append(f"conv {layer.in_channels} {layer.out_channels} "
                          f"{layer.kernel_size} {layer.stride}")
-            emit_params(layer)
+            convs = (layer,)
         else:
             lines.append(f"resblock {layer.channels}")
-            emit_params(layer.conv1)
-            emit_params(layer.conv2)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            convs = (layer.conv1, layer.conv2)
+        params += [a.reshape(-1) for conv in convs for a in (conv.weights, conv.bias)]
+    lines.append("data\n")
+    payload = np.concatenate(params, dtype="<f4").tobytes()
+    atomic_write_bytes(path, "\n".join(lines).encode("ascii") + payload)
 
 
 # ---------------------------------------------------------------------------

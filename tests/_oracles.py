@@ -6,18 +6,19 @@ PchipInterpolator, plain Python loops, scalar-weighted accumulation,
 per-block slices, scalar math) so that agreement actually checks
 something. The toy codec's oracle works one 8x8 unit and one
 coefficient at a time through the scalar helpers dct8_forward,
-quantize, golomb_bits, dequantize and dct8_inverse. write_qsnw1_repr
-writes weights as the first QSNW1 writer did, in 17-digit repr tokens.
+quantize, golomb_bits, dequantize and dct8_inverse. write_qsnw2 packs
+weight files with struct, apart from the package's writer, and
+activity_step_map stands in for a trained network's step map.
 """
 
 import math
+import struct
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.signal import correlate2d
 
 from qpalloc.imageio import BlockGrid, RasterImage
-from qpalloc.stepnet import ConvLayer, ModelWeights
 from qpalloc.toysim import DCT_BASIS
 
 
@@ -101,23 +102,25 @@ def reference_conv2d(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return out
 
 
-def write_qsnw1_repr(weights: ModelWeights, path) -> None:
-    """QSNW1 as the first writer made it: every float32 as the 17-digit
-    repr of its float64 widening, one Python float at a time."""
-    lines = ["QSNW1", f"layers {len(weights.layers)}"]
-    for layer in weights.layers:
-        if isinstance(layer, ConvLayer):
-            lines.append(f"conv {layer.in_channels} {layer.out_channels} "
-                         f"{layer.kernel_size} {layer.stride}")
-            convs = [layer]
-        else:
-            lines.append(f"resblock {layer.channels}")
-            convs = [layer.conv1, layer.conv2]
-        for conv in convs:
-            lines.append(" ".join(repr(float(v)) for v in conv.weights.reshape(-1)))
-            lines.append(" ".join(repr(float(v)) for v in conv.bias))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_qsnw2(path, header_lines, values) -> None:
+    """A QSNW2 file built apart from save_weights: each header line as
+    given plus a newline, then every value packed by struct as a
+    little-endian float32. The lines may hold any text, or omit the
+    data line, so that malformed headers can be written too."""
+    values = list(values)
+    header = "".join(line + "\n" for line in header_lines).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(header + struct.pack(f"<{len(values)}f", *values))
+
+
+def activity_step_map(luma: np.ndarray) -> np.ndarray:
+    """A step map that grows with local detail: ((std of each 16x16 cell
+    + 2) / 8)^2, the plane edge-padded to whole cells. Large steps where
+    texture masks error, small ones on flat areas."""
+    h, w = luma.shape
+    gh, gw = -(-h // 16), -(-w // 16)
+    plane = np.pad(luma.astype(np.float64), ((0, gh * 16 - h), (0, gw * 16 - w)), mode="edge")
+    return ((plane.reshape(gh, 16, gw, 16).std(axis=(1, 3)) + 2.0) / 8.0) ** 2
 
 
 def noisy_variant(img: RasterImage, sigma: float, seed: int) -> RasterImage:

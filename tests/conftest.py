@@ -47,6 +47,18 @@ def block_contrast_pixels(size: int, seed: int = 33) -> np.ndarray:
     return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
 
 
+def detail_tile_luma(height: int, width: int, seed: int) -> np.ndarray:
+    """A smooth gray picture plus noise whose amplitude (0, 6, 20 or 56)
+    is drawn per 64-px tile, so blocks range from flat to busy."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
+    smooth = 128.0 + 60.0 * np.sin(xx / 97.0 + seed) * np.cos(yy / 71.0)
+    amp = rng.choice([0.0, 6.0, 20.0, 56.0], (-(-height // 64), -(-width // 64)))
+    amp = np.kron(amp, np.ones((64, 64)))[:height, :width]
+    luma = smooth + amp * rng.standard_normal((height, width))
+    return np.clip(np.floor(luma + 0.5), 0, 255).astype(np.uint8)
+
+
 @pytest.fixture()
 def textured_image():
     return RasterImage(pixels=textured_pixels(128, 128, seed=11))

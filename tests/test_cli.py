@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from qpalloc.imageio import RasterImage, load_ppm, save_ppm
 from qpalloc.stepnet import make_random_weights, save_weights
 
 from conftest import textured_pixels
+from _oracles import write_qsnw2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,10 +67,35 @@ class TestStepmapCommand:
 
     def test_non_ascii_last_line_of_weights_is_input_error(self, run, tmp_path, ppm_64,
                                                              weights_file):
-        weights_file.write_bytes(weights_file.read_bytes() + "\u00e9\n".encode("utf-8"))
+        # the last header line, the one before the payload
+        write_qsnw2(weights_file, ["QSNW2", "layers 1", "conv 3 1 1 1", "d\u00e4ta"],
+                    [0.25, 0.5, 0.25, 0.0])
         code, _, err = run("stepmap", ppm_64, weights_file, tmp_path / "map.qsmap")
         assert code == 2
         assert "not ASCII text" in err
+
+    # header lines, values, message: every fault the weight loader reports
+    MALFORMED_WEIGHTS = {
+        "qsnw1": (["QSNW1", "layers 1", "conv 3 1 1 1", "0.25 0.5 0.25", "0.0"], [],
+                  "unsupported version 'QSNW1'"),
+        "short": (["QSNW2", "layers 1", "conv 3 1 1 1", "data"], [0.25, 0.5, 0.25],
+                  "file ends early"),
+        "trailing": (["QSNW2", "layers 1", "conv 3 1 1 1", "data"], [0.25, 0.5, 0.25, 0.0, 1.0],
+                     "4 trailing bytes"),
+        "non-finite": (["QSNW2", "layers 1", "conv 3 1 1 1", "data"], [0.25, math.inf, 0.25, 0.0],
+                       "non-finite"),
+        "misspelled-data": (["QSNW2", "layers 1", "conv 3 1 1 1", "payload"],
+                            [0.25, 0.5, 0.25, 0.0], "expected 'data'"),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED_WEIGHTS))
+    def test_malformed_weights_are_input_error(self, run, tmp_path, ppm_64, case):
+        lines, values, message = self.MALFORMED_WEIGHTS[case]
+        path = tmp_path / "bad.qsnw"
+        write_qsnw2(path, lines, values)
+        code, _, err = run("stepmap", ppm_64, path, tmp_path / "map.qsmap")
+        assert code == 2
+        assert message in err
 
     def test_unwritable_output_is_io_error(self, run, tmp_path, ppm_64, weights_file):
         # parent of the output path is a file, not a directory
@@ -80,7 +107,7 @@ class TestStepmapCommand:
     def test_incompatible_weights_is_inference_error(self, run, tmp_path, ppm_64):
         # parses fine but the strides do not compose to x16
         flat = tmp_path / "flat.qsnw"
-        flat.write_text("QSNW1\nlayers 1\nconv 3 1 1 1\n0.25 0.5 0.25\n0.0\n")
+        write_qsnw2(flat, ["QSNW2", "layers 1", "conv 3 1 1 1", "data"], [0.25, 0.5, 0.25, 0.0])
         code, _, err = run("stepmap", ppm_64, flat, tmp_path / "map.qsmap")
         assert code == 3
         assert "stride" in err

@@ -3,12 +3,13 @@ import os
 import numpy as np
 import pytest
 
-from qpalloc import _fileio
-from qpalloc._fileio import TokenReader, atomic_write_bytes, parse_ints, parse_reals
+from qpalloc._fileio import atomic_write_bytes, parse_ints, parse_reals
 from qpalloc.bdrate import read_rd_rows
 from qpalloc.errors import FormatError, OutputIOError
 from qpalloc.gridfile import read_grid_file
 from qpalloc.stepnet import load_weights, read_step_map
+
+from _oracles import write_qsnw2
 
 
 class TestAtomicWrite:
@@ -34,33 +35,6 @@ class TestAtomicWrite:
         plain.write_bytes(b"")
         assert target.read_bytes() == b"second"
         assert os.stat(target).st_mode == os.stat(plain).st_mode
-
-
-class TestTokenReader:
-    TEXT = b"a b\n\n c\r\nd\te f\r  \n\x0bg"
-
-    # a batch of one line, of a few lines, of the whole file
-    @pytest.mark.parametrize("batch", [1, 8, 1 << 16])
-    def test_takes_span_lines_and_batches(self, tmp_path, monkeypatch, batch):
-        monkeypatch.setattr(_fileio, "_BATCH_CHARS", batch)
-        path = tmp_path / "t.txt"
-        path.write_bytes(self.TEXT)
-        with TokenReader(path) as reader:
-            assert reader.take(1) == ["a"]
-            assert reader.take(3) == ["b", "c", "d"]
-            assert reader.take(0) == []
-            assert reader.take(1) == ["e"]
-            assert reader.count_rest() == 2
-            assert reader.take(1) == []
-        with TokenReader(path) as reader:
-            assert reader.take(9) == self.TEXT.decode().split()
-
-    def test_non_ascii_byte_once_read(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_bytes(b"a b\nc \xff\n")
-        with pytest.raises(FormatError, match="not ASCII text"):
-            with TokenReader(path) as reader:
-                reader.count_rest()
 
 
 class TestParseInts:
@@ -96,7 +70,6 @@ class TestParseReals:
         assert got.tobytes() == expected.tobytes()
 
     READERS = {
-        "QSNW1": (load_weights, "QSNW1\nlayers 1\nconv 3 1 1 1\n0.25 {} 0.25\n0.0\n"),
         "QSMAP": (read_step_map, "QSMAP 1\n2 1\n1.0 {}\n"),
         "LSCALE": (read_grid_file, "LSCALE 1\n2 1 64 32\n1.0 {}\n"),
         "BMAP": (read_grid_file, "BMAP 1\n2 1 64 0\n1.0 {}\n"),
@@ -117,12 +90,14 @@ class TestParseReals:
 
 class TestReadText:
     # a non-ASCII byte in an integer field, as in a real one above
-    @pytest.mark.parametrize("reader,text", [
-        (read_grid_file, "QPMAP 1\n1 1 64 32\n١\n"),
-        (load_weights, "QSNW1\nlayers ١\n"),
-    ], ids=["QPMAP", "QSNW1"])
-    def test_non_ascii_byte_is_format_error(self, tmp_path, reader, text):
+    @pytest.mark.parametrize("reader,write", [
+        (read_grid_file, lambda path: path.write_text("QPMAP 1\n1 1 64 32\n١\n",
+                                                      encoding="utf-8")),
+        (load_weights, lambda path: write_qsnw2(path, ["QSNW2", "layers ١", "conv 3 1 1 1",
+                                                       "data"], [0.25, 0.5, 0.25, 0.0])),
+    ], ids=["QPMAP", "QSNW2"])
+    def test_non_ascii_byte_is_format_error(self, tmp_path, reader, write):
         path = tmp_path / "f.txt"
-        path.write_text(text, encoding="utf-8")
+        write(path)
         with pytest.raises(FormatError, match="not ASCII"):
             reader(path)
