@@ -147,61 +147,70 @@ _HEADER_LINE_BYTES = 256  # the most one header line may take, newline included
 def load_weights(path: str | os.PathLike) -> ModelWeights:
     """Read a QSNW2 weight file.
 
-    Layout: ASCII header lines, each ending in a newline: the magic
-    ``QSNW2``, ``layers N``, one ``conv IN OUT K STRIDE`` or
-    ``resblock CH`` line per layer, then ``data``. Every parameter
-    follows as a little-endian float32, layer by layer: out-channel-major
+    Layout: an ASCII header of whitespace-separated tokens: the magic
+    ``QSNW2``, ``layers N``, ``conv IN OUT K STRIDE`` or ``resblock CH``
+    for each layer, then ``data`` as the last token of its line. The
+    writer puts each on a line of its own, but any layout of the same
+    tokens reads the same. Every parameter follows that line's newline
+    as a little-endian float32, layer by layer: out-channel-major
     weights, then biases, and a resblock carries its two convolutions in
     order. Nothing follows the last parameter.
 
-    Each header line is one bounded readline, so a file of another kind
-    is rejected at its first line. The payload must hold exactly the
-    parameters the header declares, each one finite; they are returned
-    as native float32 copies.
+    The header is read in bounded lines, only as far as the next token
+    is needed, so a file of another kind is rejected at its first line.
+    The payload must hold exactly the parameters the header declares,
+    each one finite; they are returned as native float32 copies.
     """
     with open(path, "rb") as fh:
+        pending: list[str] = []  # tokens read but not yet taken, in order
 
-        def fields() -> list[str]:
-            raw = fh.readline(_HEADER_LINE_BYTES)
-            try:
-                line = raw.decode("ascii")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}: not ASCII text") from exc
-            if not line.endswith("\n"):
-                if len(raw) < _HEADER_LINE_BYTES:
-                    raise FormatError(f"{path}: file ends early in the header")
-                raise FormatError(f"{path}: header line longer than "
-                                  f"{_HEADER_LINE_BYTES} bytes")
-            return line.split()
+        def take(n: int) -> list[str]:
+            while len(pending) < n:
+                raw = fh.readline(_HEADER_LINE_BYTES)
+                try:
+                    line = raw.decode("ascii")
+                except UnicodeDecodeError as exc:
+                    raise FormatError(f"{path}: not ASCII text") from exc
+                if not line.endswith("\n"):
+                    if len(raw) < _HEADER_LINE_BYTES:
+                        raise FormatError(f"{path}: file ends early in the header")
+                    raise FormatError(f"{path}: header line longer than "
+                                      f"{_HEADER_LINE_BYTES} bytes")
+                pending.extend(line.split())
+            taken = pending[:n]
+            del pending[:n]
+            return taken
 
-        magic = fields()
-        if magic != ["QSNW2"]:
-            if magic and magic[0].startswith("QSNW"):
-                raise FormatError(f"{path}: unsupported version {magic[0]!r}")
-            raise FormatError(f"{path}: bad magic {' '.join(magic)!r}, expected QSNW2")
-        kw = fields()
+        (magic,) = take(1)
+        if magic != "QSNW2":
+            if magic.startswith("QSNW"):
+                raise FormatError(f"{path}: unsupported version {magic!r}")
+            raise FormatError(f"{path}: bad magic {magic!r}, expected QSNW2")
+        kw, count = take(2)
         try:
-            (n_layers,) = parse_ints(kw[1:])
+            (n_layers,) = parse_ints([count])
         except ValueError as exc:
             raise FormatError(f"{path}: expected 'layers N' after the magic") from exc
-        if kw[0] != "layers" or n_layers < 1:
+        if kw != "layers" or n_layers < 1:
             raise FormatError(f"{path}: expected 'layers N' after the magic")
 
         # (c_in, c_out, k, stride) of each layer's convolutions, in file order
         plan = []
         for idx in range(n_layers):
-            kind, *header = fields() or [""]
+            (kind,) = take(1)
             if kind not in ("conv", "resblock"):
                 raise FormatError(f"{path}: unknown layer kind {kind!r} in layer {idx}")
             try:
-                dims = parse_ints(header)
+                dims = parse_ints(take(4 if kind == "conv" else 1))
             except ValueError as exc:
                 raise FormatError(f"{path}: bad {kind} header in layer {idx}") from exc
-            if len(dims) != (4 if kind == "conv" else 1) or min(dims) < 1:
+            if min(dims) < 1:
                 raise FormatError(f"{path}: bad {kind} header in layer {idx}")
             plan.append([tuple(dims)] if kind == "conv" else [(dims[0], dims[0], 3, 1)] * 2)
-        if fields() != ["data"]:
+        if take(1) != ["data"]:
             raise FormatError(f"{path}: expected 'data' after the layer headers")
+        if pending:
+            raise FormatError(f"{path}: expected 'data' to end its header line")
         payload = fh.read()
 
     # out-channel-major weights, then biases, of each convolution in turn

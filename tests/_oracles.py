@@ -7,8 +7,9 @@ per-block slices, scalar math) so that agreement actually checks
 something. The toy codec's oracle works one 8x8 unit and one
 coefficient at a time through the scalar helpers dct8_forward,
 quantize, golomb_bits, dequantize and dct8_inverse. write_qsnw2 packs
-weight files with struct, apart from the package's writer, and
-activity_step_map stands in for a trained network's step map.
+weight files with struct, apart from the package's writer, port_qsnw1
+turns a QSNW1 text literal into its arguments, and activity_step_map
+stands in for a trained network's step map.
 """
 
 import math
@@ -111,6 +112,20 @@ def write_qsnw2(path, header_lines, values) -> None:
     header = "".join(line + "\n" for line in header_lines).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(header + struct.pack(f"<{len(values)}f", *values))
+
+
+def port_qsnw1(text: str) -> tuple[list[str], list[float]]:
+    """A hand-written QSNW1 literal as write_qsnw2's header lines and
+    values: the magic becomes QSNW2, the layer lines (those starting with
+    a letter) move ahead of a data line, and the value lines become the
+    payload."""
+    header, values = ["QSNW2"], []
+    for line in text.splitlines()[1:]:
+        if line[:1].isalpha():
+            header.append(line)
+        else:
+            values.extend(float(token) for token in line.split())
+    return header + ["data"], values
 
 
 def activity_step_map(luma: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from qpalloc.errors import FormatError, OutputIOError
 from qpalloc.gridfile import read_grid_file
 from qpalloc.stepnet import load_weights, read_step_map
 
-from _oracles import write_qsnw2
+from _oracles import port_qsnw1, write_qsnw2
 
 
 class TestAtomicWrite:
@@ -89,13 +89,13 @@ class TestParseReals:
 
 
 class TestReadText:
-    # a non-ASCII byte in an integer field, as in a real one above
+    # a non-ASCII byte in an integer field, as in a real one above; the
+    # weight case is its QSNW1 literal ported to QSNW2
     @pytest.mark.parametrize("reader,write", [
         (read_grid_file, lambda path: path.write_text("QPMAP 1\n1 1 64 32\n١\n",
                                                       encoding="utf-8")),
-        (load_weights, lambda path: write_qsnw2(path, ["QSNW2", "layers ١", "conv 3 1 1 1",
-                                                       "data"], [0.25, 0.5, 0.25, 0.0])),
-    ], ids=["QPMAP", "QSNW2"])
+        (load_weights, lambda path: write_qsnw2(path, *port_qsnw1("QSNW1\nlayers ١\n"))),
+    ], ids=["QPMAP", "QSNW1"])
     def test_non_ascii_byte_is_format_error(self, tmp_path, reader, write):
         path = tmp_path / "f.txt"
         write(path)

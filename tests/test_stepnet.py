@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,11 +19,25 @@ from qpalloc.stepnet import (ConvLayer, ModelWeights, ResBlock, StepMap, conv2d,
                              make_random_weights, read_step_map, save_weights,
                              softplus, write_step_map)
 
-from _oracles import reference_conv2d, write_qsnw2
+from _oracles import port_qsnw1, reference_conv2d, write_qsnw2
 from conftest import textured_pixels
 
 MINIMAL_HEADER = ["QSNW2", "layers 1", "conv 3 1 1 1", "data"]
 MINIMAL_VALUES = [0.25, 0.5, 0.25, 0.0]
+# strict-integer cases first written as QSNW1 literals: each is ported to
+# QSNW2 by port_qsnw1 and keeps its literal as its test id
+LEGACY_STRICT_HEADERS = [
+    ("QSNW1\nlayers 1\nconv 3 1 1 +1\n0.25 0.5 0.25\n0.0\n", "bad conv header"),
+    ("QSNW1\nlayers 1\nconv 3 1 1 0_1\n0.25 0.5 0.25\n0.0\n", "bad conv header"),
+    ("QSNW1\nlayers 1\nresblock 0_1\n" + "0 " * 20, "bad resblock header"),
+]
+STRICT_HEADERS = [port_qsnw1(text) + (match,) for text, match in LEGACY_STRICT_HEADERS] + [
+    (["QSNW2", "layers 1", "conv 3 1 1", "data"], MINIMAL_VALUES, "bad conv header"),
+    (["QSNW2", "layers +1", "conv 3 1 1 1", "data"], MINIMAL_VALUES, "expected 'layers N'"),
+    (["QSNW2", "layers 0_1", "conv 3 1 1 1", "data"], MINIMAL_VALUES, "expected 'layers N'"),
+]
+STRICT_IDS = ([text for text, _ in LEGACY_STRICT_HEADERS]
+              + ["conv-short", "layers-plus", "layers-underscore"])
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -138,26 +153,19 @@ class TestWeightFormat:
             with pytest.raises(FormatError, match="non-finite"):
                 load_weights(path)
 
-    @pytest.mark.parametrize("lines,match", [
-        (["QSNW2", "layers 1", "conv 3 1 1 +1"], "bad conv header"),
-        (["QSNW2", "layers 1", "conv 3 1 1 0_1"], "bad conv header"),
-        (["QSNW2", "layers 1", "conv 3 1 1"], "bad conv header"),
-        (["QSNW2", "layers 1", "resblock 0_1"], "bad resblock header"),
-        (["QSNW2", "layers +1", "conv 3 1 1 1"], "expected 'layers N'"),
-        (["QSNW2", "layers 0_1", "conv 3 1 1 1"], "expected 'layers N'"),
-    ], ids=["conv-plus", "conv-underscore", "conv-short", "resblock-underscore",
-            "layers-plus", "layers-underscore"])
-    def test_layer_headers_are_strict_integers(self, tmp_path, lines, match):
+    @pytest.mark.parametrize("lines,values,match", STRICT_HEADERS, ids=STRICT_IDS)
+    def test_layer_headers_are_strict_integers(self, tmp_path, lines, values, match):
         path = tmp_path / "w.qsnw"
-        write_qsnw2(path, lines + ["data"], MINIMAL_VALUES)
+        write_qsnw2(path, lines, values)
         with pytest.raises(FormatError, match=match):
             load_weights(path)
 
-    # the payload of the minimal conv holds a byte outside ASCII, so a
-    # missing data line is read as a header line that is not text
+    # blank header lines are skipped like any whitespace, and the payload
+    # of the minimal conv holds a byte outside ASCII, so a missing or
+    # blank data line is read on into the payload, which is not text
     @pytest.mark.parametrize("line,match", [
         (None, "not ASCII text"), ("Data", "expected 'data'"),
-        ("data 4", "expected 'data'"), ("", "expected 'data'")],
+        ("data 4", "expected 'data' to end its header line"), ("", "not ASCII text")],
         ids=["missing", "capitalised", "with-count", "blank"])
     def test_data_line_required(self, tmp_path, line, match):
         path = tmp_path / "w.qsnw"
@@ -257,6 +265,47 @@ class TestFloat32Tokens:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class TestWeightLayouts:
+    """save_weights writes one header line per layer; any other
+    whitespace layout of the same header tokens, with data ending its
+    line, loads to the same bits."""
+
+    # each maps the header text, data line included, to another layout
+    LAYOUTS = {
+        "token_per_line": lambda head: "\n".join(head.split()) + "\n",
+        "one_line": lambda head: " ".join(head.split()) + "\n",
+        "blank_lines": lambda head: "\n" + head[:-1].replace("\n", "\n\n \t\n") + "\n",
+        "crlf": lambda head: head.replace("\n", "\r\n"),
+    }
+
+    @staticmethod
+    def _relay(path, relaid, layout) -> None:
+        head, payload = path.read_bytes().split(b"data\n", 1)
+        relaid.write_bytes(layout((head + b"data\n").decode("ascii")).encode("ascii") + payload)
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_layout_loads_to_the_same_bits(self, tmp_path, layout):
+        weights = make_random_weights(seed=3, width=16)
+        path, relaid = tmp_path / "w.qsnw", tmp_path / "relaid.qsnw"
+        save_weights(weights, path)
+        self._relay(path, relaid, self.LAYOUTS[layout])
+        assert relaid.read_bytes() != path.read_bytes()
+        assert np.array_equal(_param_bits(load_weights(relaid)), _param_bits(weights))
+
+    def test_token_per_line_loads_in_linear_time(self, tmp_path, reference_plan_file):
+        # one bounded readline per header token must cost next to nothing
+        # beside the 1.63 MB payload
+        split = tmp_path / "split.qsnw"
+        self._relay(reference_plan_file, split, self.LAYOUTS["token_per_line"])
+        best = {reference_plan_file: math.inf, split: math.inf}
+        for _ in range(3):
+            for path in best:
+                start = time.perf_counter()
+                load_weights(path)
+                best[path] = min(best[path], time.perf_counter() - start)
+        assert best[split] <= 2 * best[reference_plan_file]
 
 
 def _conv(weights, bias, stride):
