@@ -1,15 +1,19 @@
 """Full-reference quality metrics: PSNR, SSIM, MS-SSIM, LPIPS-to-dB.
 
 SSIM uses the classic 11x11 Gaussian window (sigma 1.5, K1 0.01,
-K2 0.03, L 255) with valid-region filtering and no padding. At each
-scale the four planes x, y, x*x + y*y and x*y of a pair are written into
-one buffer (at scale 0 straight from the 8-bit pixels) and filtered
-once; their window means are all that the luminance and
-contrast-structure maps need. Each axis of the separable filter is a
-run of small matrix products: a tile of at most 16 output rows (or
-columns) is one product of the 26 input rows (columns) it reads with a
-banded matrix whose 16 columns each hold the window, one row lower per
-column. MS-SSIM is the five-scale product with exponents
+K2 0.03, L 255) with valid-region filtering and no padding. Each scale
+of a plane pair is scored in strips of 32 valid output rows, in one
+workspace of about 424 floats per image column that is allocated once
+per scale, so no full-size map is ever built. A strip writes the four
+planes x, y, x*x + y*y and x*y of its 42 input rows (at scale 0 straight
+from the 8-bit pixels) and filters them once; their window means are
+all that the luminance and contrast-structure maps need. Each axis of
+the separable filter is a run of small matrix products: a tile of at
+most 16 output rows (or columns) is one product of the 26 input rows
+(columns) it reads with a banded matrix whose 16 columns each hold the
+window, one row lower per column. The contrast-structure map is formed
+and summed per strip; the luminance map only where a score uses it.
+MS-SSIM is the five-scale product with exponents
 (0.0448, 0.2856, 0.3001, 0.2363, 0.1333): the contrast-structure mean
 enters at every scale, the luminance mean only at the coarsest. Each
 scale's contrast-structure mean is clamped at 0 before its fractional
@@ -59,6 +63,7 @@ def _gaussian_window() -> np.ndarray:
 
 _WINDOW = _gaussian_window()
 _TILE = 16  # output rows (columns) per banded product of the filter
+_STRIP = 2 * _TILE  # valid output rows scored at a time by _ssim_means
 
 
 def _banded_window() -> np.ndarray:
@@ -97,68 +102,74 @@ def psnr(a: RasterImage, b: RasterImage) -> float:
     return 10.0 * math.log10(_L * _L / mse)
 
 
-def _filter_valid(stack: np.ndarray) -> np.ndarray:
-    """Valid-region separable Gaussian correlation of each plane of an
-    (n, h, w) stack, giving (n, h - 10, w - 10).
+def _ssim_means(x: np.ndarray, y: np.ndarray, lum: bool = False) -> tuple[float, ...]:
+    """(mean cs,) of one plane pair or, with lum, (mean cs, mean lum * cs,
+    mean lum): the window means of the valid-region SSIM maps.
 
-    Each axis runs in tiles of at most _TILE outputs: a tile of r outputs
-    is one matrix product of the r + 10 input rows (columns) it reads
-    with the top-left (r + 10, r) corner of _BAND. BLAS multiplies each
-    plane of the stack on its own, so a plane's result does not depend on
-    the other planes or on its position in the stack.
-    """
-    n, h, w = stack.shape
-    out_h, out_w = h - _WINDOW_SIZE + 1, w - _WINDOW_SIZE + 1
-    # Both passes share one allocation. As separate buffers they pushed a
-    # call's footprint past glibc's heap trim threshold, so every call gave
-    # its memory back to the kernel and faulted ~2,000 pages back in, which
-    # on a 360x248 frame cost more time than the filtering.
-    work = np.empty(n * out_h * (w + out_w))
-    rows = work[:n * out_h * w].reshape(n, out_h, w)
-    out = work[n * out_h * w:].reshape(n, out_h, out_w)
-    for i in range(0, out_h, _TILE):
-        r = min(_TILE, out_h - i)
-        np.matmul(_BAND[:r + _WINDOW_SIZE - 1, :r].T,
-                  stack[:, i:i + r + _WINDOW_SIZE - 1], out=rows[:, i:i + r])
-    for j in range(0, out_w, _TILE):
-        r = min(_TILE, out_w - j)
-        np.matmul(rows[:, :, j:j + r + _WINDOW_SIZE - 1],
-                  _BAND[:r + _WINDOW_SIZE - 1, :r], out=out[:, :, j:j + r])
-    return out
-
-
-def _ssim_maps(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(luminance map, contrast-structure map) of one plane pair.
-
-    Filters x, y, x*x + y*y and x*y in one pass, then forms
-    lum = (2 mu_x mu_y + C1) / (mu_x^2 + mu_y^2 + C1) and
+    The maps are made and summed one strip of at most _STRIP output rows
+    at a time, in one workspace of about 424 * w floats. Each strip fills
+    its 42 input rows of x, y, x*x + y*y and x*y, filters them vertically
+    per _TILE output rows (one product per plane with the top-left
+    (r + 10, r) corner of _BAND, transposed) and horizontally per _TILE
+    output columns (one product of the strip's four planes, stacked into
+    one matrix, with the corner of _BAND), then forms
     cs = (2 (E[xy] - mu_x mu_y) + C2) / (E[x^2 + y^2] - (mu_x^2 + mu_y^2) + C2)
-    in place. Every term is symmetric in x and y, so swapping the pair
+    and, if asked, lum = (2 mu_x mu_y + C1) / (mu_x^2 + mu_y^2 + C1)
+    in place. Every term is symmetric in x and y, and the products give a
+    row the same bits wherever it sits in them, so swapping the pair
     gives the same bits.
     """
-    planes = np.empty((4,) + x.shape)
-    planes[0], planes[1] = x, y  # uint8 pixels or float64 pooled planes
-    x, y = planes[0], planes[1]
-    np.multiply(x, x, out=planes[2])
-    np.multiply(y, y, out=planes[3])
-    planes[2] += planes[3]
-    np.multiply(x, y, out=planes[3])
-    mu_x, mu_y, cs, exy = _filter_valid(planes)
-    lum = mu_x * mu_y
-    exy -= lum
-    exy *= 2.0
-    exy += _C2
-    np.square(mu_x, out=mu_x)
-    np.square(mu_y, out=mu_y)
-    mu_x += mu_y  # mu_x^2 + mu_y^2
-    cs -= mu_x
-    cs += _C2
-    np.divide(exy, cs, out=cs)
-    lum *= 2.0
-    lum += _C1
-    mu_x += _C1
-    lum /= mu_x
-    return lum, cs
+    h, w = x.shape
+    pad = _WINDOW_SIZE - 1
+    out_h, out_w = h - pad, w - pad
+    work = np.empty(4 * ((_STRIP + pad) * w + _STRIP * w + _STRIP * out_w))
+    cs_sum = ssim_sum = lum_sum = 0.0
+    for i in range(0, out_h, _STRIP):
+        s = min(_STRIP, out_h - i)
+        end = 4 * (s + pad) * w
+        planes = work[:end].reshape(4, s + pad, w)
+        rows = work[end:end + 4 * s * w].reshape(4, s, w)
+        end += 4 * s * w
+        maps = work[end:end + 4 * s * out_w].reshape(4, s, out_w)
+        px, py, sq, xy = planes
+        px[...] = x[i:i + s + pad]  # uint8 pixels or float64 pooled planes
+        py[...] = y[i:i + s + pad]
+        np.multiply(px, px, out=sq)
+        np.multiply(py, py, out=xy)
+        sq += xy
+        np.multiply(px, py, out=xy)
+        for t in range(0, s, _TILE):
+            r = min(_TILE, s - t)
+            np.matmul(_BAND[:r + pad, :r].T, planes[:, t:t + r + pad],
+                      out=rows[:, t:t + r])
+        stacked_rows, stacked_maps = rows.reshape(4 * s, w), maps.reshape(4 * s, out_w)
+        for j in range(0, out_w, _TILE):
+            r = min(_TILE, out_w - j)
+            np.matmul(stacked_rows[:, j:j + r + pad], _BAND[:r + pad, :r],
+                      out=stacked_maps[:, j:j + r])
+        mu_x, mu_y, cs, exy = maps
+        lum_map = rows.reshape(-1)[:s * out_w].reshape(s, out_w)  # rows are spent
+        np.multiply(mu_x, mu_y, out=lum_map)
+        exy -= lum_map
+        exy *= 2.0
+        exy += _C2
+        np.square(mu_x, out=mu_x)
+        np.square(mu_y, out=mu_y)
+        mu_x += mu_y  # mu_x^2 + mu_y^2
+        cs -= mu_x
+        cs += _C2
+        np.divide(exy, cs, out=cs)
+        cs_sum += cs.sum()
+        if lum:
+            lum_map *= 2.0
+            lum_map += _C1
+            mu_x += _C1
+            lum_map /= mu_x
+            lum_sum += lum_map.sum()
+            lum_map *= cs
+            ssim_sum += lum_map.sum()
+    n = out_h * out_w
+    return (cs_sum / n, ssim_sum / n, lum_sum / n) if lum else (cs_sum / n,)
 
 
 def _down2(x: np.ndarray) -> np.ndarray:
@@ -176,33 +187,25 @@ def _planes(img: RasterImage):
     return (img.pixels[:, :, c] for c in range(img.channels))
 
 
-def _scale0(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(SSIM, contrast-structure mean) of one plane pair at full
-    resolution: mean(lum * cs) and the mean that scale 0 of MS-SSIM takes,
-    both from one pass of _ssim_maps."""
-    lum, cs = _ssim_maps(x, y)
-    cs_mean = cs.mean()
-    lum *= cs
-    return lum.mean(), cs_mean
-
-
 def ssim(a: RasterImage, b: RasterImage) -> float:
     """Single-scale SSIM, averaged over channels for color images."""
     _check_pair(a, b)
     if min(a.width, a.height) < _WINDOW_SIZE:
         raise ValueError(
             f"image {a.width}x{a.height} smaller than the {_WINDOW_SIZE}px window")
-    return float(np.mean([_scale0(x, y)[0] for x, y in zip(_planes(a), _planes(b))]))
+    return float(np.mean([_ssim_means(x, y, lum=True)[1]
+                          for x, y in zip(_planes(a), _planes(b))]))
 
 
 def _ms_ssim_plane(x: np.ndarray, y: np.ndarray, cs0: float) -> float:
     """MS-SSIM of one plane pair whose scale-0 contrast-structure mean is cs0."""
     value = max(cs0, 0.0) ** _MSSSIM_WEIGHTS[0]
-    for weight in _MSSSIM_WEIGHTS[1:]:
+    coarsest = len(_MSSSIM_WEIGHTS) - 1
+    for scale in range(1, coarsest + 1):
         x, y = _down2(x), _down2(y)
-        lum, cs = _ssim_maps(x, y)
-        value *= max(cs.mean(), 0.0) ** weight
-    return value * lum.mean() ** weight
+        means = _ssim_means(x, y, lum=scale == coarsest)
+        value *= max(means[0], 0.0) ** _MSSSIM_WEIGHTS[scale]
+    return value * means[2] ** _MSSSIM_WEIGHTS[coarsest]
 
 
 def _check_ms_ssim_pair(a: RasterImage, b: RasterImage) -> None:
@@ -220,7 +223,7 @@ def ms_ssim(a: RasterImage, b: RasterImage) -> float:
     the score of that plane is 0.
     """
     _check_ms_ssim_pair(a, b)
-    return float(np.mean([_ms_ssim_plane(x, y, _ssim_maps(x, y)[1].mean())
+    return float(np.mean([_ms_ssim_plane(x, y, _ssim_means(x, y)[0])
                           for x, y in zip(_planes(a), _planes(b))]))
 
 
@@ -242,7 +245,7 @@ def metric_report(a: RasterImage, b: RasterImage,
     _check_ms_ssim_pair(a, b)
     ssims, ms_ssims = [], []
     for x, y in zip(_planes(a), _planes(b)):
-        plane_ssim, cs0 = _scale0(x, y)
+        cs0, plane_ssim, _ = _ssim_means(x, y, lum=True)
         ssims.append(plane_ssim)
         ms_ssims.append(_ms_ssim_plane(x, y, cs0))
     return MetricReport(psnr=psnr(a, b), ssim=float(np.mean(ssims)),
