@@ -93,13 +93,19 @@ def _check_pair(a: RasterImage, b: RasterImage) -> None:
 
 
 def psnr(a: RasterImage, b: RasterImage) -> float:
-    """10 * log10(255^2 / MSE) over all samples; +inf for identical inputs."""
+    """10 * log10(255^2 / MSE) over all samples; +inf for identical inputs.
+
+    The squared errors are summed exactly in int64, _STRIP rows at a time;
+    every partial sum of the float64 mean they replace is an integer below
+    2^53, so the MSE has the same bits."""
     _check_pair(a, b)
-    diff = a.pixels.astype(np.float64) - b.pixels.astype(np.float64)
-    mse = float(np.mean(diff * diff))
-    if mse == 0.0:
+    sse = 0
+    for i in range(0, a.height, _STRIP):
+        diff = np.subtract(a.pixels[i:i + _STRIP], b.pixels[i:i + _STRIP], dtype=np.int64)
+        sse += int(np.vdot(diff, diff))
+    if sse == 0:
         return math.inf
-    return 10.0 * math.log10(_L * _L / mse)
+    return 10.0 * math.log10(_L * _L / (sse / a.pixels.size))
 
 
 def _ssim_means(x: np.ndarray, y: np.ndarray, lum: bool = False) -> tuple[float, ...]:

@@ -10,7 +10,8 @@ every other block.
 
 Planes that are not multiples of 8 are edge-replicated up to the next
 transform unit; padded samples are priced with their block but excluded
-from distortion.
+from distortion. Every stage works on one (tu_y, tu_x, 8, 8) view of the
+padded plane, from the DCT B @ X @ B.T to the inverse written back.
 """
 
 from __future__ import annotations
@@ -50,20 +51,6 @@ class RdPoint:
     per_block_bits: np.ndarray
 
 
-def _code_blocks(coeffs: np.ndarray, qsteps: np.ndarray):
-    """Quantize each 8x8 coefficient block, returning (bits, dequantized).
-
-    Levels round half away from zero. Each level costs its order-0
-    signed exp-Golomb length 2*e + 1, where e is the frexp exponent of
-    the level itself: floor(log2|level|) + 1, and 0 for level 0.
-    """
-    q = qsteps[:, None, None]
-    levels = np.copysign(np.floor(np.abs(coeffs) / q + 0.5), coeffs)
-    _, exponents = np.frexp(levels)
-    bits = np.sum(2 * exponents + 1, axis=(1, 2)).astype(np.int64)
-    return bits, levels * q
-
-
 def _qp_blocks(grid: BlockGrid, qp_map) -> np.ndarray:
     if isinstance(qp_map, BlockAllocation):
         if qp_map.grid != grid:
@@ -96,28 +83,26 @@ def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
         raise ValueError(f"block QPs span [{qp_blocks.min()}, {qp_blocks.max()}], "
                          "outside [0, 63]")
 
-    pad_h = (-h) % TU_SIZE
-    pad_w = (-w) % TU_SIZE
-    plane = np.pad(luma.astype(np.float64), ((0, pad_h), (0, pad_w)), mode="edge")
+    pad = ((0, -h % TU_SIZE), (0, -w % TU_SIZE))
+    plane = np.pad(luma.astype(np.float64), pad, mode="edge")
     tu_y, tu_x = plane.shape[0] // TU_SIZE, plane.shape[1] // TU_SIZE
 
-    # (n, 8, 8) transform units, row-major; each belongs to the block
-    # holding its top-left pixel (always inside the unpadded frame).
-    tus = (plane.reshape(tu_y, TU_SIZE, tu_x, TU_SIZE)
-           .transpose(0, 2, 1, 3).reshape(-1, TU_SIZE, TU_SIZE))
+    # (tu_y, tu_x, 8, 8) view of the transform units; each takes the QP of
+    # the block holding its top-left pixel (always inside the unpadded frame).
+    tiles = plane.reshape(tu_y, TU_SIZE, tu_x, TU_SIZE).swapaxes(1, 2)
     per = BLOCK_SIZE // TU_SIZE
-    tu_qps = qp_blocks.repeat(per, 0).repeat(per, 1)[:tu_y, :tu_x].reshape(-1)
+    tu_qps = qp_blocks.repeat(per, 0).repeat(per, 1)[:tu_y, :tu_x]
+    q = np.power(2.0, (tu_qps - 4) / 6.0)[:, :, None, None]
 
-    qsteps = np.power(2.0, (tu_qps - 4) / 6.0)
-    coeffs = DCT_BASIS @ tus @ DCT_BASIS.T
-    tu_bits, dequant = _code_blocks(coeffs, qsteps)
-    recon_tus = DCT_BASIS.T @ dequant @ DCT_BASIS
-
-    recon = (recon_tus.reshape(tu_y, tu_x, TU_SIZE, TU_SIZE)
-             .transpose(0, 2, 1, 3).reshape(plane.shape))[:h, :w]
-    recon = np.clip(np.floor(recon + 0.5), 0, 255).astype(np.uint8)
-
-    per_block = grid.block_sums(tu_bits.reshape(tu_y, tu_x), TU_SIZE).reshape(-1)
+    # Levels round half away from zero. Each costs its order-0 signed
+    # exp-Golomb length 2*e + 1, where e is the frexp exponent of the
+    # level itself: floor(log2|level|) + 1, and 0 for level 0.
+    coeffs = DCT_BASIS @ tiles @ DCT_BASIS.T
+    levels = np.copysign(np.floor(np.abs(coeffs) / q + 0.5), coeffs)
+    tu_bits = np.sum(2 * np.frexp(levels)[1] + 1, axis=(2, 3), dtype=np.int64)
+    tiles[...] = DCT_BASIS.T @ (levels * q) @ DCT_BASIS  # back into the plane
+    recon = np.clip(np.floor(plane[:h, :w] + 0.5), 0, 255).astype(np.uint8)
+    per_block = grid.block_sums(tu_bits, TU_SIZE).reshape(-1)
 
     diff = luma.astype(np.float64) - recon.astype(np.float64)
     mse = float(np.mean(diff * diff))

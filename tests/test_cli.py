@@ -11,7 +11,7 @@ import pytest
 from qpalloc.alloc import DEFAULT_BETA
 from qpalloc.bdrate import METRIC_TAGS, bd_quality, bd_rate, quality_overlap, read_rd_csv
 from qpalloc.cli import _DEFAULT_BETA, _METRIC_TAGS, main
-from qpalloc.gridfile import read_grid_file
+from qpalloc.gridfile import read_grid_file, write_grid_file
 from qpalloc.imageio import RasterImage, load_ppm, save_ppm
 from qpalloc.stepnet import make_random_weights, save_weights
 
@@ -566,17 +566,22 @@ class TestSimulateCommand:
 
 def test_outputs_byte_identical_across_blas_threads(tmp_path):
     """stepmap (width 16 and the width-64 reference plan, whose K = 576
-    products BLAS may split across threads), simulate and metrics (RGB and
-    --luma-only), each run in fresh processes under one and two OpenBLAS
-    threads, write the same bytes every time. The metrics frame is 2432 px
-    wide so that the SSIM filter's tile products are large enough to be
-    split across threads; metrics prints its scores with repr."""
+    products BLAS may split across threads), simulate (a flat QP and a
+    mapped one) and metrics (RGB and --luma-only), each run in fresh
+    processes under one and two OpenBLAS threads, write the same bytes
+    every time. The metrics frame is 2432 px wide so that the SSIM
+    filter's tile products are large enough to be split across threads;
+    metrics prints its scores with repr."""
     image = tmp_path / "img.ppm"
     save_ppm(RasterImage(pixels=textured_pixels(128, 128, seed=21)), image)
     wide = tmp_path / "wide.ppm"
     save_ppm(RasterImage(pixels=textured_pixels(176, 2432, seed=22)), wide)
     for width in (16, 64):
         save_weights(make_random_weights(seed=3, width=width), tmp_path / f"w{width}.qsnw")
+    # the wide frame's 38x3 blocks, offsets spanning QP 15..45
+    offsets = np.random.default_rng(23).integers(-15, 16, (3, 38))
+    qpmap = tmp_path / "wide.qpmap"
+    write_grid_file(qpmap, "QPMAP", 64, 30, offsets)
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
     def outputs(threads: str, tag: str) -> dict:
@@ -588,6 +593,7 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path):
                      ["stepmap", image, tmp_path / "w64.qsnw", f"{prefix}.w64.qsmap"],
                      ["simulate", image, "--qp", "27", prefix],
                      ["simulate", wide, "--qp", "27", f"{prefix}.wide"],
+                     ["simulate", wide, "--qpmap", qpmap, f"{prefix}.mapped"],
                      ["metrics", wide, recon],
                      ["metrics", wide, recon, "--luma-only"]):
             proc = subprocess.run([sys.executable, "-m", "qpalloc.cli", *map(str, argv)],
@@ -597,7 +603,8 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path):
                 stdout.append(proc.stdout.replace(recon, "recon"))
         files = {suffix: Path(f"{prefix}{suffix}").read_bytes()
                  for suffix in (".w16.qsmap", ".w64.qsmap", ".rd.csv", ".bits",
-                                ".recon.ppm", ".wide.recon.ppm")}
+                                ".recon.ppm", ".wide.recon.ppm", ".mapped.rd.csv",
+                                ".mapped.bits", ".mapped.recon.ppm")}
         return {"metrics": stdout, **files}
 
     first = outputs("1", "t1")

@@ -76,6 +76,24 @@ class TestPsnr:
         with pytest.raises(ValueError, match="mismatch"):
             psnr(constant_image(0, (2, 2, 3)), constant_image(0, (3, 3, 3)))
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 3), (33, 65, 1),
+                                       (97, 40, 3), (248, 360, 1)])
+    def test_bits_equal_float64_mean(self, shape):
+        # the exact int64 error sum gives the float64 formula's bits,
+        # strip edges included (33 and 97 rows end strips part-way)
+        def float64_psnr(a, b):
+            diff = a.pixels.astype(np.float64) - b.pixels.astype(np.float64)
+            mse = float(np.mean(diff * diff))
+            return math.inf if mse == 0.0 else 10.0 * math.log10(255.0 ** 2 / mse)
+
+        rng = np.random.default_rng(sum(shape))
+        a = RasterImage(pixels=rng.integers(0, 256, shape).astype(np.uint8))
+        assert psnr(a, a) == math.inf
+        for spread in (1, 8, 255):
+            noise = rng.integers(-spread, spread + 1, shape)
+            b = RasterImage(pixels=np.clip(a.pixels + noise, 0, 255).astype(np.uint8))
+            assert psnr(a, b) == float64_psnr(a, b)
+
 
 class TestSsim:
     def test_self_similarity(self, textured_image):
@@ -230,6 +248,14 @@ class TestReport:
             assert report.psnr == psnr(a, b)
             assert report.ssim == ssim(a, b)
             assert report.ms_ssim == ms_ssim(a, b)
+
+    def test_peak_memory_is_that_of_ms_ssim(self):
+        # PSNR sums its errors per strip, so on a 1920x1080 RGB pair the
+        # report peaks where MS-SSIM does (11.5 MB); a float64 error plane
+        # in PSNR alone would take 99.5 MB
+        a = RasterImage(pixels=textured_pixels(1080, 1920, seed=9))
+        b = noisy_variant(a, sigma=10.0, seed=90)
+        assert _traced_peak(metric_report, a, b) <= _traced_peak(ms_ssim, a, b) + 2 ** 20
 
     @pytest.mark.parametrize("shape", [(8, 8, 3), (128, 128, 1),
                                        (175, 300, 3), (300, 175, 1)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.fft import dctn
@@ -150,6 +152,21 @@ class TestEncode:
         assert np.array_equal(a.per_block_bits, b.per_block_bits)
         assert np.array_equal(recon_a, recon_b)
         assert (a.rate, a.distortion, a.quality) == (b.rate, b.distortion, b.quality)
+
+    def test_peak_memory_per_pixel(self):
+        # the float64 plane viewed as 8x8 units, with the quantizer's
+        # coefficient and level arrays alive at once: 41.5 B per pixel at
+        # 360x248. The bound allows about one more float64 plane (10.5 B
+        # per pixel) over that, and fails on copying the units out of the
+        # plane and back (64.4 B per pixel)
+        luma = textured_pixels(248, 360, seed=4)[:, :, 0].copy()
+        tracemalloc.start()
+        try:
+            encode_image(luma, 27)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 52 * luma.size
 
     def test_grid_mismatch(self, textured_luma):
         wrong = BlockGrid(256, 256)
