@@ -4,16 +4,16 @@ The chain: average the step map over each 64x64 block, take reciprocals,
 normalize them to pixel-weighted mean 1 (this is the bit-ratio map), and
 convert each ratio r to an integer QP offset
 
-    dQP = clamp(round(slope * N * beta * log2(r)), -clamp, +clamp)
+    dQP = clamp(round(N * beta * log2(r)), -clamp, +clamp)
 
 with N = 3 and rounding half away from zero, then clipped so that the
-block QP stays in [0, 63], as VTM clips a CU's QP. The rate-distortion
-multiplier for a block then scales by 2^(dQP / N). A uniform step map
-produces the all-zero offset map by construction. Every step is one
-array expression over all blocks.
-
-beta defaults to -1.367; a per-block beta map may be supplied instead
-of the scalar.
+block QP stays in [0, 63], as VTM clips a CU's QP. beta is the exponent
+of the R-lambda model, one scalar for the frame; its default -1.367 is
+the beta of HM's rate control (Li et al., "Lambda Domain Rate Control
+Algorithm for HEVC", JCTVC-K0103, 2012). The rate-distortion multiplier
+for a block then scales by 2^(dQP / N). A uniform step map produces the
+all-zero offset map by construction. Every step is one array expression
+over all blocks.
 """
 
 from __future__ import annotations
@@ -45,23 +45,18 @@ QP_LAMBDA_ALIGNMENT: Mapping[int, float] = {37: 1.0, 32: 4.0, 27: 8.0, 22: 16.0}
 
 @dataclass(frozen=True)
 class AllocConfig:
-    """Knobs for the ratio-to-QP conversion.
-
-    beta may be a scalar or a per-block array shaped like the block grid.
-    """
+    """Knobs for the ratio-to-QP conversion: the frame's base QP, the
+    scalar R-lambda exponent beta and the offset clamp."""
 
     base_qp: int
-    beta: float | np.ndarray = DEFAULT_BETA
-    slope: float = 1.0
+    beta: float = DEFAULT_BETA
     clamp: int = 4
 
     def __post_init__(self):
         if not 0 <= self.base_qp <= 63:
             raise ValueError(f"base_qp {self.base_qp} outside [0, 63]")
-        if not (math.isfinite(self.slope) and self.slope > 0):
-            raise ValueError(f"slope must be positive and finite, got {self.slope}")
-        if not np.all(np.isfinite(self.beta)):
-            raise ValueError("beta must be finite")
+        if np.ndim(self.beta) != 0 or not math.isfinite(self.beta):
+            raise ValueError(f"beta must be a finite scalar, got {self.beta!r}")
         if not 0 <= self.clamp <= 63:
             raise ValueError(f"clamp {self.clamp} outside [0, 63]")
 
@@ -98,7 +93,10 @@ def block_mean_step(step_map: StepMap, grid: BlockGrid) -> np.ndarray:
     Latent cell (i, j) covers the 16x16 pixel square at (16i, 16j) in
     row, column order; a full 64-px block therefore averages a 4x4 cell
     window, while edge blocks average only the cells they actually
-    cover.
+    cover. Cells are pooled as value / 16 and the mean scaled back by 16,
+    so that finite steps cannot overflow the sum. Scaling by a power of
+    two commutes with rounding, so this gives the plain mean's bits
+    (short of subnormal cells, far below the EPS floor).
     """
     f = DOWNSAMPLE_FACTOR
     if (step_map.grid_w != -(-grid.width // f)
@@ -107,11 +105,11 @@ def block_mean_step(step_map: StepMap, grid: BlockGrid) -> np.ndarray:
             f"step map {step_map.grid_w}x{step_map.grid_h} does not match "
             f"a {grid.width}x{grid.height} frame (expected "
             f"{-(-grid.width // f)}x{-(-grid.height // f)})")
-    # cell values and a 1 per real cell, summed per block
+    # cell values / 16 and a 1 per real cell, summed per block
     cells = np.ones((2, step_map.grid_h, step_map.grid_w))
-    cells[0] = step_map.values
+    cells[0] = step_map.values / 16
     sums, counts = grid.block_sums(cells, f)
-    return (sums / counts).reshape(-1)
+    return ((sums / counts) * 16).reshape(-1)
 
 
 def bit_ratios(qs: np.ndarray, grid: BlockGrid) -> np.ndarray:
@@ -135,19 +133,19 @@ def bit_ratios(qs: np.ndarray, grid: BlockGrid) -> np.ndarray:
     return raw / weighted_mean
 
 
-def qp_offset(ratio, beta, slope: float, clamp: int) -> np.ndarray:
+def qp_offset(ratio, beta: float, clamp: int) -> np.ndarray:
     """Integer QP offsets for bit ratios (scalars or arrays).
 
-    round(slope * N * beta * log2(r)) half away from zero, then clamped
-    to [-clamp, +clamp]; an overflowing raw offset saturates, and a
-    ratio of exactly 1 gives 0 whatever beta and slope are.
+    round(N * beta * log2(r)) half away from zero, then clamped to
+    [-clamp, +clamp]; an overflowing raw offset saturates, and a ratio
+    of exactly 1 gives 0 whatever beta is.
     """
     ratio = np.asarray(ratio, np.float64)
     if np.any(ratio <= 0):
         raise ValueError("bit ratios must be positive")
     log_r = np.log2(ratio)
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = np.where(log_r == 0.0, 0.0, slope * N_CONST * beta * log_r)
+        raw = np.where(log_r == 0.0, 0.0, N_CONST * beta * log_r)
     rounded = np.sign(raw) * np.floor(np.abs(raw) + 0.5)
     return np.clip(rounded, -clamp, clamp).astype(np.int64)
 
@@ -157,22 +155,13 @@ def lambda_adapt(dqp) -> np.ndarray:
     return 2.0 ** (np.asarray(dqp) / N_CONST)
 
 
-def _beta_per_block(beta, grid: BlockGrid) -> np.ndarray:
-    arr = np.asarray(beta, np.float64)
-    shape = (grid.blocks_y, grid.blocks_x)
-    if arr.ndim and arr.shape != shape:
-        raise GridMismatchError(f"beta map shape {arr.shape} does not match grid "
-                                f"{grid.blocks_x}x{grid.blocks_y}")
-    return np.full(shape, arr).reshape(-1)
-
-
 def build_allocation(step_map: StepMap, width: int, height: int,
                      cfg: AllocConfig) -> BlockAllocation:
     """Full chain from step map to per-block QP offsets and scales."""
     grid = BlockGrid(width, height)
     qs = block_mean_step(step_map, grid)
     ratio = bit_ratios(qs, grid)
-    dqp = qp_offset(ratio, _beta_per_block(cfg.beta, grid), cfg.slope, cfg.clamp)
+    dqp = qp_offset(ratio, cfg.beta, cfg.clamp)
     return BlockAllocation(grid=grid, base_qp=cfg.base_qp, qs=qs, ratio=ratio,
                            dqp=np.clip(dqp, -cfg.base_qp, 63 - cfg.base_qp))
 

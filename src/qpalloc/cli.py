@@ -4,8 +4,8 @@ Every command is deterministic: the same inputs and flags produce
 byte-identical outputs (run manifests carry no timestamps). Each output
 file is replaced whole, in the order written (qpmap: QPMAP, .lscale,
 .manifest.json; simulate: .rd.csv, .bits, .recon.ppm); on exit 4 the
-files before the named one may already be new. A grid file laid over a
-frame (--beta-map, simulate --qpmap) must be its 64-px partition (exit 5).
+files before the named one may already be new. A QPMAP laid over a
+frame (simulate --qpmap) must be its 64-px partition (exit 5).
 
 At import this module loads only the standard library and
 qpalloc.errors; each command imports the modules it runs. So --help,
@@ -32,8 +32,6 @@ from .errors import GridMismatchError, InferenceError, OutputIOError, OverlapErr
 
 if TYPE_CHECKING:
     from .bdrate import RdCurve
-    from .gridfile import GridFile
-    from .imageio import BlockGrid
 
 EXIT_BAD_INPUT = 2
 EXIT_INFERENCE = 3
@@ -49,17 +47,6 @@ _METRIC_TAGS = ("psnr", "ssim", "msssim", "lpips_db")
 
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-def _check_partition(path: str, grid_file: GridFile, grid: BlockGrid) -> None:
-    """Raise GridMismatchError unless grid_file is laid on the frame's blocks."""
-    from .imageio import BLOCK_SIZE
-    if (grid_file.blocks_x, grid_file.blocks_y, grid_file.block_size) != \
-            (grid.blocks_x, grid.blocks_y, BLOCK_SIZE):
-        raise GridMismatchError(
-            f"{path}: grid {grid_file.blocks_x}x{grid_file.blocks_y} "
-            f"block {grid_file.block_size} does not match the "
-            f"{grid.blocks_x}x{grid.blocks_y} block {BLOCK_SIZE} frame partition")
 
 
 # ---------------------------------------------------------------------------
@@ -82,48 +69,14 @@ def _cmd_stepmap(args) -> int:
 # qpmap
 # ---------------------------------------------------------------------------
 
-def _resolve_step_source(args):
-    """Returns (StepMap, width, height). Exactly one source is allowed."""
-    from . import stepnet
-    from .imageio import load_ppm
-    if args.stepmap and args.image:
-        raise ValueError("ambiguous source: give either --stepmap or --image, not both")
-    if args.stepmap:
-        step_map = stepnet.read_step_map(args.stepmap)
-        width, height = args.width, args.height
-        if width is None:
-            width = step_map.grid_w * stepnet.DOWNSAMPLE_FACTOR
-        if height is None:
-            height = step_map.grid_h * stepnet.DOWNSAMPLE_FACTOR
-        return step_map, width, height
-    if args.image:
-        if not args.weights:
-            raise ValueError("--image also needs --weights")
-        if args.width is not None or args.height is not None:
-            raise ValueError("--width/--height apply to --stepmap only; "
-                             "--image takes the frame size from the image")
-        img = load_ppm(args.image)
-        weights = stepnet.load_weights(args.weights)
-        return stepnet.infer_step_map(img, weights), img.width, img.height
-    raise ValueError("no step-map source: give --stepmap or --image with --weights")
-
-
 def _cmd_qpmap(args) -> int:
-    from . import alloc, gridfile
+    from . import alloc, gridfile, stepnet
     from ._fileio import atomic_write_text
-    from .imageio import BLOCK_SIZE, BlockGrid
-    if args.beta is not None and args.beta_map:
-        raise ValueError("give either --beta or --beta-map, not both")
-    step_map, width, height = _resolve_step_source(args)
-
-    beta = alloc.DEFAULT_BETA if args.beta is None else args.beta
-    if args.beta_map:
-        bmap = gridfile.read_grid_file(args.beta_map, expect_tag="BMAP")
-        beta = bmap.values
-    cfg = alloc.AllocConfig(base_qp=args.base_qp, beta=beta, slope=args.slope,
-                            clamp=args.clamp)
-    if args.beta_map:
-        _check_partition(args.beta_map, bmap, BlockGrid(width, height))
+    from .imageio import BLOCK_SIZE, DOWNSAMPLE_FACTOR
+    step_map = stepnet.read_step_map(args.stepmap)
+    width = step_map.grid_w * DOWNSAMPLE_FACTOR if args.width is None else args.width
+    height = step_map.grid_h * DOWNSAMPLE_FACTOR if args.height is None else args.height
+    cfg = alloc.AllocConfig(base_qp=args.base_qp, beta=args.beta, clamp=args.clamp)
 
     allocation = alloc.build_allocation(step_map, width, height, cfg)
     grid = allocation.grid
@@ -139,16 +92,10 @@ def _cmd_qpmap(args) -> int:
     manifest = {
         "command": "qpmap",
         "version": __version__,
-        "inputs": {
-            "stepmap": args.stepmap,
-            "image": args.image,
-            "weights": args.weights,
-            "beta_map": args.beta_map,
-        },
+        "inputs": {"stepmap": args.stepmap},
         "config": {
             "base_qp": cfg.base_qp,
-            "beta": args.beta_map if args.beta_map else cfg.beta,
-            "slope": cfg.slope,
+            "beta": cfg.beta,
             "clamp": cfg.clamp,
             "n_const": alloc.N_CONST,
             "block_size": BLOCK_SIZE,
@@ -234,7 +181,12 @@ def _cmd_simulate(args) -> int:
         if args.qp is not None and args.qp != base_qp:
             raise ValueError(
                 f"--qp {args.qp} conflicts with {args.qpmap} base QP {base_qp}")
-        _check_partition(args.qpmap, qpm, grid)
+        if (qpm.blocks_x, qpm.blocks_y, qpm.block_size) != \
+                (grid.blocks_x, grid.blocks_y, BLOCK_SIZE):
+            raise GridMismatchError(
+                f"{args.qpmap}: grid {qpm.blocks_x}x{qpm.blocks_y} "
+                f"block {qpm.block_size} does not match the "
+                f"{grid.blocks_x}x{grid.blocks_y} block {BLOCK_SIZE} frame partition")
         allocation = alloc.BlockAllocation(
             grid=grid, base_qp=base_qp,
             qs=np.ones(grid.n_blocks), ratio=np.ones(grid.n_blocks),
@@ -278,20 +230,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stepmap)
 
     p = sub.add_parser("qpmap", help="derive a QP offset map from a step map")
-    p.add_argument("--stepmap", help="QSMAP file (mutually exclusive with --image)")
-    p.add_argument("--image", help="input PPM; runs inference, needs --weights")
-    p.add_argument("--weights", help="QSNW2 weight file for --image")
-    p.add_argument("--width", type=int, help="frame width when reading a QSMAP "
-                   "(default: 16 x grid width)")
-    p.add_argument("--height", type=int, help="frame height when reading a QSMAP "
-                   "(default: 16 x grid height)")
+    p.add_argument("--stepmap", required=True,
+                   help="QSMAP file (write one from an image with stepmap)")
+    p.add_argument("--width", type=int, help="frame width (default: 16 x grid width)")
+    p.add_argument("--height", type=int, help="frame height (default: 16 x grid height)")
     p.add_argument("--base-qp", type=int, required=True, help="frame base QP (0-63)")
-    p.add_argument("--beta", type=float,
-                   help=f"scalar rate-model exponent (default {_DEFAULT_BETA}); "
-                   "not with --beta-map")
-    p.add_argument("--beta-map", help="per-block beta map (BMAP file)")
-    p.add_argument("--slope", type=float, default=1.0,
-                   help="offset slope multiplier (default %(default)s)")
+    p.add_argument("--beta", type=float, default=_DEFAULT_BETA,
+                   help="R-lambda model exponent (default %(default)s)")
     p.add_argument("--clamp", type=int, default=4,
                    help="max |QP offset| (default %(default)s)")
     p.add_argument("out", help="output QPMAP path (companion .lscale and "

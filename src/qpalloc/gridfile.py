@@ -1,15 +1,16 @@
-"""Tagged block-grid text files: QPMAP, LSCALE, BMAP, BITS.
+"""Tagged block-grid text files: QPMAP, LSCALE, BITS.
 
-All four share one layout so a single parser covers them:
+All three share one layout so a single parser covers them:
 
     <TAG> 1
     BLOCKS_X BLOCKS_Y BLOCK_SIZE BASE_QP
     <BLOCKS_Y rows of BLOCKS_X values>
 
-QPMAP and BITS carry integers, LSCALE and BMAP finite reals. BASE_QP is
-meaningful for QPMAP/LSCALE/BITS and written as 0 where it is not.
-Writers pass imageio.BLOCK_SIZE (64); the reader takes any positive
-size, and the CLI rejects a grid that is not the frame's partition.
+QPMAP and BITS carry integers, LSCALE finite reals. BASE_QP is the
+frame's base QP in every tag: the QP that QPMAP offsets and LSCALE
+scales apply to, and the QP that BITS were counted at. Writers pass
+imageio.BLOCK_SIZE (64); the reader takes any positive size, and the
+CLI rejects a grid that is not the frame's partition.
 Writing is canonical (single spaces, trailing newline), so files
 round-trip byte-identically.
 """
@@ -25,7 +26,7 @@ from ._fileio import atomic_write_text, parse_ints, parse_reals, read_text
 from .errors import FormatError
 
 INT_TAGS = frozenset({"QPMAP", "BITS"})
-FLOAT_TAGS = frozenset({"LSCALE", "BMAP"})
+FLOAT_TAGS = frozenset({"LSCALE"})
 KNOWN_TAGS = INT_TAGS | FLOAT_TAGS
 
 

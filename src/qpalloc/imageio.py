@@ -3,8 +3,8 @@
 Only binary PPM (P6, maxval 255) is read or written. The gray plane is
 full-range BT.601 luma with fixed coefficients and half-up rounding, so
 it is bit-exact across platforms. BlockGrid tiles a frame into the
-row-major BLOCK_SIZE (64 px) blocks that QP maps, beta maps and bit
-counts are laid out on; the block size is fixed, not a parameter, and
+row-major BLOCK_SIZE (64 px) blocks that QP maps, lambda scales and
+bit counts are laid out on; the block size is fixed, not a parameter, and
 so is DOWNSAMPLE_FACTOR, the 16-px edge of one step-map cell.
 """
 

@@ -52,13 +52,21 @@ class RdPoint:
 
 
 def _qp_blocks(grid: BlockGrid, qp_map) -> np.ndarray:
+    """(blocks_y, blocks_x) int64 block QPs, all in [0, 63]. The span is
+    checked on Python ints first, so that a base QP or an offset beyond
+    int64 is reported as it is instead of overflowing or wrapping."""
     if isinstance(qp_map, BlockAllocation):
         if qp_map.grid != grid:
             raise GridMismatchError(
                 f"QP map covers {qp_map.grid.width}x{qp_map.grid.height}, "
                 f"plane is {grid.width}x{grid.height}")
-        return np.asarray(qp_map.qp, np.int64).reshape(grid.blocks_y, grid.blocks_x)
-    return np.full((grid.blocks_y, grid.blocks_x), int(qp_map), np.int64)
+        base, dqp = int(qp_map.base_qp), np.asarray(qp_map.dqp, np.int64)
+    else:
+        base, dqp = int(qp_map), np.zeros(grid.n_blocks, np.int64)
+    lo, hi = base + int(dqp.min()), base + int(dqp.max())
+    if lo < 0 or hi > 63:
+        raise ValueError(f"block QPs span [{lo}, {hi}], outside [0, 63]")
+    return (base + dqp).reshape(grid.blocks_y, grid.blocks_x)
 
 
 def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
@@ -79,9 +87,6 @@ def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
         raise ValueError(f"plane {w}x{h} smaller than one {TU_SIZE}x{TU_SIZE} unit")
     grid = BlockGrid(w, h)
     qp_blocks = _qp_blocks(grid, qp_map)
-    if qp_blocks.min() < 0 or qp_blocks.max() > 63:
-        raise ValueError(f"block QPs span [{qp_blocks.min()}, {qp_blocks.max()}], "
-                         "outside [0, 63]")
 
     pad = ((0, -h % TU_SIZE), (0, -w % TU_SIZE))
     plane = np.pad(luma.astype(np.float64), pad, mode="edge")

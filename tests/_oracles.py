@@ -157,9 +157,9 @@ def reference_block_mean_step(values: np.ndarray, grid: BlockGrid) -> np.ndarray
     return out
 
 
-def reference_qp_offset(r: float, beta: float, slope: float, clamp: int) -> int:
+def reference_qp_offset(r: float, beta: float, clamp: int) -> int:
     """One offset through Python floats: round half away from zero, clamp."""
-    raw = slope * 3 * beta * math.log2(r)
+    raw = 3 * beta * math.log2(r)
     rounded = int(math.copysign(math.floor(abs(raw) + 0.5), raw))
     return max(-clamp, min(clamp, rounded))
 

@@ -38,8 +38,8 @@ def report(number, label, detail):
 def test_c01_qp_offset_fixture_suite():
     start = time.perf_counter()
     assert len(QP_OFFSET_FIXTURES) == 20
-    for ratio, beta, slope, clamp, expected in QP_OFFSET_FIXTURES:
-        assert qp_offset(ratio, beta, slope, clamp) == expected, (ratio, beta, slope, clamp)
+    for ratio, beta, clamp, expected in QP_OFFSET_FIXTURES:
+        assert qp_offset(ratio, beta, clamp) == expected, (ratio, beta, clamp)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(1, "hand-computed QP offsets", f"20 tuples exact in {elapsed:.3f}s")
@@ -204,30 +204,31 @@ def test_c09_linearity_fit_oracles():
 
 
 def _run_pipeline(ppm, weights_file, outdir):
-    """stepmap -> qpmap (slope 1.0 and 1.2, four base QPs) -> simulate ->
-    assembled RD CSVs -> bd_rate JSON. Returns {path: bytes} snapshots."""
+    """stepmap -> qpmap (beta -1.367 and -1.6404, four base QPs) ->
+    simulate -> assembled RD CSVs -> bd_rate JSON. Returns {path: bytes}
+    snapshots."""
     step_path = outdir / "map.qsmap"
     assert main(["stepmap", str(ppm), str(weights_file), str(step_path)]) == 0
     curves = {}
-    for slope in ("1.0", "1.2"):
+    for beta in ("-1.367", "-1.6404"):
         rows = []
         for qp in (22, 27, 32, 37):
-            qpmap = outdir / f"s{slope}_q{qp}.qpmap"
+            qpmap = outdir / f"b{beta}_q{qp}.qpmap"
             assert main(["qpmap", "--stepmap", str(step_path),
-                         "--base-qp", str(qp), "--slope", slope,
+                         "--base-qp", str(qp), "--beta", beta,
                          str(qpmap)]) == 0
-            prefix = outdir / f"s{slope}_q{qp}"
+            prefix = outdir / f"b{beta}_q{qp}"
             assert main(["simulate", str(ppm), "--qpmap", str(qpmap),
                          str(prefix)]) == 0
-            rd = (outdir / f"s{slope}_q{qp}.rd.csv").read_text().splitlines()
+            rd = (outdir / f"b{beta}_q{qp}.rd.csv").read_text().splitlines()
             rows.append(rd[1])
-        curve_path = outdir / f"slope{slope}.csv"
+        curve_path = outdir / f"beta{beta}.csv"
         curve_path.write_text("rate_bpp,quality\n" + "\n".join(rows) + "\n")
-        curves[slope] = curve_path
+        curves[beta] = curve_path
 
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        assert main(["bdrate", str(curves["1.0"]), str(curves["1.2"]),
+        assert main(["bdrate", str(curves["-1.367"]), str(curves["-1.6404"]),
                      "--metric", "psnr"]) == 0
     (outdir / "bdrate.json").write_text(buffer.getvalue())
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
@@ -251,8 +252,8 @@ def test_c10_end_to_end_pipeline_smoke(tmp_path):
         assert first[name] == second[name], f"{name} differs between runs"
     result = json.loads(first["bdrate.json"])
     assert math.isfinite(result["bd_rate_percent"])
-    # the two slope settings must actually produce different allocations
-    assert first["s1.0_q37.qpmap"] != first["s1.2_q37.qpmap"]
+    # the two beta settings must actually produce different allocations
+    assert first["b-1.367_q37.qpmap"] != first["b-1.6404_q37.qpmap"]
     assert elapsed < 10.0
     report(10, "end-to-end pipeline",
            f"two bit-identical runs in {elapsed:.2f}s, "
@@ -264,7 +265,7 @@ def test_c11_grid_format_round_trips(tmp_path):
     for trial in range(100):
         bx = int(rng.integers(1, 15))
         by = int(rng.integers(1, 15))
-        tag = ("QSMAP", "QPMAP", "BMAP", "BITS")[trial % 4]
+        tag = ("QSMAP", "QPMAP", "LSCALE", "BITS")[trial % 4]
         if tag == "QSMAP":
             step_map = StepMap(values=rng.uniform(1e-6, 50.0, (by, bx)))
             first = tmp_path / f"{trial}_a.qsmap"
@@ -276,8 +277,8 @@ def test_c11_grid_format_round_trips(tmp_path):
                 values = rng.integers(-4, 5, (by, bx))
             elif tag == "BITS":
                 values = rng.integers(0, 10 ** 7, (by, bx))
-            else:
-                values = rng.uniform(-4.0, 4.0, (by, bx))
+            else:  # lambda scales 2^(dqp/3) for real-valued dqp
+                values = 2.0 ** (rng.uniform(-4.0, 4.0, (by, bx)) / 3)
             first = tmp_path / f"{trial}_a.grid"
             second = tmp_path / f"{trial}_b.grid"
             write_grid_file(first, tag, 64, int(rng.integers(0, 64)), values)
@@ -286,7 +287,7 @@ def test_c11_grid_format_round_trips(tmp_path):
                             loaded.base_qp, loaded.values)
         assert first.read_bytes() == second.read_bytes(), (trial, tag)
     report(11, "file formats round-trip byte-identically",
-           "100 fuzzed QSMAP/QPMAP/BMAP/BITS grids")
+           "100 fuzzed QSMAP/QPMAP/LSCALE/BITS grids")
 
 
 def _msssim_bd_rate(luma: np.ndarray, beta: float) -> float:

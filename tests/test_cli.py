@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from qpalloc.alloc import DEFAULT_BETA
 from qpalloc.bdrate import METRIC_TAGS, bd_quality, bd_rate, quality_overlap, read_rd_csv
-from qpalloc.cli import _DEFAULT_BETA, _METRIC_TAGS, main
+from qpalloc.cli import _DEFAULT_BETA, _METRIC_TAGS, _build_parser, main
 from qpalloc.gridfile import read_grid_file, write_grid_file
 from qpalloc.imageio import RasterImage, load_ppm, save_ppm
 from qpalloc.stepnet import make_random_weights, save_weights
@@ -24,7 +25,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.fixture()
 def run(capsys):
     def _run(*argv):
-        code = main([str(a) for a in argv])
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
         out = capsys.readouterr()
         return code, out.out, out.err
     return _run
@@ -133,47 +137,42 @@ class TestQpmapCommand:
         lscale = read_grid_file(str(out) + ".lscale", expect_tag="LSCALE")
         np.testing.assert_array_equal(lscale.values, 1.0)
 
-    def test_slope_variant_changes_rounding(self, run, tmp_path):
-        # two block columns with steps {1, 2}: ratios {4/3, 2/3}; with the
-        # default beta the raw offsets are {-1.702, +2.399} at slope 1.0
-        # and {-2.043, +2.879} at slope 1.2
+    def test_beta_variant_changes_rounding(self, run, tmp_path):
+        # two block columns with steps {1, 2}: ratios {4/3, 2/3}; the raw
+        # offsets are {-1.702, +2.399} at beta -1.367 and {-2.043, +2.879}
+        # at beta -1.6404
         values = np.ones((4, 8))
         values[:, 4:] = 2.0
         qsmap = tmp_path / "two.qsmap"
         write_qsmap(qsmap, values)
-        out1 = tmp_path / "s10.qpmap"
-        out2 = tmp_path / "s12.qpmap"
+        out1 = tmp_path / "b1.qpmap"
+        out2 = tmp_path / "b2.qpmap"
         assert run("qpmap", "--stepmap", qsmap, "--base-qp", 37,
-                   "--slope", "1.0", out1)[0] == 0
+                   "--beta", "-1.367", out1)[0] == 0
         assert run("qpmap", "--stepmap", qsmap, "--base-qp", 37,
-                   "--slope", "1.2", out2)[0] == 0
+                   "--beta", "-1.6404", out2)[0] == 0
         np.testing.assert_array_equal(read_grid_file(out1).values[0], [-2, 2])
         np.testing.assert_array_equal(read_grid_file(out2).values[0], [-2, 3])
 
-    def test_ambiguous_source(self, run, tmp_path, ppm_64, weights_file):
-        qsmap = tmp_path / "u.qsmap"
-        write_qsmap(qsmap, np.full((4, 4), 1.0))
-        code, _, err = run("qpmap", "--stepmap", qsmap, "--image", ppm_64,
-                           "--weights", weights_file, "--base-qp", 32,
-                           tmp_path / "o.qpmap")
-        assert code == 2
-        assert "ambiguous" in err
+    REMOVED_FLAGS = {"slope": ["--slope", "1.2"], "beta-map": ["--beta-map", "b.bmap"],
+                     "image": ["--image", "x.ppm", "--weights", "w"]}
 
-    @pytest.mark.parametrize("flags", [["--width", "1000", "--height", "0"],
-                                       ["--height", "-5"], ["--width", "64"]],
-                             ids=["width-1000-height-0", "height-neg", "width-match"])
-    def test_frame_size_with_image_is_exit_2(self, run, tmp_path, ppm_64,
-                                              weights_file, flags):
-        # the image fixes the frame; these flags used to be ignored silently
-        code, out, err = run("qpmap", "--image", ppm_64, "--weights", weights_file,
-                             "--base-qp", 32, *flags, tmp_path / "o.qpmap")
+    @pytest.mark.parametrize("flag", list(REMOVED_FLAGS))
+    def test_removed_flags_are_usage_errors(self, run, tmp_path, flag):
+        # the allocation takes one scalar beta, and step maps come from a
+        # QSMAP only: stepmap is the one inference path
+        qsmap = tmp_path / "u.qsmap"
+        write_qsmap(qsmap, np.ones((4, 4)))
+        code, out, err = run("qpmap", "--stepmap", qsmap, "--base-qp", 32,
+                             *self.REMOVED_FLAGS[flag], tmp_path / "o.qpmap")
         assert (code, out) == (2, "")
-        assert "--stepmap only" in err
+        assert "unrecognized arguments" in err
         assert not list(tmp_path.glob("o.*"))
 
     def test_source_required(self, run, tmp_path):
-        code, _, _ = run("qpmap", "--base-qp", 32, tmp_path / "o.qpmap")
+        code, _, err = run("qpmap", "--base-qp", 32, tmp_path / "o.qpmap")
         assert code == 2
+        assert "--stepmap" in err
 
     @pytest.mark.parametrize("base_qp,lam", [(22, 16.0), (27, 8.0), (32, 4.0), (37, 1.0)])
     def test_manifest_echoes_alignment_lambda(self, run, tmp_path, base_qp, lam):
@@ -185,56 +184,24 @@ class TestQpmapCommand:
         assert manifest["alignment_lambda"] == lam
         assert manifest["config"]["base_qp"] == base_qp
         assert manifest["config"]["beta"] == -1.367
+        assert set(manifest["config"]) == {"base_qp", "beta", "clamp", "n_const",
+                                           "block_size", "eps", "lambda_table"}
+        assert manifest["inputs"] == {"stepmap": str(qsmap)}
         assert str(out) in manifest["outputs"]
 
-    def test_image_source_runs_inference(self, run, tmp_path, ppm_64, weights_file):
-        out = tmp_path / "o.qpmap"
-        code, _, _ = run("qpmap", "--image", ppm_64, "--weights", weights_file,
-                         "--base-qp", 32, out)
-        assert code == 0
-        assert read_grid_file(out).blocks_x == 1
-
-    def test_beta_map_grid_mismatch(self, run, tmp_path):
-        qsmap = tmp_path / "u.qsmap"
-        write_qsmap(qsmap, np.full((4, 4), 1.0))
-        bmap = tmp_path / "b.bmap"
-        bmap.write_text("BMAP 1\n3 3 64 0\n" + "\n".join(["-1.0 -1.0 -1.0"] * 3) + "\n")
-        code, _, _ = run("qpmap", "--stepmap", qsmap, "--base-qp", 32,
-                         "--beta-map", bmap, tmp_path / "o.qpmap")
-        assert code == 5
-        # the block count matches the 64x64 frame, the block size does not
-        bmap.write_text("BMAP 1\n1 1 32 0\n-1.0\n")
-        code, stdout, _ = run("qpmap", "--stepmap", qsmap, "--base-qp", 32,
-                              "--beta-map", bmap, tmp_path / "o.qpmap")
-        assert (code, stdout) == (5, "")
-        assert not list(tmp_path.glob("o.*"))
-
-    def test_beta_map_applies_per_block(self, run, tmp_path):
+    def test_steps_near_the_float64_limit(self, run, tmp_path):
+        # a block of 1e308 steps used to overflow its mean and exit 2 with
+        # "step means must be finite"; its ratio is about 2e-308, the other
+        # block's 2, so the raw offsets are about +4191 and -4.101
         values = np.ones((4, 8))
-        values[:, 4:] = 2.0
-        qsmap = tmp_path / "two.qsmap"
+        values[:, :4] = 1e308
+        qsmap = tmp_path / "big.qsmap"
         write_qsmap(qsmap, values)
-        bmap = tmp_path / "b.bmap"
-        bmap.write_text("BMAP 1\n2 1 64 0\n-1.0 0.001\n")
         out = tmp_path / "o.qpmap"
-        assert run("qpmap", "--stepmap", qsmap, "--base-qp", 32,
-                   "--beta-map", bmap, out)[0] == 0
-        # beta -1 on ratio 4/3 gives -1; near-zero beta kills the offset
-        np.testing.assert_array_equal(read_grid_file(out).values[0], [-1, 0])
-
-    def test_beta_with_beta_map_is_exit_2(self, run, tmp_path):
-        # --beta used to be dropped silently when a beta map was given
-        values = np.ones((4, 8))
-        values[:, 4:] = 2.0
-        qsmap = tmp_path / "two.qsmap"
-        write_qsmap(qsmap, values)
-        bmap = tmp_path / "b.bmap"
-        bmap.write_text("BMAP 1\n2 1 64 0\n-1.0 0.001\n")
-        code, out, err = run("qpmap", "--stepmap", qsmap, "--base-qp", 32, "--beta", 5,
-                             "--beta-map", bmap, tmp_path / "o.qpmap")
-        assert (code, out) == (2, "")
-        assert "--beta-map" in err
-        assert not list(tmp_path.glob("o.*"))
+        code, stdout, err = run("qpmap", "--stepmap", qsmap, "--base-qp", 32, out)
+        assert (code, err) == (0, "")
+        assert stdout == "qpmap 2x1 base 32 offsets [-4, 4]\n"
+        np.testing.assert_array_equal(read_grid_file(out).values[0], [4, -4])
 
     def test_explicit_frame_dims_change_edge_weighting(self, run, tmp_path):
         qsmap = tmp_path / "m.qsmap"
@@ -271,15 +238,13 @@ class TestQpmapCommand:
         assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("flags,code", [
-        (["--slope", "inf"], 2), (["--slope", "nan"], 2),
         (["--beta", "inf"], 2), (["--beta", "nan"], 2),
         (["--clamp", "64"], 2), (["--clamp", "-1"], 2),
-        (["--beta", "1e308", "--slope", "8"], 0),
-    ], ids=["slope-inf", "slope-nan", "beta-inf", "beta-nan", "clamp-64", "clamp-neg",
-            "overflow-saturates"])
+        (["--beta", "1e308"], 0),
+    ], ids=["beta-inf", "beta-nan", "clamp-64", "clamp-neg", "overflow-saturates"])
     def test_knob_domain(self, run, tmp_path, flags, code):
-        # ratios {4/3, 2/3}; slope * 3 * 1e308 overflows to inf, which
-        # saturates at the clamp instead of failing
+        # ratios {4/3, 2/3}; 3 * 1e308 overflows to inf, which saturates
+        # at the clamp instead of failing
         values = np.ones((4, 8))
         values[:, 4:] = 2.0
         qsmap = tmp_path / "two.qsmap"
@@ -563,6 +528,28 @@ class TestSimulateCommand:
         assert "outside [0, 63]" in err
         assert not list(tmp_path.glob("x.*"))
 
+    @pytest.mark.parametrize("qp_arg,qpmap_text,span", [
+        (10 ** 23, None, [10 ** 23] * 2),
+        (None, f"QPMAP 1\n2 1 64 {10 ** 29}\n0 0\n", [10 ** 29] * 2),
+        (None, "QPMAP 1\n2 1 64 32\n0 9223372036854775807\n", [32, 2 ** 63 + 31]),
+    ], ids=["scalar-qp", "base-qp", "offset"])
+    def test_qp_beyond_int64_is_exit_2(self, run, tmp_path, qp_arg, qpmap_text, span):
+        # these used to exit 1 with an OverflowError traceback (the first
+        # two) or to wrap in int64 and report the span [-9223372036854775777, 32]
+        image = tmp_path / "img.ppm"
+        save_ppm(RasterImage(pixels=textured_pixels(64, 128, seed=24)), image)
+        argv = ["simulate", image]
+        if qp_arg is not None:
+            argv += ["--qp", qp_arg]
+        if qpmap_text is not None:
+            qpmap = tmp_path / "big.qpmap"
+            qpmap.write_text(qpmap_text)
+            argv += ["--qpmap", qpmap]
+        code, out, err = run(*argv, tmp_path / "x")
+        assert (code, out) == (2, "")
+        assert err == f"error: block QPs span [{span[0]}, {span[1]}], outside [0, 63]\n"
+        assert not list(tmp_path.glob("x.*"))
+
 
 def test_outputs_byte_identical_across_blas_threads(tmp_path):
     """stepmap (width 16 and the width-64 reference plan, whose K = 576
@@ -679,6 +666,25 @@ def test_import_leaves_scipy_unloaded(tmp_path, fixture_weights):
     _, modules = cli("bdrate", raw, raw, "--metric", "lpips")
     assert "metrics" in modules
     assert not modules & {"stepnet", "alloc", "toysim", "gridfile"}, modules
+
+
+def test_readme_cli_examples_parse():
+    """Every qpalloc line in README's CLI block parses with the current
+    parser, so a flag that is removed but still documented fails here.
+    Only the arguments are parsed; no command runs and no file opens."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    parser = _build_parser()
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv[:1] == ["qpalloc"]]
+    assert {argv[1] for argv in commands} == {"stepmap", "qpmap", "metrics", "bdrate",
+                                              "simulate"}
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 
 
 def test_parser_constants_match_their_modules():

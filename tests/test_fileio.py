@@ -72,7 +72,6 @@ class TestParseReals:
     READERS = {
         "QSMAP": (read_step_map, "QSMAP 1\n2 1\n1.0 {}\n"),
         "LSCALE": (read_grid_file, "LSCALE 1\n2 1 64 32\n1.0 {}\n"),
-        "BMAP": (read_grid_file, "BMAP 1\n2 1 64 0\n1.0 {}\n"),
         "RD CSV": (read_rd_rows, "rate_bpp,quality\n0.1,30\n0.2, {}\n"),
     }
 

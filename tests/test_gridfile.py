@@ -6,7 +6,7 @@ from qpalloc.gridfile import GridFile, read_grid_file, write_grid_file
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("tag", ["QPMAP", "LSCALE", "BMAP", "BITS"])
+    @pytest.mark.parametrize("tag", ["QPMAP", "LSCALE", "BITS"])
     def test_write_read_write_is_byte_identical(self, tmp_path, tag):
         rng = np.random.default_rng(hash(tag) % 2 ** 31)
         for trial in range(10):
@@ -42,10 +42,14 @@ class TestValidation:
             read_grid_file(path)
         with pytest.raises(ValueError, match="unknown grid tag"):
             write_grid_file(path, "QMAP", 64, 32, np.zeros((1, 1)))
+        # the per-block beta map is gone: beta is one scalar per frame
+        path.write_text("BMAP 1\n1 1 64 0\n-1.0\n")
+        with pytest.raises(FormatError, match="unknown tag 'BMAP'"):
+            read_grid_file(path)
 
     def test_unexpected_tag(self, tmp_path):
         path = tmp_path / "g.txt"
-        write_grid_file(path, "BMAP", 64, 0, np.zeros((1, 1)))
+        write_grid_file(path, "LSCALE", 64, 32, np.ones((1, 1)))
         with pytest.raises(FormatError, match="expected a QPMAP"):
             read_grid_file(path, expect_tag="QPMAP")
 
@@ -67,7 +71,7 @@ class TestValidation:
         with pytest.raises(FormatError, match="non-numeric"):
             read_grid_file(path)
 
-    # integer headers and QPMAP values, then LSCALE/BMAP reals, which may
+    # integer headers and QPMAP values, then LSCALE reals, which may
     # carry an exponent sign but no separator or leading sign
     STRICT_TOKENS = [
         ("QPMAP", "1 1 64 32", "1_0"), ("QPMAP", "1 1 64 32", "+3"),
@@ -75,7 +79,7 @@ class TestValidation:
         ("QPMAP", "1_0 1 64 32", " ".join(["0"] * 10)), ("QPMAP", "1 1 6_4 32", "0"),
         ("QPMAP", "1 1 64 +32", "0"),
         ("LSCALE", "1 1 64 32", "1_0.5"), ("LSCALE", "1 1 64 32", "+0.5"),
-        ("BMAP", "2 1 64 0", "1e+3 +1.5"), ("BMAP", "2 1 64 0", "1e+3 -1.0_1")]
+        ("LSCALE", "2 1 64 0", "1e+3 +1.5"), ("LSCALE", "2 1 64 0", "1e+3 -1.0_1")]
 
     @pytest.mark.parametrize("tag,header,body", STRICT_TOKENS,
                              ids=[f"{header}-{body}" for _, header, body in STRICT_TOKENS])
