@@ -19,6 +19,7 @@ over all blocks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -43,6 +44,14 @@ DEFAULT_BETA = -1.367
 QP_LAMBDA_ALIGNMENT: Mapping[int, float] = {37: 1.0, 32: 4.0, 27: 8.0, 22: 16.0}
 
 
+def _qp_index(value, what: str) -> int:
+    """value through operator.index: a float, even 32.0, is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class AllocConfig:
     """Knobs for the ratio-to-QP conversion: the frame's base QP, the
@@ -53,6 +62,8 @@ class AllocConfig:
     clamp: int = 4
 
     def __post_init__(self):
+        object.__setattr__(self, "base_qp", _qp_index(self.base_qp, "base_qp"))
+        object.__setattr__(self, "clamp", _qp_index(self.clamp, "clamp"))
         if not 0 <= self.base_qp <= 63:
             raise ValueError(f"base_qp {self.base_qp} outside [0, 63]")
         if np.ndim(self.beta) != 0 or not math.isfinite(self.beta):
@@ -67,7 +78,6 @@ class BlockAllocation:
 
     grid: BlockGrid
     base_qp: int
-    qs: np.ndarray            # mean step per block
     ratio: np.ndarray         # normalized bit ratio, weighted mean 1
     dqp: np.ndarray           # integer offsets, |dqp| <= clamp, 0 <= qp <= 63
 
@@ -159,10 +169,9 @@ def build_allocation(step_map: StepMap, width: int, height: int,
                      cfg: AllocConfig) -> BlockAllocation:
     """Full chain from step map to per-block QP offsets and scales."""
     grid = BlockGrid(width, height)
-    qs = block_mean_step(step_map, grid)
-    ratio = bit_ratios(qs, grid)
+    ratio = bit_ratios(block_mean_step(step_map, grid), grid)
     dqp = qp_offset(ratio, cfg.beta, cfg.clamp)
-    return BlockAllocation(grid=grid, base_qp=cfg.base_qp, qs=qs, ratio=ratio,
+    return BlockAllocation(grid=grid, base_qp=cfg.base_qp, ratio=ratio,
                            dqp=np.clip(dqp, -cfg.base_qp, 63 - cfg.base_qp))
 
 

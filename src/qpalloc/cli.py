@@ -188,8 +188,7 @@ def _cmd_simulate(args) -> int:
                 f"block {qpm.block_size} does not match the "
                 f"{grid.blocks_x}x{grid.blocks_y} block {BLOCK_SIZE} frame partition")
         allocation = alloc.BlockAllocation(
-            grid=grid, base_qp=base_qp,
-            qs=np.ones(grid.n_blocks), ratio=np.ones(grid.n_blocks),
+            grid=grid, base_qp=base_qp, ratio=np.ones(grid.n_blocks),
             dqp=qpm.values.reshape(-1))
         point, recon = toysim.encode_image(luma, allocation)
     else:

@@ -6,8 +6,9 @@ All three share one layout so a single parser covers them:
     BLOCKS_X BLOCKS_Y BLOCK_SIZE BASE_QP
     <BLOCKS_Y rows of BLOCKS_X values>
 
-QPMAP and BITS carry integers, LSCALE finite reals. BASE_QP is the
-frame's base QP in every tag: the QP that QPMAP offsets and LSCALE
+QPMAP and BITS carry integers, LSCALE finite reals, and the writer
+refuses anything else (for QPMAP and BITS, any float array). BASE_QP is
+the frame's base QP in every tag: the QP that QPMAP offsets and LSCALE
 scales apply to, and the QP that BITS were counted at. Writers pass
 imageio.BLOCK_SIZE (64); the reader takes any positive size, and the
 CLI rejects a grid that is not the frame's partition.
@@ -45,8 +46,16 @@ def write_grid_file(path: str | os.PathLike, tag: str, block_size: int,
     if tag not in KNOWN_TAGS:
         raise ValueError(f"unknown grid tag {tag!r}")
     values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValueError("grid values must be 2-D (blocks_y, blocks_x)")
+    if values.ndim != 2 or values.size == 0:
+        raise ValueError("grid values must be 2-D (blocks_y, blocks_x), at least 1x1")
+    if not all(isinstance(v, (int, np.integer)) for v in (block_size, base_qp)) \
+            or block_size < 1:
+        raise ValueError(f"block size {block_size!r} must be a positive integer "
+                         f"and base QP {base_qp!r} an integer")
+    if tag in INT_TAGS and not np.can_cast(values.dtype, np.int64):
+        raise ValueError(f"{tag} values must be integers, got {values.dtype}")
+    if tag in FLOAT_TAGS and not np.all(np.isfinite(values)):
+        raise ValueError(f"{tag} values must be finite")
     by, bx = values.shape
     lines = [f"{tag} 1", f"{bx} {by} {block_size} {base_qp}"]
     if tag in INT_TAGS:

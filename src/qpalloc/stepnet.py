@@ -239,7 +239,8 @@ def load_weights(path: str | os.PathLike) -> ModelWeights:
 
 def save_weights(weights: ModelWeights, path: str | os.PathLike) -> None:
     """Write QSNW2: the ASCII header, then every parameter as a
-    little-endian float32 in the order load_weights reads them."""
+    little-endian float32 in the order load_weights reads them. A
+    parameter that is not finite as a float32 is a ValueError."""
     lines = ["QSNW2", f"layers {len(weights.layers)}"]
     params = []
     for layer in weights.layers:
@@ -252,7 +253,11 @@ def save_weights(weights: ModelWeights, path: str | os.PathLike) -> None:
             convs = (layer.conv1, layer.conv2)
         params += [a.reshape(-1) for conv in convs for a in (conv.weights, conv.bias)]
     lines.append("data\n")
-    payload = np.concatenate(params, dtype="<f4").tobytes()
+    with np.errstate(over="ignore"):  # a float64 beyond float32 range is refused below
+        payload = np.concatenate(params, dtype="<f4")
+    if not np.isfinite(payload).all():
+        raise ValueError("non-finite parameter; load_weights would refuse the file")
+    payload = payload.tobytes()  # frees the array before the header is joined on
     atomic_write_bytes(path, "\n".join(lines).encode("ascii") + payload)
 
 

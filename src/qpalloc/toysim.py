@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alloc import BlockAllocation
+from .alloc import BlockAllocation, _qp_index
 from .errors import GridMismatchError
 from .imageio import BLOCK_SIZE, BlockGrid
 
@@ -60,9 +60,12 @@ def _qp_blocks(grid: BlockGrid, qp_map) -> np.ndarray:
             raise GridMismatchError(
                 f"QP map covers {qp_map.grid.width}x{qp_map.grid.height}, "
                 f"plane is {grid.width}x{grid.height}")
-        base, dqp = int(qp_map.base_qp), np.asarray(qp_map.dqp, np.int64)
+        base, dqp = _qp_index(qp_map.base_qp, "base QP"), np.asarray(qp_map.dqp)
+        if not np.can_cast(dqp.dtype, np.int64):
+            raise ValueError(f"QP offsets must be integers, got {dqp.dtype}")
+        dqp = dqp.astype(np.int64)
     else:
-        base, dqp = int(qp_map), np.zeros(grid.n_blocks, np.int64)
+        base, dqp = _qp_index(qp_map, "QP"), np.zeros(grid.n_blocks, np.int64)
     lo, hi = base + int(dqp.min()), base + int(dqp.max())
     if lo < 0 or hi > 63:
         raise ValueError(f"block QPs span [{lo}, {hi}], outside [0, 63]")
@@ -72,8 +75,8 @@ def _qp_blocks(grid: BlockGrid, qp_map) -> np.ndarray:
 def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
     """Encode a luma plane under a per-block QP map (or one scalar QP).
 
-    Every block QP must lie in [0, 63], the range AllocConfig enforces
-    for the base QP; anything else raises ValueError.
+    Every block QP must be an integer in [0, 63], as AllocConfig
+    enforces for the base QP; anything else raises ValueError.
 
     Returns (RdPoint, reconstruction). The reconstruction is uint8,
     rounded half-up and clipped; distortion is the MSE against it, and

@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 
 from qpalloc import RasterImage, make_random_weights
+from qpalloc.alloc import BlockAllocation
 
 
 @pytest.fixture(scope="session")
 def fixture_weights():
     """Small seeded instance of the reference layer plan (8 channels)."""
     return make_random_weights(seed=7, width=8)
+
+
+def allocation_with_offsets(grid, base_qp, dqp):
+    """A BlockAllocation that carries only block QP offsets, as
+    `simulate --qpmap` builds one from a QPMAP: the ratio map is flat."""
+    return BlockAllocation(grid=grid, base_qp=base_qp, ratio=np.ones(grid.n_blocks),
+                           dqp=np.asarray(dqp, np.int64))
 
 
 def textured_pixels(height: int, width: int, seed: int = 0) -> np.ndarray:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from qpalloc.alloc import (DEFAULT_BETA, AllocConfig, BlockAllocation, bit_ratios,
+from qpalloc.alloc import (DEFAULT_BETA, AllocConfig, bit_ratios,
                            block_mean_step, build_allocation, lambda_adapt,
                            linearity_fit, qp_offset)
 from qpalloc.bdrate import RdCurve, bd_quality, bd_rate
@@ -26,7 +26,8 @@ from qpalloc.stepnet import (StepMap, infer_step_map, make_random_weights,
                              read_step_map, save_weights, write_step_map)
 from qpalloc.toysim import encode_image
 
-from conftest import block_contrast_pixels, detail_tile_luma, textured_pixels
+from conftest import (allocation_with_offsets, block_contrast_pixels, detail_tile_luma,
+                      textured_pixels)
 from _oracles import activity_step_map, noisy_variant, reference_ms_ssim
 from test_alloc import QP_OFFSET_FIXTURES
 
@@ -152,13 +153,6 @@ def test_c07_bd_rate_analytic_fixtures():
            "identity 0, rate x0.9 -> -10%, quality +1 -> +1, antisymmetric")
 
 
-def _offsets_allocation(grid, base_qp, dqp):
-    dqp = np.asarray(dqp, np.int64)
-    return BlockAllocation(
-        grid=grid, base_qp=base_qp, qs=np.ones(grid.n_blocks),
-        ratio=np.ones(grid.n_blocks), dqp=dqp)
-
-
 def test_c08_toy_codec_rate_behavior():
     for seed in range(5):
         luma = textured_pixels(128, 192, seed=seed)[:, :, 0].copy()
@@ -169,11 +163,11 @@ def test_c08_toy_codec_rate_behavior():
 
     luma = textured_pixels(128, 128, seed=9)[:, :, 0].copy()
     grid = BlockGrid(128, 128)
-    base_point, _ = encode_image(luma, _offsets_allocation(grid, 32, [0, 0, 0, 0]))
+    base_point, _ = encode_image(luma, allocation_with_offsets(grid, 32, [0, 0, 0, 0]))
     for target in range(4):
         dqp = np.zeros(4, np.int64)
         dqp[target] = -4
-        point, _ = encode_image(luma, _offsets_allocation(grid, 32, dqp))
+        point, _ = encode_image(luma, allocation_with_offsets(grid, 32, dqp))
         assert point.per_block_bits[target] >= base_point.per_block_bits[target]
         for k in range(4):
             if k != target:

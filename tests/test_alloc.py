@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from qpalloc.alloc import (EPS, AllocConfig, QP_LAMBDA_ALIGNMENT, bit_ratios,
-                           block_mean_step, build_allocation, lambda_adapt,
+from qpalloc.alloc import (EPS, AllocConfig, BlockAllocation, QP_LAMBDA_ALIGNMENT,
+                           bit_ratios, block_mean_step, build_allocation, lambda_adapt,
                            linearity_fit, qp_offset)
 from qpalloc.errors import GridMismatchError
 from qpalloc.imageio import BlockGrid
@@ -193,10 +194,15 @@ class TestBuildAllocation:
         for _ in range(30):
             gw, gh = (int(v) for v in rng.integers(4, 20, 2))
             values = rng.uniform(0.2, 5.0, (gh, gw))
-            allocation = build_allocation(StepMap(values=values),
-                                          gw * 16, gh * 16, cfg)
-            order = np.argsort(allocation.qs)
+            step_map = StepMap(values=values)
+            allocation = build_allocation(step_map, gw * 16, gh * 16, cfg)
+            order = np.argsort(block_mean_step(step_map, allocation.grid))
             assert np.all(np.diff(allocation.dqp[order]) >= 0)
+
+    def test_record_holds_what_its_readers_use(self):
+        # block mean steps are not kept: block_mean_step(step_map, grid)
+        assert [f.name for f in dataclasses.fields(BlockAllocation)] == \
+            ["grid", "base_qp", "ratio", "dqp"]
 
     def test_alignment_table_default(self):
         assert QP_LAMBDA_ALIGNMENT == {37: 1.0, 32: 4.0, 27: 8.0, 22: 16.0}
@@ -207,11 +213,24 @@ class TestAllocConfig:
     @pytest.mark.parametrize("kwargs", [
         {"beta": math.inf}, {"beta": -math.inf}, {"beta": math.nan},
         {"beta": np.array([[-1.0, math.nan]])}, {"beta": np.ones((2, 2))},
-        {"clamp": -1}, {"clamp": 64}, {"base_qp": -1}, {"base_qp": 64}])
+        {"clamp": -1}, {"clamp": 64}, {"base_qp": -1}, {"base_qp": 64},
+        {"base_qp": 32.5}, {"base_qp": 32.0}, {"base_qp": np.float64(32.0)},
+        {"base_qp": "32"}, {"clamp": 2.7}, {"clamp": 4.0}])
     def test_rejects_out_of_domain_knobs(self, kwargs):
-        # beta is one scalar for the frame; a per-block array is refused
+        # beta is one scalar for the frame; a per-block array is refused.
+        # QPs are integers: a float base_qp would give a float dqp and
+        # block QPs (32.5 + 2 = 34.5) that the codec truncates (to 34).
         with pytest.raises(ValueError):
             AllocConfig(**{"base_qp": 32, **kwargs})
+
+    def test_numpy_integers_are_read_as_ints(self):
+        cfg = AllocConfig(base_qp=np.int64(32), beta=-1.0, clamp=np.uint8(2))
+        assert type(cfg.base_qp) is int and type(cfg.clamp) is int
+        values = np.ones((4, 8))
+        values[:, 4:] = 2.0
+        allocation = build_allocation(StepMap(values=values), 128, 64, cfg)
+        assert allocation.dqp.dtype == np.int64
+        np.testing.assert_array_equal(allocation.qp, [31, 34])
 
     def test_overflowing_raw_offset_saturates(self):
         # 3 * beta overflows to inf; ratio 1 still gives 0

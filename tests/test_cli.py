@@ -687,6 +687,21 @@ def test_readme_cli_examples_parse():
             pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    """README's Library block runs as written in a directory that holds
+    its input.ppm and model.qsnw, so a field or a signature that is gone
+    but still documented fails here. The library twin of the test above."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    save_ppm(RasterImage(pixels=textured_pixels(96, 160, seed=4)), tmp_path / "input.ppm")
+    save_weights(make_random_weights(0, width=8), tmp_path / "model.qsnw")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["allocation"].dqp.shape == (6,)  # 3x2 blocks of 64 px
+    assert capsys.readouterr().out.strip()
+
+
 def test_parser_constants_match_their_modules():
     """The parser writes these two out so that building it imports
     neither alloc nor bdrate."""

@@ -47,6 +47,33 @@ class TestValidation:
         with pytest.raises(FormatError, match="unknown tag 'BMAP'"):
             read_grid_file(path)
 
+    @pytest.mark.parametrize("tag", ["QPMAP", "BITS"])
+    @pytest.mark.parametrize("values", [[[1.5, -2.7]], [[1.0, 2.0]], [[np.nan, 0.0]],
+                                        np.array([[2 ** 63]], np.uint64)])
+    def test_integer_tags_refuse_what_the_reader_refuses(self, tmp_path, tag, values):
+        # int() would write [[1.5, -2.7]] as "1 -2"; the reader takes int64 only
+        path = tmp_path / "g.txt"
+        with pytest.raises(ValueError, match="must be integers"):
+            write_grid_file(path, tag, 64, 32, values)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("block_size,base_qp,values", [
+        (0, 32, [[0]]), (64, 32.5, [[0]]), (64.0, 32, [[0]]), (64, 32, np.zeros((0, 3), int))])
+    def test_header_refuses_what_the_reader_refuses(self, tmp_path, block_size, base_qp,
+                                                    values):
+        path = tmp_path / "g.qpmap"
+        with pytest.raises(ValueError, match="integer|at least 1x1"):
+            write_grid_file(path, "QPMAP", block_size, base_qp, values)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_lscale_refuses_non_finite_values(self, tmp_path, bad):
+        # read_grid_file refuses a non-finite value
+        path = tmp_path / "g.lscale"
+        with pytest.raises(ValueError, match="must be finite"):
+            write_grid_file(path, "LSCALE", 64, 32, [[1.0, bad]])
+        assert not path.exists()
+
     def test_unexpected_tag(self, tmp_path):
         path = tmp_path / "g.txt"
         write_grid_file(path, "LSCALE", 64, 32, np.ones((1, 1)))

@@ -6,7 +6,8 @@ step-map shape law."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from qpalloc.alloc import AllocConfig, bit_ratios, build_allocation, qp_offset
+from qpalloc.alloc import (AllocConfig, bit_ratios, block_mean_step, build_allocation,
+                           qp_offset)
 from qpalloc.imageio import RasterImage
 from qpalloc.stepnet import StepMap, infer_step_map, make_random_weights
 
@@ -63,10 +64,12 @@ def test_offset_is_monotone_in_ratio(r1, r2, beta, clamp):
 def test_allocation_matches_per_block_oracles(width, height, seed, beta, clamp):
     rng = np.random.default_rng(seed)
     values = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), grid_shape(width, height)))
-    allocation = build_allocation(StepMap(values=values), width, height,
+    step_map = StepMap(values=values)
+    allocation = build_allocation(step_map, width, height,
                                   AllocConfig(base_qp=32, beta=beta, clamp=clamp))
     qs = reference_block_mean_step(values, allocation.grid)
-    np.testing.assert_allclose(allocation.qs, qs, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(block_mean_step(step_map, allocation.grid), qs,
+                               rtol=1e-14, atol=0)
     # each block QP 32 + dqp is clipped to [0, 63]
     dqp = [min(max(reference_qp_offset(r, beta, clamp), -32), 31)
            for r in bit_ratios(qs, allocation.grid)]

@@ -153,6 +153,15 @@ class TestWeightFormat:
             with pytest.raises(FormatError, match="non-finite"):
                 load_weights(path)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e39])
+    def test_save_refuses_non_finite(self, tmp_path, value):
+        # load_weights refuses these (above); 1e39 is finite only as a float64
+        path = tmp_path / "w.qsnw"
+        layer = ConvLayer(weights=np.full((1, 1, 1, 1), value), bias=np.zeros(1), stride=1)
+        with pytest.raises(ValueError, match="non-finite parameter"):
+            save_weights(ModelWeights(layers=(layer,)), path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("lines,values,match", STRICT_HEADERS, ids=STRICT_IDS)
     def test_layer_headers_are_strict_integers(self, tmp_path, lines, values, match):
         path = tmp_path / "w.qsnw"

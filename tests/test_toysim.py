@@ -6,20 +6,14 @@ from scipy.fft import dctn
 
 from qpalloc.alloc import BlockAllocation, linearity_fit, block_mean_step
 from qpalloc.errors import GridMismatchError
-from qpalloc.imageio import BlockGrid
+from qpalloc.imageio import BlockGrid, RasterImage
+from qpalloc.metrics import psnr
 from qpalloc.stepnet import StepMap
 from qpalloc.toysim import DCT_BASIS, encode_image
 
-from conftest import textured_pixels
+from conftest import allocation_with_offsets, textured_pixels
 from _oracles import (dct8_forward, dct8_inverse, dequantize, golomb_bits, qstep,
                       quantize, reference_encode)
-
-
-def allocation_with_offsets(grid, base_qp, dqp):
-    dqp = np.asarray(dqp, np.int64)
-    return BlockAllocation(
-        grid=grid, base_qp=base_qp,
-        qs=np.ones(grid.n_blocks), ratio=np.ones(grid.n_blocks), dqp=dqp)
 
 
 class TestDct:
@@ -183,11 +177,48 @@ class TestEncode:
         with pytest.raises(ValueError, match=r"outside \[0, 63\]"):
             encode_image(textured_luma, qp)
 
+    @pytest.mark.parametrize("qp", [32.9, 32.0, np.float64(32.0), "32"])
+    def test_scalar_qp_must_be_an_integer(self, textured_luma, qp):
+        # int() would encode 32.9 at QP 32 without a word
+        with pytest.raises(ValueError, match="must be an integer"):
+            encode_image(textured_luma, qp)
+
+    def test_allocation_qps_must_be_integers(self, textured_luma):
+        grid = BlockGrid(128, 128)
+        allocation = allocation_with_offsets(grid, 32.5, [0, 0, 0, 2])
+        with pytest.raises(ValueError, match="must be an integer"):
+            encode_image(textured_luma, allocation)
+        # a float offset would be truncated: 1.5 encoded as 1
+        allocation = BlockAllocation(grid=grid, base_qp=32, ratio=np.ones(4),
+                                     dqp=np.array([0.0, 0.0, 0.0, 1.5]))
+        with pytest.raises(ValueError, match="must be integers"):
+            encode_image(textured_luma, allocation)
+        _, recon = encode_image(textured_luma, np.int64(32))  # numpy ints are integers
+        np.testing.assert_array_equal(recon, encode_image(textured_luma, 32)[1])
+
     def test_block_qp_out_of_range(self, textured_luma):
         grid = BlockGrid(128, 128)
         allocation = allocation_with_offsets(grid, 62, [0, 0, 0, 2])
         with pytest.raises(ValueError, match=r"outside \[0, 63\]"):
             encode_image(textured_luma, allocation)
+
+
+class TestQualityMatchesMetrics:
+    """The codec scores its reconstruction with its own float64 MSE; that
+    must equal the exact int64 error mean, and its PSNR metrics.psnr."""
+
+    # the strip-edge shapes of TestPsnr, which ends strips part-way
+    @pytest.mark.parametrize("h,w", [(33, 65), (97, 40), (248, 360)])
+    def test_flat_and_mapped_points(self, h, w):
+        luma = textured_pixels(h, w, seed=h + w)[:, :, 0].copy()
+        grid = BlockGrid(w, h)
+        dqp = np.random.default_rng(w).integers(-8, 9, grid.n_blocks)
+        for qp_map in (0, 22, 37, allocation_with_offsets(grid, 30, dqp)):
+            point, recon = encode_image(luma, qp_map)
+            assert point.quality == psnr(RasterImage(pixels=luma[:, :, None]),
+                                         RasterImage(pixels=recon[:, :, None]))
+            err = luma.astype(np.int64) - recon
+            assert point.distortion == int(np.vdot(err, err)) / luma.size
 
 
 class TestReferenceEncode:
