@@ -4,8 +4,8 @@ The pipeline: infer (or load) a positive step map at 1/16 image
 resolution, average it per 64x64 block, normalize the reciprocals into a
 bit-ratio map, and round the ratios into clamped integer QP offsets plus
 matching rate-distortion multiplier scales. Companion modules score
-image pairs (PSNR/SSIM/MS-SSIM, LPIPS-to-dB), compute BD-rate between
-rate-quality curves, and verify rate effects with a toy DCT codec.
+image pairs (PSNR/SSIM/MS-SSIM), compute BD-rate between rate-quality
+curves, and verify rate effects with a toy DCT codec.
 
 Importing the package loads no submodule and no numpy: each exported
 name, and each submodule (``qpalloc.alloc``), is imported on first use
@@ -24,8 +24,7 @@ _EXPORTS = {
     **dict.fromkeys(["RdCurve", "bd_quality", "bd_rate"], "bdrate"),
     **dict.fromkeys(["BlockGrid", "RasterImage", "load_ppm", "rgb_to_gray",
                      "save_ppm"], "imageio"),
-    **dict.fromkeys(["MetricReport", "lpips_to_db", "metric_report", "ms_ssim",
-                     "psnr", "ssim"], "metrics"),
+    **dict.fromkeys(["MetricReport", "metric_report", "ms_ssim", "psnr", "ssim"], "metrics"),
     **dict.fromkeys(["ModelWeights", "StepMap", "infer_step_map", "load_weights",
                      "make_random_weights", "read_step_map", "save_weights",
                      "softplus", "write_step_map"], "stepnet"),

@@ -26,10 +26,7 @@ import numpy as np
 from ._fileio import parse_reals, read_text
 from .errors import CurveError, FormatError, OverlapError
 
-__all__ = ["RdCurve", "bd_rate", "bd_quality", "quality_overlap",
-           "read_rd_csv", "read_rd_rows"]
-
-METRIC_TAGS = ("psnr", "ssim", "msssim", "lpips_db")
+__all__ = ["RdCurve", "bd_rate", "bd_quality", "quality_overlap", "read_rd_csv"]
 
 
 @dataclass(frozen=True)
@@ -37,14 +34,13 @@ class RdCurve:
     """Operating points (rate in bits per pixel, quality), sorted by rate.
 
     At least 4 points; rates positive and strictly increasing, quality
-    strictly increasing with rate (higher-better metrics only, so raw
-    LPIPS must be converted to dB first); the quality span must be a
-    finite float64.
+    strictly increasing with rate (higher-better metrics only); the
+    quality span must be a finite float64.
     """
 
     rates: np.ndarray
     qualities: np.ndarray
-    metric_tag: str = "psnr"
+    metric_tag: str = "psnr"  # unread: pipebench rd-eval passes it; ROADMAP item 1 drops it
 
     def __post_init__(self):
         rates = np.asarray(self.rates, np.float64)
@@ -73,13 +69,9 @@ class RdCurve:
         object.__setattr__(self, "qualities", qualities)
 
 
-def read_rd_rows(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (rates, qualities) columns of a 'rate_bpp,quality' CSV.
-
-    Two finite reals per row, spaces around a cell allowed. No curve
-    validation; callers that ingest raw lower-is-better columns convert
-    them before building an RdCurve.
-    """
+def read_rd_csv(path: str | os.PathLike) -> RdCurve:
+    """Read a 'rate_bpp,quality' CSV into a validated curve: two finite
+    reals per row, spaces around a cell allowed."""
     lines = [ln.strip() for ln in read_text(path).split("\n") if ln.strip()]
     if not lines or lines[0].replace(" ", "") != "rate_bpp,quality":
         raise FormatError(f"{path}: expected header 'rate_bpp,quality'")
@@ -93,13 +85,7 @@ def read_rd_rows(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
         except ValueError as exc:
             raise FormatError(f"{path}: {exc} in row {ln!r}") from exc
     rates, qualities = np.array(rows, dtype=np.float64).reshape(-1, 2).T
-    return rates, qualities
-
-
-def read_rd_csv(path: str | os.PathLike, metric_tag: str = "psnr") -> RdCurve:
-    """Read a 'rate_bpp,quality' CSV into a validated curve."""
-    rates, qualities = read_rd_rows(path)
-    return RdCurve(rates=rates, qualities=qualities, metric_tag=metric_tag)
+    return RdCurve(rates=rates, qualities=qualities)
 
 
 def _cubic_mean(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:

@@ -25,13 +25,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import GridMismatchError, InferenceError, OutputIOError, OverlapError
-
-if TYPE_CHECKING:
-    from .bdrate import RdCurve
 
 EXIT_BAD_INPUT = 2
 EXIT_INFERENCE = 3
@@ -39,10 +35,9 @@ EXIT_OUTPUT_IO = 4
 EXIT_GRID_MISMATCH = 5
 EXIT_NO_OVERLAP = 6
 
-# alloc.DEFAULT_BETA and bdrate.METRIC_TAGS, written out so that building
-# the parser imports neither module; a test pins them equal.
+# alloc.DEFAULT_BETA, written out so that building the parser does not
+# import alloc; a test pins the two equal.
 _DEFAULT_BETA = -1.367
-_METRIC_TAGS = ("psnr", "ssim", "msssim", "lpips_db")
 
 
 def _fmt(value: float) -> str:
@@ -125,11 +120,8 @@ def _cmd_metrics(args) -> int:
     test = load_ppm(args.test)
     if args.luma_only:
         ref, test = (RasterImage(pixels=rgb_to_gray(img)[:, :, None]) for img in (ref, test))
-    report = metrics.metric_report(ref, test, lpips=args.lpips)
-    row = [args.test, _fmt(report.psnr), _fmt(report.ssim), _fmt(report.ms_ssim)]
-    if report.lpips_db is not None:
-        row.append(_fmt(report.lpips_db))
-    print(",".join(row))
+    report = metrics.metric_report(ref, test)
+    print(",".join([args.test, _fmt(report.psnr), _fmt(report.ssim), _fmt(report.ms_ssim)]))
     return 0
 
 
@@ -137,20 +129,10 @@ def _cmd_metrics(args) -> int:
 # bdrate
 # ---------------------------------------------------------------------------
 
-def _load_curve(path: str, metric: str) -> RdCurve:
-    from . import bdrate
-    if metric == "lpips":
-        from . import metrics
-        rates, raw = bdrate.read_rd_rows(path)
-        return bdrate.RdCurve(rates=rates, qualities=[metrics.lpips_to_db(q) for q in raw],
-                              metric_tag="lpips_db")
-    return bdrate.read_rd_csv(path, metric_tag=metric)
-
-
 def _cmd_bdrate(args) -> int:
     from . import bdrate
-    anchor = _load_curve(args.anchor, args.metric)
-    test = _load_curve(args.test, args.metric)
+    anchor = bdrate.read_rd_csv(args.anchor)
+    test = bdrate.read_rd_csv(args.test)
     lo, hi = bdrate.quality_overlap(anchor, test)
     result = {
         "bd_rate_percent": bdrate.bd_rate(anchor, test, mode=args.interp),
@@ -252,16 +234,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--luma-only", action="store_true",
                    help="score the full-range gray plane that simulate encodes "
                    "instead of RGB channels")
-    p.add_argument("--lpips", type=float,
-                   help="externally computed LPIPS value to convert to dB")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("bdrate", help="BD-rate/quality between two RD CSVs")
     p.add_argument("anchor", help="anchor curve CSV (rate_bpp,quality)")
     p.add_argument("test", help="test curve CSV")
-    p.add_argument("--metric", default="psnr",
-                   choices=list(_METRIC_TAGS) + ["lpips"],
-                   help="metric tag; 'lpips' converts a raw column to dB")
     p.add_argument("--interp", default="cubic", choices=["cubic", "pchip"],
                    help="fit mode (default %(default)s)")
     p.set_defaults(func=_cmd_bdrate)

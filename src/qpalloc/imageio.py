@@ -1,11 +1,14 @@
 """PPM image I/O, the gray plane the toy codec encodes, and the block grid.
 
 Only binary PPM (P6, maxval 255) is read or written. The gray plane is
-full-range BT.601 luma with fixed coefficients and half-up rounding, so
-it is bit-exact across platforms. BlockGrid tiles a frame into the
-row-major BLOCK_SIZE (64 px) blocks that QP maps, lambda scales and
-bit counts are laid out on; the block size is fixed, not a parameter, and
-so is DOWNSAMPLE_FACTOR, the 16-px edge of one step-map cell.
+full-range BT.601 luma with fixed coefficients, computed as
+floor(0.299 R + 0.587 G + 0.114 B + 0.5) in float64, so it is
+bit-exact across platforms. That rounds the exact sum half up, except
+at 3,464 of its 16,782 ties, which round down (see rgb_to_gray).
+BlockGrid tiles a frame into the row-major BLOCK_SIZE (64 px) blocks
+that QP maps, lambda scales and bit counts are laid out on; the block
+size is fixed, not a parameter, and so is DOWNSAMPLE_FACTOR, the 16-px
+edge of one step-map cell.
 """
 
 from __future__ import annotations
@@ -111,6 +114,9 @@ def load_ppm(path: str | os.PathLike) -> RasterImage:
     if not data.startswith(b"P6"):
         magic = data[:2].decode("ascii", "replace")
         raise FormatError(f"{path}: unsupported magic {magic!r}, expected P6")
+    if len(data) > 2 and not data[2:3].isspace():
+        magic = data[:3].decode("ascii", "replace")
+        raise FormatError(f"{path}: bad magic {magic!r}, expected P6 then whitespace")
 
     pos = 2
     fields = []
@@ -161,11 +167,14 @@ def save_ppm(img: RasterImage, path: str | os.PathLike) -> None:
 
 
 def rgb_to_gray(img: RasterImage) -> np.ndarray:
-    """Full-range luma plane: round(0.299 R + 0.587 G + 0.114 B), half up.
+    """Full-range luma plane: floor(0.299 R + 0.587 G + 0.114 B + 0.5) in float64.
 
-    This is the plane the toy codec encodes and the one that
-    metrics --luma-only scores; black maps to 0 and white to 255. A
-    single-channel image gives a copy of its one plane.
+    This rounds the exact weighted sum half up, with one exception: at
+    3,464 of the 16,782 RGB triples whose exact sum ends in .5, the
+    float64 sum falls just below the tie and rounds down, so (0, 36, 12)
+    sums to 22.5 but gives 22. This is the plane the toy codec encodes
+    and the one that metrics --luma-only scores; black maps to 0 and
+    white to 255. A single-channel image gives a copy of its one plane.
     """
     if img.channels == 1:
         return img.pixels[:, :, 0].copy()

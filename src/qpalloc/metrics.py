@@ -1,4 +1,4 @@
-"""Full-reference quality metrics: PSNR, SSIM, MS-SSIM, LPIPS-to-dB.
+"""Full-reference quality metrics: PSNR, SSIM and MS-SSIM.
 
 SSIM uses the classic 11x11 Gaussian window (sigma 1.5, K1 0.01,
 K2 0.03, L 255) with valid-region filtering and no padding. Each scale
@@ -23,9 +23,6 @@ lum * cs over the same full-resolution maps, so metric_report filters
 scale 0 once for both. Three-channel images score each channel and
 average. SSIM needs at least 11 px per side (one window), MS-SSIM at
 least 176 px per side (one window at the fifth scale).
-
-LPIPS values are never computed here; they arrive from files and only
-the dB conversion -10*log10(v) is provided.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ __all__ = [
     "psnr",
     "ssim",
     "ms_ssim",
-    "lpips_to_db",
     "metric_report",
 ]
 
@@ -82,7 +78,6 @@ class MetricReport:
     psnr: float
     ssim: float
     ms_ssim: float
-    lpips_db: float | None = None
 
 
 def _check_pair(a: RasterImage, b: RasterImage) -> None:
@@ -233,21 +228,9 @@ def ms_ssim(a: RasterImage, b: RasterImage) -> float:
                           for x, y in zip(_planes(a), _planes(b))]))
 
 
-def lpips_to_db(v: float) -> float:
-    """-10 * log10(v); smaller perceptual distances score more dB.
-
-    v must be finite and positive; anything else raises ValueError.
-    """
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"LPIPS value must be finite and positive, got {v}")
-    return -10.0 * math.log10(v)
-
-
-def metric_report(a: RasterImage, b: RasterImage,
-                  lpips: float | None = None) -> MetricReport:
+def metric_report(a: RasterImage, b: RasterImage) -> MetricReport:
     """PSNR, SSIM and MS-SSIM of a pair, each equal to its standalone
     function; SSIM and scale 0 of MS-SSIM share one filter pass per plane."""
-    lpips_db = None if lpips is None else lpips_to_db(lpips)  # reject before scoring
     _check_ms_ssim_pair(a, b)
     ssims, ms_ssims = [], []
     for x, y in zip(_planes(a), _planes(b)):
@@ -255,4 +238,4 @@ def metric_report(a: RasterImage, b: RasterImage,
         ssims.append(plane_ssim)
         ms_ssims.append(_ms_ssim_plane(x, y, cs0))
     return MetricReport(psnr=psnr(a, b), ssim=float(np.mean(ssims)),
-                        ms_ssim=float(np.mean(ms_ssims)), lpips_db=lpips_db)
+                        ms_ssim=float(np.mean(ms_ssims)))

@@ -52,9 +52,10 @@ class RdPoint:
 
 
 def _qp_blocks(grid: BlockGrid, qp_map) -> np.ndarray:
-    """(blocks_y, blocks_x) int64 block QPs, all in [0, 63]. The span is
-    checked on Python ints first, so that a base QP or an offset beyond
-    int64 is reported as it is instead of overflowing or wrapping."""
+    """(blocks_y, blocks_x) int64 block QPs, all in [0, 63], from a base
+    QP in [0, 63]. The span is checked on Python ints first, so that a
+    base QP or an offset beyond int64 is reported as it is instead of
+    overflowing or wrapping."""
     if isinstance(qp_map, BlockAllocation):
         if qp_map.grid != grid:
             raise GridMismatchError(
@@ -69,14 +70,16 @@ def _qp_blocks(grid: BlockGrid, qp_map) -> np.ndarray:
     lo, hi = base + int(dqp.min()), base + int(dqp.max())
     if lo < 0 or hi > 63:
         raise ValueError(f"block QPs span [{lo}, {hi}], outside [0, 63]")
+    if not 0 <= base <= 63:  # offsets can carry a bad base back into range
+        raise ValueError(f"base QP {base} outside [0, 63]")
     return (base + dqp).reshape(grid.blocks_y, grid.blocks_x)
 
 
 def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
     """Encode a luma plane under a per-block QP map (or one scalar QP).
 
-    Every block QP must be an integer in [0, 63], as AllocConfig
-    enforces for the base QP; anything else raises ValueError.
+    The base QP and every block QP must be integers in [0, 63], as
+    AllocConfig enforces for the base QP; anything else raises ValueError.
 
     Returns (RdPoint, reconstruction). The reconstruction is uint8,
     rounded half-up and clipped; distortion is the MSE against it, and

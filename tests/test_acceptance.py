@@ -222,8 +222,7 @@ def _run_pipeline(ppm, weights_file, outdir):
 
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        assert main(["bdrate", str(curves["-1.367"]), str(curves["-1.6404"]),
-                     "--metric", "psnr"]) == 0
+        assert main(["bdrate", str(curves["-1.367"]), str(curves["-1.6404"])]) == 0
     (outdir / "bdrate.json").write_text(buffer.getvalue())
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 

@@ -10,9 +10,8 @@ from qpalloc.errors import CurveError, FormatError, OverlapError
 from _oracles import reference_pchip_mean
 
 
-def curve(rates, qualities, tag="psnr"):
-    return RdCurve(rates=np.asarray(rates, float),
-                   qualities=np.asarray(qualities, float), metric_tag=tag)
+def curve(rates, qualities):
+    return RdCurve(rates=np.asarray(rates, float), qualities=np.asarray(qualities, float))
 
 
 RATES = [0.25, 0.55, 1.1, 2.3]
@@ -187,9 +186,9 @@ class TestCsv:
         path = tmp_path / "curve.csv"
         path.write_text("rate_bpp,quality\n"
                         + "".join(f"{r},{q}\n" for r, q in zip(RATES, QUALS)))
-        loaded = read_rd_csv(path, metric_tag="msssim")
+        loaded = read_rd_csv(path)
         np.testing.assert_array_equal(loaded.rates, RATES)
-        assert loaded.metric_tag == "msssim"
+        np.testing.assert_array_equal(loaded.qualities, QUALS)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "curve.csv"

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from qpalloc.alloc import DEFAULT_BETA
-from qpalloc.bdrate import METRIC_TAGS, bd_quality, bd_rate, quality_overlap, read_rd_csv
-from qpalloc.cli import _DEFAULT_BETA, _METRIC_TAGS, _build_parser, main
+from qpalloc.bdrate import bd_quality, bd_rate, quality_overlap, read_rd_csv
+from qpalloc.cli import _DEFAULT_BETA, _build_parser, main
 from qpalloc.gridfile import read_grid_file, write_grid_file
 from qpalloc.imageio import RasterImage, load_ppm, save_ppm
 from qpalloc.stepnet import make_random_weights, save_weights
@@ -297,16 +298,11 @@ class TestMetricsCommand:
         assert code == 0
         assert stdout.strip().endswith("inf,1.0,1.0")
 
-    def test_lpips_column(self, run, ppm_192):
-        code, stdout, _ = run("metrics", ppm_192, ppm_192, "--lpips", "0.1")
-        assert code == 0
-        assert stdout.strip().endswith("inf,1.0,1.0,10.0")
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
-    def test_lpips_out_of_domain_is_exit_2(self, run, ppm_192, value):
-        code, stdout, err = run("metrics", ppm_192, ppm_192, "--lpips", value)
+    def test_removed_lpips_flag_is_a_usage_error(self, run, ppm_192):
+        # LPIPS is not a metric of this package: no value is converted
+        code, stdout, err = run("metrics", ppm_192, ppm_192, "--lpips", "0.1")
         assert (code, stdout) == (2, "")
-        assert "finite and positive" in err
+        assert "unrecognized arguments" in err
 
     def test_dimension_mismatch(self, run, tmp_path, ppm_192):
         other = tmp_path / "other.ppm"
@@ -361,7 +357,7 @@ class TestBdrateCommand:
     def test_identical_curves(self, run, tmp_path):
         csv = tmp_path / "c.csv"
         self.write_curve(csv, self.RATES, self.QUALS)
-        code, stdout, _ = run("bdrate", csv, csv, "--metric", "psnr")
+        code, stdout, _ = run("bdrate", csv, csv)
         assert code == 0
         result = json.loads(stdout)
         assert result["bd_rate_percent"] == pytest.approx(0.0, abs=1e-9)
@@ -388,16 +384,13 @@ class TestBdrateCommand:
         self.write_curve(high, self.RATES, [20, 21, 22, 23])
         assert run("bdrate", low, high)[0] == 6
 
-    def test_raw_lpips_conversion(self, run, tmp_path):
-        anchor = tmp_path / "anchor.csv"
-        test = tmp_path / "test.csv"
-        # raw LPIPS decreases with rate; dB conversion flips it
-        self.write_curve(anchor, self.RATES, [0.31, 0.22, 0.15, 0.09])
-        self.write_curve(test, [r * 0.9 for r in self.RATES],
-                         [0.31, 0.22, 0.15, 0.09])
-        code, stdout, _ = run("bdrate", anchor, test, "--metric", "lpips")
-        assert code == 0
-        assert json.loads(stdout)["bd_rate_percent"] == pytest.approx(-10.0, abs=1e-6)
+    def test_removed_metric_flag_is_a_usage_error(self, run, tmp_path):
+        # a curve's quality column is read as it is, whatever metric it holds
+        csv = tmp_path / "c.csv"
+        self.write_curve(csv, self.RATES, self.QUALS)
+        code, stdout, err = run("bdrate", csv, csv, "--metric", "msssim")
+        assert (code, stdout) == (2, "")
+        assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize("interp", ["cubic", "pchip"])
     def test_overflowing_rate_ratio_is_exit_2(self, run, tmp_path, interp):
@@ -460,6 +453,21 @@ class TestSimulateCommand:
             assert "mse 0.0" in stdout
             assert "psnr inf" in stdout
 
+    def test_lossless_row_is_inf_and_bdrate_rejects_it(self, run, tmp_path):
+        # a lossless reconstruction has no finite PSNR: simulate writes the
+        # row as it is, and an RD CSV holding it is malformed for bdrate
+        ppm = tmp_path / "flat.ppm"
+        save_ppm(RasterImage(pixels=np.full((64, 64, 3), 128, np.uint8)), ppm)
+        assert run("simulate", ppm, "--qp", 0, tmp_path / "sim")[0] == 0
+        rd = tmp_path / "sim.rd.csv"
+        assert rd.read_text() == "rate_bpp,quality\n1.34375,inf\n"
+        curve = tmp_path / "curve.csv"
+        curve.write_text("rate_bpp,quality\n0.2,30\n0.5,35\n0.9,40\n"
+                         + rd.read_text().splitlines()[1] + "\n")
+        code, stdout, err = run("bdrate", curve, curve)
+        assert (code, stdout) == (2, "")
+        assert "non-finite value in row '1.34375,inf'" in err
+
     def test_zero_offset_map_matches_scalar(self, run, tmp_path, ppm_64):
         qpmap = tmp_path / "zero.qpmap"
         qpmap.write_text("QPMAP 1\n1 1 64 32\n0\n")
@@ -514,7 +522,9 @@ class TestSimulateCommand:
         (-50, None),
         (None, "QPMAP 1\n1 1 64 32\n-200\n"),
         (None, "QPMAP 1\n1 1 64 999\n0\n"),
-    ], ids=["scalar-qp", "offset", "base-qp"])
+        # used to encode at QP 5, exit 0 and write a .bits file with base QP -5
+        (None, "QPMAP 1\n1 1 64 -5\n10\n"),
+    ], ids=["scalar-qp", "offset", "base-qp", "base-qp-offset-in-range"])
     def test_out_of_range_qp_is_exit_2(self, run, tmp_path, ppm_64, qp_arg, qpmap_text):
         argv = ["simulate", ppm_64]
         if qp_arg is not None:
@@ -631,14 +641,15 @@ def test_import_leaves_scipy_unloaded(tmp_path, fixture_weights):
                       *argv, returncode=returncode)
 
     anchor, test = tmp_path / "anchor.csv", tmp_path / "test.csv"
+    image, weights, prefix = tmp_path / "img.ppm", tmp_path / "w.qsnw", tmp_path / "run"
     front_door = [loaded("import qpalloc, qpalloc.cli")[1], cli("--version")[1],
                   cli("--help")[1], cli(returncode=2)[1],
                   cli("qpmap", "--base-qp", 32, returncode=2)[1],
-                  cli("bdrate", anchor, test, "--metric", "mse", returncode=2)[1]]
+                  cli("metrics", image, image, "--lpips", "0.1", returncode=2)[1],
+                  cli("bdrate", anchor, test, "--metric", "psnr", returncode=2)[1]]
     for modules in front_door:
         assert modules <= {"cli", "errors"}, modules
 
-    image, weights, prefix = tmp_path / "img.ppm", tmp_path / "w.qsnw", tmp_path / "run"
     save_ppm(RasterImage(pixels=textured_pixels(176, 176, seed=23)), image)
     save_weights(fixture_weights, weights)
     _, modules = cli("stepmap", image, weights, f"{prefix}.qsmap")
@@ -661,17 +672,14 @@ def test_import_leaves_scipy_unloaded(tmp_path, fixture_weights):
             "bd_rate_percent": bd_rate(a, t, mode=interp),
             "bd_quality": bd_quality(a, t, mode=interp),
             "overlap": list(quality_overlap(a, t))}
-    raw = tmp_path / "raw.csv"
-    raw.write_text("rate_bpp,quality\n0.25,0.31\n0.55,0.22\n1.1,0.15\n2.3,0.09\n")
-    _, modules = cli("bdrate", raw, raw, "--metric", "lpips")
-    assert "metrics" in modules
-    assert not modules & {"stepnet", "alloc", "toysim", "gridfile"}, modules
 
 
 def test_readme_cli_examples_parse():
     """Every qpalloc line in README's CLI block parses with the current
-    parser, so a flag that is removed but still documented fails here.
-    Only the arguments are parsed; no command runs and no file opens."""
+    parser, so a flag that is removed but still documented fails here;
+    and every option of every subcommand appears on one of that
+    subcommand's lines, so a flag that exists but is undocumented fails
+    too. Only the arguments are parsed; no command runs and no file opens."""
     readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     parser = _build_parser()
@@ -685,6 +693,14 @@ def test_readme_cli_examples_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+    documented = {(argv[1], token) for argv in commands for token in argv
+                  if token.startswith("--")}
+    subparsers = next(action.choices for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {(name, option) for name, sub in subparsers.items()
+               for action in sub._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"}
+    assert options - documented == set()
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
@@ -703,7 +719,6 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
 
 
 def test_parser_constants_match_their_modules():
-    """The parser writes these two out so that building it imports
-    neither alloc nor bdrate."""
+    """The parser writes this one out so that building it does not
+    import alloc."""
     assert _DEFAULT_BETA == DEFAULT_BETA
-    assert _METRIC_TAGS == METRIC_TAGS

@@ -30,7 +30,7 @@ def test_package_exports_are_pinned():
         "lambda_adapt", "linearity_fit", "qp_offset",
         "RdCurve", "bd_quality", "bd_rate",
         "BlockGrid", "RasterImage", "load_ppm", "rgb_to_gray", "save_ppm",
-        "MetricReport", "lpips_to_db", "metric_report", "ms_ssim", "psnr", "ssim",
+        "MetricReport", "metric_report", "ms_ssim", "psnr", "ssim",
         "ModelWeights", "StepMap", "infer_step_map", "load_weights",
         "make_random_weights", "read_step_map", "save_weights",
         "softplus", "write_step_map",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpalloc._fileio import atomic_write_bytes, parse_ints, parse_reals
-from qpalloc.bdrate import read_rd_rows
+from qpalloc.bdrate import read_rd_csv
 from qpalloc.errors import FormatError, OutputIOError
 from qpalloc.gridfile import read_grid_file
 from qpalloc.stepnet import load_weights, read_step_map
@@ -72,7 +72,7 @@ class TestParseReals:
     READERS = {
         "QSMAP": (read_step_map, "QSMAP 1\n2 1\n1.0 {}\n"),
         "LSCALE": (read_grid_file, "LSCALE 1\n2 1 64 32\n1.0 {}\n"),
-        "RD CSV": (read_rd_rows, "rate_bpp,quality\n0.1,30\n0.2, {}\n"),
+        "RD CSV": (read_rd_csv, "rate_bpp,quality\n0.1, {}\n0.2,30\n0.3,31\n0.4,32\n"),
     }
 
     @pytest.mark.parametrize("fmt", list(READERS))

@@ -30,6 +30,13 @@ class TestPpm:
         with pytest.raises(FormatError, match="magic"):
             load_ppm(path)
 
+    def test_magic_must_be_followed_by_whitespace(self, tmp_path):
+        # this used to load as a 12x12 image, reading "12" off the magic
+        path = tmp_path / "glued.ppm"
+        path.write_bytes(b"P612 12 255\n" + bytes(432))
+        with pytest.raises(FormatError, match="bad magic 'P61'"):
+            load_ppm(path)
+
     def test_bad_maxval(self, tmp_path):
         path = tmp_path / "deep.ppm"
         path.write_bytes(b"P6\n1 1\n1023\n" + bytes(6))

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qpalloc.imageio import RasterImage
-from qpalloc.metrics import (_ssim_means, lpips_to_db, metric_report, ms_ssim,
-                             psnr, ssim)
+from qpalloc.metrics import _ssim_means, metric_report, ms_ssim, psnr, ssim
 
 from conftest import textured_pixels
 from _oracles import _ref_maps, noisy_variant, reference_ms_ssim, reference_ssim
@@ -205,40 +204,13 @@ class TestMsSsim:
         assert 0.0 <= value <= 1.0
 
 
-class TestLpipsToDb:
-    @pytest.mark.parametrize("value,expected", [(0.1, 10.0), (1.0, 0.0), (0.01, 20.0)])
-    def test_powers_of_ten(self, value, expected):
-        assert lpips_to_db(value) == pytest.approx(expected, abs=1e-12)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            lpips_to_db(0.0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, value):
-        # nan used to come back as nan and inf as -inf dB
-        with pytest.raises(ValueError, match="finite and positive"):
-            lpips_to_db(value)
-
-    def test_round_trip_with_inverse(self):
-        for x in np.linspace(-30.0, 30.0, 13):
-            assert lpips_to_db(10.0 ** (-x / 10.0)) == pytest.approx(x, abs=1e-12)
-
-
 class TestReport:
     def test_bundles_all_metrics(self):
         img = RasterImage(pixels=textured_pixels(176, 176, seed=7))
-        report = metric_report(img, img, lpips=0.1)
+        report = metric_report(img, img)
         assert report.psnr == math.inf
         assert report.ssim == pytest.approx(1.0, abs=1e-12)
         assert report.ms_ssim == pytest.approx(1.0, abs=1e-12)
-        assert report.lpips_db == pytest.approx(10.0, abs=1e-12)
-
-    def test_lpips_checked_before_scoring(self):
-        # a bad value used to be rejected only after the full scoring pass
-        small = constant_image(0, (8, 8, 3))
-        with pytest.raises(ValueError, match="LPIPS"):
-            metric_report(small, small, lpips=math.nan)
 
     def test_matches_separate_calls(self):
         # bit for bit on gray and RGB pairs: SSIM and scale 0 of MS-SSIM

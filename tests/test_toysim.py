@@ -202,6 +202,13 @@ class TestEncode:
         with pytest.raises(ValueError, match=r"outside \[0, 63\]"):
             encode_image(textured_luma, allocation)
 
+    @pytest.mark.parametrize("base_qp,dqp", [(-5, [10, 10, 5, 5]), (64, [-1, -4, -4, -1])])
+    def test_base_qp_out_of_range(self, textured_luma, base_qp, dqp):
+        # every block QP is in range; the base used to pass unchecked
+        allocation = allocation_with_offsets(BlockGrid(128, 128), base_qp, dqp)
+        with pytest.raises(ValueError, match=rf"base QP {base_qp} outside \[0, 63\]"):
+            encode_image(textured_luma, allocation)
+
 
 class TestQualityMatchesMetrics:
     """The codec scores its reconstruction with its own float64 MSE; that
