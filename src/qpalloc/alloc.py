@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,16 +32,13 @@ if TYPE_CHECKING:
     from .stepnet import StepMap
 
 __all__ = ["AllocConfig", "BlockAllocation", "LinearityReport",
-           "BLOCK_SIZE", "DEFAULT_BETA", "EPS", "N_CONST", "QP_LAMBDA_ALIGNMENT",
+           "BLOCK_SIZE", "DEFAULT_BETA", "EPS", "N_CONST",
            "block_mean_step", "bit_ratios", "qp_offset", "lambda_adapt",
            "build_allocation", "linearity_fit"]
 
 N_CONST = 3        # QP steps per doubling of the RD multiplier
 EPS = 1e-6         # floor on a block's mean step before its reciprocal
 DEFAULT_BETA = -1.367
-# Base-QP operating points and the frame-level rate-control multiplier
-# each one was aligned to; echoed in run manifests.
-QP_LAMBDA_ALIGNMENT: Mapping[int, float] = {37: 1.0, 32: 4.0, 27: 8.0, 22: 16.0}
 
 
 def _qp_index(value, what: str) -> int:

@@ -95,11 +95,8 @@ def _cmd_qpmap(args) -> int:
             "n_const": alloc.N_CONST,
             "block_size": BLOCK_SIZE,
             "eps": alloc.EPS,
-            "lambda_table": {str(k): v
-                             for k, v in sorted(alloc.QP_LAMBDA_ALIGNMENT.items())},
         },
         "frame": {"width": width, "height": height},
-        "alignment_lambda": alloc.QP_LAMBDA_ALIGNMENT.get(cfg.base_qp),
         "outputs": [args.out, lscale_path, manifest_path],
     }
     atomic_write_text(manifest_path,
@@ -186,8 +183,7 @@ def _cmd_simulate(args) -> int:
                              point.per_block_bits.reshape(grid.blocks_y,
                                                           grid.blocks_x))
     save_ppm(RasterImage(pixels=recon[:, :, None]), recon_path)
-    print(f"rate_bpp {_fmt(point.rate)} psnr {_fmt(point.quality)} "
-          f"mse {_fmt(point.distortion)}")
+    print(f"rate_bpp {_fmt(point.rate)} psnr {_fmt(point.quality)}")
     return 0
 
 

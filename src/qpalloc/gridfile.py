@@ -18,6 +18,7 @@ round-trip byte-identically.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 
@@ -48,8 +49,11 @@ def write_grid_file(path: str | os.PathLike, tag: str, block_size: int,
     values = np.asarray(values)
     if values.ndim != 2 or values.size == 0:
         raise ValueError("grid values must be 2-D (blocks_y, blocks_x), at least 1x1")
-    if not all(isinstance(v, (int, np.integer)) for v in (block_size, base_qp)) \
-            or block_size < 1:
+    try:  # as alloc reads QPs: True is written as 1, a float is refused
+        size, qp = operator.index(block_size), operator.index(base_qp)
+    except TypeError:
+        size = 0
+    if size < 1:
         raise ValueError(f"block size {block_size!r} must be a positive integer "
                          f"and base QP {base_qp!r} an integer")
     if tag in INT_TAGS and not np.can_cast(values.dtype, np.int64):
@@ -57,7 +61,7 @@ def write_grid_file(path: str | os.PathLike, tag: str, block_size: int,
     if tag in FLOAT_TAGS and not np.all(np.isfinite(values)):
         raise ValueError(f"{tag} values must be finite")
     by, bx = values.shape
-    lines = [f"{tag} 1", f"{bx} {by} {block_size} {base_qp}"]
+    lines = [f"{tag} 1", f"{bx} {by} {size} {qp}"]
     if tag in INT_TAGS:
         for row in values:
             lines.append(" ".join(str(int(v)) for v in row))

@@ -9,9 +9,11 @@ that matters: blocks whose QP drops spend more bits, independently of
 every other block.
 
 Planes that are not multiples of 8 are edge-replicated up to the next
-transform unit; padded samples are priced with their block but excluded
-from distortion. Every stage works on one (tu_y, tu_x, 8, 8) view of the
-padded plane, from the DCT B @ X @ B.T to the inverse written back.
+transform unit; padded samples are priced with their block but cropped
+from the reconstruction. Every stage works on one (tu_y, tu_x, 8, 8)
+view of the padded plane, from the DCT B @ X @ B.T to the inverse
+written back. The codec does not score the reconstruction itself:
+RdPoint.quality is metrics.psnr of it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 
 from .alloc import BlockAllocation, _qp_index
 from .errors import GridMismatchError
-from .imageio import BLOCK_SIZE, BlockGrid
+from .imageio import BLOCK_SIZE, BlockGrid, RasterImage
+from .metrics import psnr
 
 __all__ = ["RdPoint", "encode_image"]
 
@@ -43,10 +46,10 @@ DCT_BASIS = _dct_basis()
 
 @dataclass(frozen=True)
 class RdPoint:
-    """One operating point: rate in bits/pixel, MSE, PSNR, per-block bits."""
+    """One operating point: rate in bits/pixel, the PSNR of the
+    reconstruction and the bits of each block."""
 
     rate: float
-    distortion: float
     quality: float
     per_block_bits: np.ndarray
 
@@ -82,8 +85,8 @@ def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
     AllocConfig enforces for the base QP; anything else raises ValueError.
 
     Returns (RdPoint, reconstruction). The reconstruction is uint8,
-    rounded half-up and clipped; distortion is the MSE against it, and
-    quality the corresponding PSNR.
+    rounded half-up and clipped; quality is metrics.psnr of it against
+    luma, +inf when it is lossless.
     """
     luma = np.asarray(luma)
     if luma.ndim != 2 or luma.dtype != np.uint8:
@@ -114,10 +117,8 @@ def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
     tiles[...] = DCT_BASIS.T @ (levels * q) @ DCT_BASIS  # back into the plane
     recon = np.clip(np.floor(plane[:h, :w] + 0.5), 0, 255).astype(np.uint8)
     per_block = grid.block_sums(tu_bits, TU_SIZE).reshape(-1)
-
-    diff = luma.astype(np.float64) - recon.astype(np.float64)
-    mse = float(np.mean(diff * diff))
-    quality = math.inf if mse == 0.0 else 10.0 * math.log10(255.0 ** 2 / mse)
-    point = RdPoint(rate=float(per_block.sum()) / (w * h), distortion=mse,
-                    quality=quality, per_block_bits=per_block)
+    quality = psnr(RasterImage(pixels=luma[:, :, None]),
+                   RasterImage(pixels=recon[:, :, None]))
+    point = RdPoint(rate=float(per_block.sum()) / (w * h), quality=quality,
+                    per_block_bits=per_block)
     return point, recon

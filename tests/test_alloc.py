@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qpalloc.alloc import (EPS, AllocConfig, BlockAllocation, QP_LAMBDA_ALIGNMENT,
-                           bit_ratios, block_mean_step, build_allocation, lambda_adapt,
+from qpalloc.alloc import (EPS, AllocConfig, BlockAllocation, bit_ratios,
+                           block_mean_step, build_allocation, lambda_adapt,
                            linearity_fit, qp_offset)
 from qpalloc.errors import GridMismatchError
 from qpalloc.imageio import BlockGrid
@@ -203,10 +203,6 @@ class TestBuildAllocation:
         # block mean steps are not kept: block_mean_step(step_map, grid)
         assert [f.name for f in dataclasses.fields(BlockAllocation)] == \
             ["grid", "base_qp", "ratio", "dqp"]
-
-    def test_alignment_table_default(self):
-        assert QP_LAMBDA_ALIGNMENT == {37: 1.0, 32: 4.0, 27: 8.0, 22: 16.0}
-        assert QP_LAMBDA_ALIGNMENT[22] == 16.0
 
 
 class TestAllocConfig:

@@ -175,18 +175,19 @@ class TestQpmapCommand:
         assert code == 2
         assert "--stepmap" in err
 
-    @pytest.mark.parametrize("base_qp,lam", [(22, 16.0), (27, 8.0), (32, 4.0), (37, 1.0)])
-    def test_manifest_echoes_alignment_lambda(self, run, tmp_path, base_qp, lam):
+    @pytest.mark.parametrize("base_qp", [22, 27, 32, 37])
+    def test_manifest_echoes_config(self, run, tmp_path, base_qp):
         qsmap = tmp_path / "u.qsmap"
         write_qsmap(qsmap, np.full((2, 2), 1.0))
         out = tmp_path / "o.qpmap"
         assert run("qpmap", "--stepmap", qsmap, "--base-qp", base_qp, out)[0] == 0
         manifest = json.loads((tmp_path / "o.qpmap.manifest.json").read_text())
-        assert manifest["alignment_lambda"] == lam
         assert manifest["config"]["base_qp"] == base_qp
         assert manifest["config"]["beta"] == -1.367
         assert set(manifest["config"]) == {"base_qp", "beta", "clamp", "n_const",
-                                           "block_size", "eps", "lambda_table"}
+                                           "block_size", "eps"}
+        assert set(manifest) == {"command", "version", "inputs", "config", "frame",
+                                 "outputs"}
         assert manifest["inputs"] == {"stepmap": str(qsmap)}
         assert str(out) in manifest["outputs"]
 
@@ -450,7 +451,6 @@ class TestSimulateCommand:
             code, stdout, _ = run("simulate", ppm, "--qp", qp,
                                   tmp_path / f"out{qp}")
             assert code == 0
-            assert "mse 0.0" in stdout
             assert "psnr inf" in stdout
 
     def test_lossless_row_is_inf_and_bdrate_rejects_it(self, run, tmp_path):
@@ -476,6 +476,20 @@ class TestSimulateCommand:
         for suffix in (".rd.csv", ".bits", ".recon.ppm"):
             assert (tmp_path / ("scalar" + suffix)).read_bytes() == \
                 (tmp_path / ("mapped" + suffix)).read_bytes()
+
+    @pytest.mark.parametrize("qpmap_text", [None, "QPMAP 1\n1 1 64 30\n-3\n"],
+                             ids=["flat", "qpmap"])
+    def test_stdout_repeats_the_rd_row(self, run, tmp_path, ppm_64, qpmap_text):
+        # rate and PSNR as .rd.csv writes them, and nothing more
+        argv = ["simulate", ppm_64, "--qp", 30]
+        if qpmap_text is not None:
+            qpmap = tmp_path / "map.qpmap"
+            qpmap.write_text(qpmap_text)
+            argv += ["--qpmap", qpmap]
+        code, stdout, _ = run(*argv, tmp_path / "sim")
+        assert code == 0
+        rate, quality = (tmp_path / "sim.rd.csv").read_text().splitlines()[1].split(",")
+        assert stdout == f"rate_bpp {rate} psnr {quality}\n"
 
     def test_outputs_are_consistent(self, run, tmp_path, ppm_64):
         code, _, _ = run("simulate", ppm_64, "--qp", 30, tmp_path / "sim")
@@ -658,7 +672,7 @@ def test_import_leaves_scipy_unloaded(tmp_path, fixture_weights):
                      f"{prefix}.qpmap")
     assert not modules & {"toysim", "metrics", "bdrate"}, modules
     _, modules = cli("simulate", image, "--qpmap", f"{prefix}.qpmap", prefix)
-    assert not modules & {"stepnet", "metrics", "bdrate"}, modules
+    assert not modules & {"stepnet", "bdrate"}, modules  # metrics scores the recon
     _, modules = cli("metrics", image, f"{prefix}.recon.ppm", "--luma-only")
     assert not modules & {"stepnet", "alloc", "toysim", "bdrate", "gridfile"}, modules
     anchor.write_text("rate_bpp,quality\n0.25,30.4\n0.55,33.1\n1.1,35.9\n2.3,38.6\n")

@@ -33,6 +33,14 @@ class TestRoundTrip:
         assert (loaded.block_size, loaded.base_qp) == (64, 37)
         assert loaded.values.dtype == np.int64
 
+    def test_integer_like_header_fields_are_written_as_ints(self, tmp_path):
+        # True is written as 1: the reader refuses the token "True"
+        path = tmp_path / "g.bits"
+        write_grid_file(path, "BITS", True, np.int64(32), np.array([[3]]))
+        assert path.read_text() == "BITS 1\n1 1 1 32\n3\n"
+        loaded = read_grid_file(path)
+        assert (loaded.block_size, loaded.base_qp) == (1, 32)
+
 
 class TestValidation:
     def test_unknown_tag(self, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ from qpalloc.errors import GridMismatchError
 from qpalloc.imageio import BlockGrid, RasterImage
 from qpalloc.metrics import psnr
 from qpalloc.stepnet import StepMap
-from qpalloc.toysim import DCT_BASIS, encode_image
+from qpalloc.toysim import DCT_BASIS, RdPoint, encode_image
 
 from conftest import allocation_with_offsets, textured_pixels
 from _oracles import (dct8_forward, dct8_inverse, dequantize, golomb_bits, qstep,
@@ -95,7 +97,7 @@ class TestEncode:
             point, recon = encode_image(plane, qp)
             n_tus = (64 // 8) * (64 // 8)
             assert point.per_block_bits.sum() == n_tus * 64
-            assert point.distortion == 0.0
+            assert point.quality == math.inf
             assert np.array_equal(recon, plane)
 
     def test_zero_offset_map_equals_scalar_qp(self, textured_luma):
@@ -145,12 +147,17 @@ class TestEncode:
         b, recon_b = encode_image(textured_luma, 29)
         assert np.array_equal(a.per_block_bits, b.per_block_bits)
         assert np.array_equal(recon_a, recon_b)
-        assert (a.rate, a.distortion, a.quality) == (b.rate, b.distortion, b.quality)
+        assert (a.rate, a.quality) == (b.rate, b.quality)
+
+    def test_record_holds_what_its_readers_use(self):
+        # no MSE: quality is metrics.psnr of the reconstruction
+        assert [f.name for f in dataclasses.fields(RdPoint)] == \
+            ["rate", "quality", "per_block_bits"]
 
     def test_peak_memory_per_pixel(self):
         # the float64 plane viewed as 8x8 units, with the quantizer's
-        # coefficient and level arrays alive at once: 41.5 B per pixel at
-        # 360x248. The bound allows about one more float64 plane (10.5 B
+        # coefficient and level arrays alive at once: 40.4 B per pixel at
+        # 360x248. The bound allows about one more float64 plane (11.6 B
         # per pixel) over that, and fails on copying the units out of the
         # plane and back (64.4 B per pixel)
         luma = textured_pixels(248, 360, seed=4)[:, :, 0].copy()
@@ -211,8 +218,8 @@ class TestEncode:
 
 
 class TestQualityMatchesMetrics:
-    """The codec scores its reconstruction with its own float64 MSE; that
-    must equal the exact int64 error mean, and its PSNR metrics.psnr."""
+    """The codec does not score its reconstruction: quality is
+    metrics.psnr of the reconstruction against the encoded plane."""
 
     # the strip-edge shapes of TestPsnr, which ends strips part-way
     @pytest.mark.parametrize("h,w", [(33, 65), (97, 40), (248, 360)])
@@ -224,8 +231,6 @@ class TestQualityMatchesMetrics:
             point, recon = encode_image(luma, qp_map)
             assert point.quality == psnr(RasterImage(pixels=luma[:, :, None]),
                                          RasterImage(pixels=recon[:, :, None]))
-            err = luma.astype(np.int64) - recon
-            assert point.distortion == int(np.vdot(err, err)) / luma.size
 
 
 class TestReferenceEncode:
