@@ -26,13 +26,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GridMismatchError
-from .imageio import BLOCK_SIZE, DOWNSAMPLE_FACTOR, BlockGrid
+from .imageio import DOWNSAMPLE_FACTOR, BlockGrid
 
 if TYPE_CHECKING:
     from .stepnet import StepMap
 
 __all__ = ["AllocConfig", "BlockAllocation", "LinearityReport",
-           "BLOCK_SIZE", "DEFAULT_BETA", "EPS", "N_CONST",
+           "DEFAULT_BETA", "EPS", "N_CONST",
            "block_mean_step", "bit_ratios", "qp_offset", "lambda_adapt",
            "build_allocation", "linearity_fit"]
 

@@ -157,9 +157,6 @@ def _cmd_simulate(args) -> int:
     if args.qpmap:
         qpm = gridfile.read_grid_file(args.qpmap, expect_tag="QPMAP")
         base_qp = qpm.base_qp
-        if args.qp is not None and args.qp != base_qp:
-            raise ValueError(
-                f"--qp {args.qp} conflicts with {args.qpmap} base QP {base_qp}")
         if (qpm.blocks_x, qpm.blocks_y, qpm.block_size) != \
                 (grid.blocks_x, grid.blocks_y, BLOCK_SIZE):
             raise GridMismatchError(
@@ -241,9 +238,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="toy-codec encode under a QP map")
     p.add_argument("image", help="input PPM")
-    p.add_argument("--qpmap", help="QPMAP file; omit for a flat scalar QP")
-    p.add_argument("--qp", type=int, help="scalar QP (default 32); with --qpmap "
-                   "it must match the file's base QP")
+    qp = p.add_mutually_exclusive_group()
+    qp.add_argument("--qpmap", help="QPMAP file; omit for a flat scalar QP")
+    qp.add_argument("--qp", type=int, help="flat scalar QP (default 32)")
     p.add_argument("out_prefix", help="output prefix for .rd.csv, .bits, .recon.ppm")
     p.set_defaults(func=_cmd_simulate)
     return parser

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qpalloc import RasterImage, make_random_weights
 from qpalloc.alloc import BlockAllocation
+from qpalloc.imageio import RasterImage
+from qpalloc.stepnet import make_random_weights
 
 
 @pytest.fixture(scope="session")

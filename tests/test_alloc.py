@@ -118,6 +118,14 @@ class TestBitRatios:
         with pytest.raises(ValueError):
             bit_ratios(np.array([]), grid)
 
+    @pytest.mark.parametrize("qs,error,match", [
+        (np.ones(3), GridMismatchError, "3 step means for a grid of 4 blocks"),
+        (np.array([1.0, np.nan, 1.0, 1.0]), ValueError, "must be finite"),
+    ], ids=["wrong-length", "nan"])
+    def test_bad_step_means_rejected(self, qs, error, match):
+        with pytest.raises(error, match=match):
+            bit_ratios(qs, BlockGrid(128, 128))
+
     def test_normalization_is_idempotent(self):
         rng = np.random.default_rng(2)
         grid = BlockGrid(200, 137)

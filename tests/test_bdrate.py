@@ -23,6 +23,14 @@ class TestCurveValidation:
         with pytest.raises(CurveError, match="4 points"):
             curve(RATES[:3], QUALS[:3])
 
+    @pytest.mark.parametrize("rates,quals,match", [
+        ([RATES], [QUALS], "1-D"),
+        (RATES, [30.4, np.nan, 35.9, 38.6], "finite"),
+    ], ids=["2-d", "nan-quality"])
+    def test_malformed_arrays_rejected(self, rates, quals, match):
+        with pytest.raises(CurveError, match=match):
+            curve(rates, quals)
+
     def test_sorted_internally(self):
         shuffled = curve(RATES[::-1], QUALS[::-1])
         np.testing.assert_array_equal(shuffled.rates, RATES)

@@ -91,6 +91,11 @@ class TestStepmapCommand:
                        "non-finite"),
         "misspelled-data": (["QSNW2", "layers 1", "conv 3 1 1 1", "payload"],
                             [0.25, 0.5, 0.25, 0.0], "expected 'data'"),
+        "zero-layers": (["QSNW2", "layers 0", "data"], [], "expected 'layers N'"),
+        "misspelled-layers": (["QSNW2", "layer 1", "conv 3 1 1 1", "data"],
+                              [0.25, 0.5, 0.25, 0.0], "expected 'layers N'"),
+        "zero-out-channels": (["QSNW2", "layers 1", "conv 3 0 3 16", "data"], [],
+                              "bad conv header in layer 0"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED_WEIGHTS))
@@ -101,6 +106,7 @@ class TestStepmapCommand:
         code, _, err = run("stepmap", ppm_64, path, tmp_path / "map.qsmap")
         assert code == 2
         assert message in err
+        assert not (tmp_path / "map.qsmap").exists()
 
     def test_unwritable_output_is_io_error(self, run, tmp_path, ppm_64, weights_file):
         # parent of the output path is a file, not a directory
@@ -110,12 +116,18 @@ class TestStepmapCommand:
         assert "cannot write" in err
 
     def test_incompatible_weights_is_inference_error(self, run, tmp_path, ppm_64):
-        # parses fine but the strides do not compose to x16
-        flat = tmp_path / "flat.qsnw"
-        write_qsnw2(flat, ["QSNW2", "layers 1", "conv 3 1 1 1", "data"], [0.25, 0.5, 0.25, 0.0])
-        code, _, err = run("stepmap", ppm_64, flat, tmp_path / "map.qsmap")
-        assert code == 3
-        assert "stride" in err
+        # each parses fine, but the strides do not compose to x16, or the
+        # head emits two channels where a step map has one
+        for layer, values, message in [
+                ("conv 3 1 1 1", [0.25, 0.5, 0.25, 0.0], "stride"),
+                ("conv 3 2 1 16", [0.25] * 6 + [0.0] * 2,
+                 "final layer must produce a single channel")]:
+            path = tmp_path / "bad.qsnw"
+            write_qsnw2(path, ["QSNW2", "layers 1", layer, "data"], values)
+            code, out, err = run("stepmap", ppm_64, path, tmp_path / "map.qsmap")
+            assert (code, out) == (3, ""), layer
+            assert message in err
+            assert not (tmp_path / "map.qsmap").exists()
 
     def test_byte_identical_across_runs(self, run, tmp_path, ppm_64, weights_file):
         first = tmp_path / "a.qsmap"
@@ -481,8 +493,10 @@ class TestSimulateCommand:
                              ids=["flat", "qpmap"])
     def test_stdout_repeats_the_rd_row(self, run, tmp_path, ppm_64, qpmap_text):
         # rate and PSNR as .rd.csv writes them, and nothing more
-        argv = ["simulate", ppm_64, "--qp", 30]
-        if qpmap_text is not None:
+        argv = ["simulate", ppm_64]
+        if qpmap_text is None:
+            argv += ["--qp", 30]
+        else:
             qpmap = tmp_path / "map.qpmap"
             qpmap.write_text(qpmap_text)
             argv += ["--qpmap", qpmap]
@@ -515,10 +529,16 @@ class TestSimulateCommand:
             assert not list(tmp_path.glob("x.*"))
 
     def test_conflicting_qp_is_exit_2(self, run, tmp_path, ppm_64):
+        # --qp and --qpmap are mutually exclusive, even when --qp repeats
+        # the file's base QP (32)
         qpmap = tmp_path / "zero.qpmap"
         qpmap.write_text("QPMAP 1\n1 1 64 32\n0\n")
-        assert run("simulate", ppm_64, "--qpmap", qpmap, "--qp", 37,
-                   tmp_path / "x")[0] == 2
+        for qp in (37, 32):
+            code, out, err = run("simulate", ppm_64, "--qpmap", qpmap, "--qp", qp,
+                                 tmp_path / "x")
+            assert (code, out) == (2, ""), qp
+            assert "not allowed with argument" in err
+            assert not list(tmp_path.glob("x.*"))
 
     @pytest.mark.parametrize("token", ["1_0", "+1"])
     def test_non_decimal_offset_is_exit_2(self, run, tmp_path, ppm_64, token):
@@ -573,6 +593,33 @@ class TestSimulateCommand:
         assert (code, out) == (2, "")
         assert err == f"error: block QPs span [{span[0]}, {span[1]}], outside [0, 63]\n"
         assert not list(tmp_path.glob("x.*"))
+
+
+# command, input file, message: reader faults of the PPM, QPMAP and QSMAP inputs
+MALFORMED_INPUTS = {
+    "ppm-truncated-header": ("metrics", b"P6\n4 4", "truncated header"),
+    "ppm-non-numeric": ("metrics", b"P6\n4 x4 255\n", "non-numeric header token"),
+    "ppm-zero-width": ("metrics", b"P6\n0 4 255\n", "invalid dimensions 0x4"),
+    "qpmap-truncated": ("simulate", b"QPMAP 1\n1 1 64\n", "truncated grid file"),
+    "qpmap-zero-blocks": ("simulate", b"QPMAP 1\n0 1 64 32\n", "bad grid geometry"),
+    "qpmap-zero-block-size": ("simulate", b"QPMAP 1\n1 1 0 32\n", "bad grid geometry"),
+    "qsmap-zero-width": ("qpmap", b"QSMAP 1\n0 1\n", "bad dimensions 0x1"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_is_exit_2(run, tmp_path, ppm_64, case):
+    command, content, message = MALFORMED_INPUTS[case]
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    argv = {"metrics": [ppm_64, bad],
+            "simulate": [ppm_64, "--qpmap", bad, tmp_path / "out"],
+            "qpmap": ["--stepmap", bad, "--base-qp", 32, tmp_path / "out"]}[command]
+    before = set(tmp_path.iterdir())
+    code, out, err = run(command, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+    assert set(tmp_path.iterdir()) == before
 
 
 def test_outputs_byte_identical_across_blas_threads(tmp_path):
@@ -656,6 +703,7 @@ def test_import_leaves_scipy_unloaded(tmp_path, fixture_weights):
 
     anchor, test = tmp_path / "anchor.csv", tmp_path / "test.csv"
     image, weights, prefix = tmp_path / "img.ppm", tmp_path / "w.qsnw", tmp_path / "run"
+    assert loaded("import qpalloc")[1] == set()
     front_door = [loaded("import qpalloc, qpalloc.cli")[1], cli("--version")[1],
                   cli("--help")[1], cli(returncode=2)[1],
                   cli("qpmap", "--base-qp", 32, returncode=2)[1],

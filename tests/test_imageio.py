@@ -75,6 +75,16 @@ class TestPpm:
         assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("pixels,match", [
+    (np.zeros((2, 2, 3)), "uint8 array"),
+    (np.zeros((2, 2, 2), np.uint8), "channels must be 1 or 3"),
+    (np.zeros((0, 2, 3), np.uint8), "at least 1x1"),
+], ids=["float", "two-channels", "zero-rows"])
+def test_raster_image_rejects(pixels, match):
+    with pytest.raises(ValueError, match=match):
+        RasterImage(pixels=pixels)
+
+
 class TestGray:
     def test_black_maps_to_zero(self):
         img = RasterImage(pixels=np.zeros((3, 3, 3), np.uint8))

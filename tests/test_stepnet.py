@@ -322,6 +322,32 @@ def _conv(weights, bias, stride):
     return ConvLayer(weights=w, bias=np.asarray(bias, np.float32), stride=stride)
 
 
+class TestConstructorChecks:
+    @pytest.mark.parametrize("values,match", [(np.ones(4), "2-D"),
+                                              (np.array([[1.0, 0.0]]), "positive")],
+                             ids=["1-d", "zero"])
+    def test_step_map(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            StepMap(values=values)
+
+    @pytest.mark.parametrize("shape,bias,stride,match", [
+        ((1, 3, 3), [0.0], 1, r"\(out, in, k, k\)"),
+        ((2, 3, 3, 3), [0.0], 1, "bias length"),
+        ((1, 3, 3, 3), [0.0], 0, "stride must be positive"),
+    ], ids=["3-d-weights", "bias-length", "stride-0"])
+    def test_conv_layer(self, shape, bias, stride, match):
+        with pytest.raises(ValueError, match=match):
+            _conv(np.ones(shape), bias, stride)
+
+    @pytest.mark.parametrize("shape,match", [((4, 3, 3, 3), "preserve the channel count"),
+                                             ((3, 3, 1, 1), "3x3 stride 1")],
+                             ids=["channel-change", "1x1-kernel"])
+    def test_res_block(self, shape, match):
+        conv = _conv(np.ones(shape), np.zeros(shape[0]), 1)
+        with pytest.raises(ValueError, match=match):
+            ResBlock(conv1=conv, conv2=conv)
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         layer = _conv(np.ones((1, 1, 1, 1)), [0.0], stride=1)

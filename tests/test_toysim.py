@@ -175,6 +175,10 @@ class TestEncode:
         with pytest.raises(GridMismatchError):
             encode_image(textured_luma, allocation)
 
+    def test_float_plane_rejected(self, textured_luma):
+        with pytest.raises(ValueError, match="2-D uint8 plane"):
+            encode_image(textured_luma.astype(np.float64), 32)
+
     def test_too_small_plane(self):
         with pytest.raises(ValueError, match="smaller"):
             encode_image(np.zeros((4, 4), np.uint8), 32)
