@@ -78,6 +78,12 @@ class BlockAllocation:
     ratio: np.ndarray         # normalized bit ratio, weighted mean 1
     dqp: np.ndarray           # integer offsets, |dqp| <= clamp, 0 <= qp <= 63
 
+    def __post_init__(self):
+        for what, values in (("bit ratios", self.ratio), ("QP offsets", self.dqp)):
+            if np.size(values) != self.grid.n_blocks:
+                raise GridMismatchError(f"{np.size(values)} {what} for a grid of "
+                                        f"{self.grid.n_blocks} blocks")
+
     @property
     def qp(self) -> np.ndarray:
         return self.base_qp + self.dqp

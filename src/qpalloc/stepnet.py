@@ -4,11 +4,11 @@ The network maps an RGB image to a positive step map at 1/16 spatial
 resolution: a strided convolutional stem, residual blocks, and a single
 channel head passed through softplus. Weights travel in the QSNW2
 format: ASCII lines giving the layer shapes, then every parameter as
-raw little-endian float32. Convolutions run in float32 as one matrix
-product per band of output rows, and a forward pass allocates one
-workspace that every layer reuses; the same image and weights give
-byte-identical results run to run on one host. The softplus head runs
-in float64.
+raw little-endian float32. Convolutions run channels-last in float32
+as one matrix product per band of output rows, and a forward pass
+allocates one workspace that every layer reuses; the same image and
+weights give byte-identical results run to run on one host. The
+softplus head runs in float64.
 
 No trained weights ship with the package. ``make_random_weights`` builds
 a seeded instance of the reference layer plan for tests and demos;
@@ -43,7 +43,7 @@ __all__ = [
     "make_random_weights",
 ]
 
-_BAND_FLOATS = 1 << 18  # float32 columns per conv2d band, about 1 MB
+_BAND_FLOATS = 1 << 18  # float32 columns per band of output rows (1 MB), one row at least
 
 
 @dataclass(frozen=True)
@@ -266,77 +266,58 @@ def save_weights(weights: ModelWeights, path: str | os.PathLike) -> None:
 # ---------------------------------------------------------------------------
 
 def _geometry(layer: ConvLayer, h: int, w: int) -> tuple[int, ...]:
-    """(out_h, out_w, top, left, qh, qw, rows) of layer on an h x w input:
-    output dims, leading pad rows and columns, phase-plane dims, and
-    output rows per band."""
+    """(out_h, out_w, pad_h, pad_w, rows) of layer on an h x w input:
+    output dims, total pad rows and columns, and output rows per band."""
     s, k = layer.stride, layer.kernel_size
     out_h, out_w = -(-h // s), -(-w // s)
     pad_h = max((out_h - 1) * s + k - h, 0)
     pad_w = max((out_w - 1) * s + k - w, 0)
-    qh, qw = -(-(h + pad_h) // s), -(-(w + pad_w) // s)  # whole phase planes
-    rows = max(1, min(out_h, _BAND_FLOATS // (k * k * layer.in_channels * qw)))
-    return out_h, out_w, pad_h // 2, pad_w // 2, qh, qw, rows
+    rows = max(1, min(out_h, _BAND_FLOATS // (k * k * layer.in_channels * out_w)))
+    return out_h, out_w, pad_h, pad_w, rows
 
 
 def _buffer_floats(layer: ConvLayer, h: int, w: int) -> tuple[int, int, int]:
-    """Floats that _conv_into needs for its phase planes, its columns
-    buffer and its output rows (which keep the phase-plane pitch)."""
-    out_h, out_w, _, _, qh, qw, rows = _geometry(layer, h, w)
-    s, k, c = layer.stride, layer.kernel_size, layer.in_channels
-    return (s * s * c * qh * qw, k * k * c * ((rows - 1) * qw + out_w),
-            layer.out_channels * out_h * qw)
+    """Floats that _conv_into needs for its padded input, its columns
+    buffer and its output."""
+    out_h, out_w, pad_h, pad_w, rows = _geometry(layer, h, w)
+    k, c = layer.kernel_size, layer.in_channels
+    return ((h + pad_h) * (w + pad_w) * c, rows * out_w * k * k * c,
+            out_h * out_w * layer.out_channels)
 
 
-def _phase_spans(first: int, s: int, q: int, n: int) -> list[tuple[slice, slice]]:
-    """(plane, source) slice pairs along one axis of a phase plane whose
-    entry i holds source index first + i*s clipped to [0, n): a lead that
-    repeats index 0, the run inside the source, a tail that repeats n-1."""
-    lead = min(q, max(0, -(first // s)))
-    start = first + lead * s
-    run = min(q - lead, max(0, -(-(n - start) // s)))
-    return [(slice(0, lead), slice(0, 1)),
-            (slice(lead, lead + run), slice(start, start + run * s, s)),
-            (slice(lead + run, q), slice(n - 1, n))]
-
-
-def _edge_pad(x: np.ndarray, planes: np.ndarray, top: int, left: int) -> None:
-    """Replicate-pad x (c, h, w) straight into planes (s, s, c, qh, qw):
-    the padded pixel (i*s + ph, j*s + pw) lands at [ph, pw, :, i, j]."""
-    s, _, _, qh, qw = planes.shape
-    _, h, w = x.shape
-    for ph in range(s):
-        rows = _phase_spans(ph - top, s, qh, h)
-        for pw in range(s):
-            cols = _phase_spans(pw - left, s, qw, w)
-            for plane_r, src_r in rows:
-                for plane_c, src_c in cols:
-                    planes[ph, pw, :, plane_r, plane_c] = x[:, src_r, src_c]
-
-
-def _conv_into(x: np.ndarray, layer: ConvLayer, planes_buf: np.ndarray,
+def _conv_into(x: np.ndarray, layer: ConvLayer, padded_buf: np.ndarray,
                cols_buf: np.ndarray, out_buf: np.ndarray) -> np.ndarray:
-    """conv2d of x (c, h, w) through float32 buffers the caller owns, each
-    at least as long as _buffer_floats says. Returns the (out, out_h,
-    out_w) view of out_buf. x is read only while the planes are filled,
-    so out_buf may hold x."""
-    c, h, w = x.shape
+    """conv2d of a channels-last x (h, w, c) through float32 buffers the
+    caller owns, each at least as long as _buffer_floats says. Returns
+    the (out_h, out_w, out) view of out_buf. x is read only while the
+    padded input is filled, so out_buf may hold x."""
+    h, w, c = x.shape
     s, k = layer.stride, layer.kernel_size
-    out_h, out_w, top, left, qh, qw, rows = _geometry(layer, h, w)
-    planes = planes_buf[:s * s * c * qh * qw].reshape(s, s, c, qh, qw)
-    _edge_pad(x, planes, top, left)
-    planes = planes.reshape(s, s, c, qh * qw)
-    weights = layer.weights.transpose(0, 2, 3, 1).reshape(layer.out_channels, -1)
-    out = out_buf[:layer.out_channels * out_h * qw].reshape(layer.out_channels, -1)
+    out_h, out_w, pad_h, pad_w, rows = _geometry(layer, h, w)
+    top, left = pad_h // 2, pad_w // 2
+    padded = padded_buf[:(h + pad_h) * (w + pad_w) * c].reshape(h + pad_h, w + pad_w, c)
+    padded[top:top + h, left:left + w] = x
+    padded[:top, left:left + w] = padded[top, left:left + w]
+    padded[top + h:, left:left + w] = padded[top + h - 1, left:left + w]
+    padded[:, :left] = padded[:, left:left + 1]
+    padded[:, left + w:] = padded[:, left + w - 1:left + w]
+    # taps[i, j, kr] is the k*c floats of padded row i*s + kr from column j*s
+    row, col, one = padded.strides
+    taps = np.lib.stride_tricks.as_strided(
+        padded, (out_h, out_w, k, k * c), (s * row, s * col, row, one), writeable=False)
+    weights = layer.weights.transpose(2, 3, 1, 0).reshape(-1, layer.out_channels)
+    # the biases of a whole output row: added per pixel, numpy loops out floats at a time
+    bias = np.tile(layer.bias, out_w)
+    out = out_buf[:out_h * out_w * layer.out_channels].reshape(out_h, -1)
     for r0 in range(0, out_h, rows):
-        # The band's last row stops at out_w, so no slice reads past a plane.
-        n = (min(rows, out_h - r0) - 1) * qw + out_w
-        cols = cols_buf[:k * k * c * n].reshape(k, k, c, n)
-        for kr, kc in np.ndindex(k, k):
-            off = (kr // s + r0) * qw + kc // s
-            cols[kr, kc] = planes[kr % s, kc % s, :, off:off + n]
-        band = np.matmul(weights, cols.reshape(-1, n), out=out[:, r0 * qw:r0 * qw + n])
-        band += layer.bias[:, None]
-    return out.reshape(layer.out_channels, out_h, qw)[:, :, :out_w]
+        m = min(rows, out_h - r0)
+        cols = cols_buf[:m * out_w * k * k * c].reshape(m, out_w, k, k * c)
+        cols[...] = taps[r0:r0 + m]
+        band = out[r0:r0 + m]
+        np.matmul(cols.reshape(m * out_w, -1), weights,
+                  out=band.reshape(m * out_w, layer.out_channels))
+        band += bias
+    return out.reshape(out_h, out_w, layer.out_channels)
 
 
 def _channel_mismatch(has, layer: ConvLayer) -> InferenceError:
@@ -349,20 +330,21 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
 
     Output dims are ceil(input/stride); the total pad per axis is
     max((out-1)*stride + k - in, 0) with floor(pad/2) on the leading
-    side. The input is edge-padded straight into stride x stride
-    flattened phase planes, so each kernel tap over a band of output
-    rows is a contiguous slice; the k*k slices of a band are stacked into
-    a bounded columns buffer for one float32 GEMM with the weights, and
-    the bias is added. Each call allocates its own planes, columns and
-    output; a forward pass runs the same kernel in one workspace. The
-    same input and layer give byte-identical results run to run on one
-    host.
+    side. x (c, h, w) is edge-padded channels-last, so each kernel row
+    of an output pixel's window is k*c consecutive floats; a band of
+    output rows copies its windows into a bounded columns buffer in one
+    step for one float32 GEMM with the weights, and the bias is added.
+    Returns an (out, out_h, out_w) view of a channels-last result. Each
+    call allocates its own padded input, columns and output; a forward
+    pass runs the same kernel in one workspace. The same input and
+    layer give byte-identical results run to run on one host.
     """
     if x.ndim != 3 or x.shape[0] != layer.in_channels:
         raise _channel_mismatch(x.shape[0] if x.ndim == 3 else "?", layer)
-    x = np.asarray(x, dtype=np.float32)
-    return _conv_into(x, layer, *(np.empty(n, np.float32)
-                                  for n in _buffer_floats(layer, *x.shape[1:])))
+    x = np.asarray(x, dtype=np.float32).transpose(1, 2, 0)
+    out = _conv_into(x, layer, *(np.empty(n, np.float32)
+                                 for n in _buffer_floats(layer, *x.shape[:2])))
+    return out.transpose(2, 0, 1)
 
 
 def softplus(x):
@@ -377,12 +359,14 @@ def softplus(x):
 def _forward(img: RasterImage, weights: ModelWeights) -> np.ndarray:
     """Pre-activation head output (single channel, float32).
 
-    The pass allocates one float32 workspace: the largest phase planes,
-    the largest columns buffer and two activation buffers. x lives in the
-    first activation buffer throughout: a plain convolution overwrites
-    its own input there, and a residual block runs its first convolution
-    into the second buffer, applies ReLU there in place, runs its second
-    convolution over it in place and adds the result into x.
+    Activations run channels-last, (h, w, c), from the pixels to the
+    head. The pass allocates one float32 workspace: the largest padded
+    input, the largest columns buffer and two activation buffers. x
+    lives in the first activation buffer throughout: a plain convolution
+    overwrites its own input there, and a residual block runs its first
+    convolution into the second buffer, applies ReLU there in place,
+    runs its second convolution over it in place and adds the result
+    into x.
     """
     if img.channels != 3:
         raise InferenceError("inference requires a 3-channel image")
@@ -394,28 +378,28 @@ def _forward(img: RasterImage, weights: ModelWeights) -> np.ndarray:
         raise InferenceError("final layer must produce a single channel")
 
     c, h, w = 3, img.height, img.width
-    need = [0, 0, c * h * w]  # planes, columns, one activation
+    need = [0, 0, c * h * w]  # padded input, columns, one activation
     for layer in weights.layers:
         for conv in (layer,) if isinstance(layer, ConvLayer) else (layer.conv1, layer.conv2):
             if conv.in_channels != c:
                 raise _channel_mismatch(c, conv)
             need = [max(a, b) for a, b in zip(need, _buffer_floats(conv, h, w))]
             c, h, w = conv.out_channels, -(-h // conv.stride), -(-w // conv.stride)
-    planes_n, cols_n, act_n = need
-    ws = np.empty(planes_n + cols_n + 2 * act_n, np.float32)
-    planes, cols = ws[:planes_n], ws[planes_n:planes_n + cols_n]
-    act, scratch = ws[planes_n + cols_n:-act_n], ws[-act_n:]
+    padded_n, cols_n, act_n = need
+    ws = np.empty(padded_n + cols_n + 2 * act_n, np.float32)
+    padded, cols = ws[:padded_n], ws[padded_n:padded_n + cols_n]
+    act, scratch = ws[padded_n + cols_n:-act_n], ws[-act_n:]
 
-    x = act[:3 * img.height * img.width].reshape(3, img.height, img.width)
-    np.divide(img.pixels.transpose(2, 0, 1), np.float32(255.0), out=x, dtype=np.float32)
+    x = act[:img.height * img.width * 3].reshape(img.height, img.width, 3)
+    np.divide(img.pixels, np.float32(255.0), out=x, dtype=np.float32)
     for layer in weights.layers:
         if isinstance(layer, ConvLayer):
-            x = _conv_into(x, layer, planes, cols, act)
+            x = _conv_into(x, layer, padded, cols, act)
         else:
-            y = _conv_into(x, layer.conv1, planes, cols, scratch)
+            y = _conv_into(x, layer.conv1, padded, cols, scratch)
             np.maximum(y, np.float32(0.0), out=y)
-            x += _conv_into(y, layer.conv2, planes, cols, scratch)
-    return x[0].copy()
+            x += _conv_into(y, layer.conv2, padded, cols, scratch)
+    return x[:, :, 0].copy()
 
 
 def infer_step_map(img: RasterImage, weights: ModelWeights) -> StepMap:

@@ -212,6 +212,15 @@ class TestBuildAllocation:
         assert [f.name for f in dataclasses.fields(BlockAllocation)] == \
             ["grid", "base_qp", "ratio", "dqp"]
 
+    @pytest.mark.parametrize("ratio,dqp,match", [
+        (np.ones(4), np.zeros(3, np.int64), "3 QP offsets for a grid of 4 blocks"),
+        (np.ones(5), np.zeros(4, np.int64), "5 bit ratios for a grid of 4 blocks"),
+    ], ids=["short-dqp", "long-ratio"])
+    def test_record_lengths_must_match_the_grid(self, ratio, dqp, match):
+        # refused where it is built, not inside the codec's reshape
+        with pytest.raises(GridMismatchError, match=match):
+            BlockAllocation(grid=BlockGrid(128, 128), base_qp=32, ratio=ratio, dqp=dqp)
+
 
 class TestAllocConfig:
     @pytest.mark.parametrize("kwargs", [

@@ -419,7 +419,7 @@ class TestConv2d:
 
     # (c_in, k, stride, h, w): many bands with a ragged last one; k < stride;
     # single-pixel and single-row inputs
-    EDGE_SHAPES = [(64, 3, 1, 70, 90), (64, 5, 2, 70, 90), (5, 1, 4, 13, 18),
+    EDGE_SHAPES = [(64, 3, 1, 71, 90), (64, 5, 2, 70, 90), (5, 1, 4, 13, 18),
                    (3, 3, 1, 1, 1), (4, 3, 2, 1, 1), (4, 5, 1, 1, 1),
                    (3, 3, 1, 1, 17), (6, 3, 2, 1, 17), (2, 1, 4, 1, 9)]
 
@@ -432,20 +432,20 @@ class TestConv2d:
     @pytest.mark.parametrize("c_in,k,s,h,w", EDGE_SHAPES[:2])
     def test_wide_shapes_span_ragged_bands(self, c_in, k, s, h, w):
         # Keeps the first two EDGE_SHAPES meaningful if the band budget moves.
-        out_h, out_w = -(-h // s), -(-w // s)
-        pitch = -(-max((out_w - 1) * s + k, w) // s)  # phase-plane row pitch
-        rows = max(1, stepnet._BAND_FLOATS // (k * k * c_in * pitch))
+        layer = _conv(np.zeros((1, c_in, k, k)), [0.0], stride=s)
+        out_h, *_, rows = stepnet._geometry(layer, h, w)
         assert -(-out_h // rows) >= 3 and out_h % rows
 
     def test_peak_memory_is_bounded_by_the_band_budget(self):
-        # The columns buffer is bounded, so a call holds the padded input,
-        # the output with its pitch columns and little more. A per-tap
-        # window copy plus its matmul temporary would add two outputs.
+        # The columns buffer is bounded, so a call holds the padded input
+        # (258 x 258 x 64), the output and little more; the bound allows
+        # the output at the padded width. A per-tap window copy plus its
+        # matmul temporary would add two outputs.
         c, n, k = 64, 256, 3
         layer = _conv(np.zeros((c, c, k, k)), np.zeros(c), stride=1)
         x = np.zeros((c, n, n), np.float32)
-        pitch = n + k - 1
-        bound = 4 * (c * pitch * pitch + c * n * pitch + 3 * stepnet._BAND_FLOATS)
+        pad = n + k - 1  # padded width
+        bound = 4 * (c * pad * pad + c * n * pad + 3 * stepnet._BAND_FLOATS)
         tracemalloc.start()
         try:
             conv2d(x, layer)
@@ -533,8 +533,8 @@ class TestInference:
         with pytest.raises(InferenceError, match="input has 4 channels, layer expects 5"):
             infer_step_map(img, ModelWeights(layers=(first, head)))
 
-    # ragged frames: odd sizes, phase planes with a lead and a tail on
-    # both axes, and a frame only one step-map block wide
+    # ragged frames: odd sizes, padding on the leading and the trailing
+    # side of both axes, and a frame only one step-map block wide
     @pytest.mark.parametrize("h,w", [(131, 77), (61, 203), (16, 16)])
     def test_equals_public_composition(self, reference_plan, h, w):
         # pipebench's traced run composes the pass this way to time each
@@ -553,14 +553,15 @@ class TestInference:
     def test_forward_peak_is_two_activations_one_padded_input_and_the_bands(
             self, reference_plan):
         # The workspace of a 256x256 pass: the first residual block's
-        # phase plane (64 x 130 x 130), two outputs at its 130-column
-        # pitch, and the columns buffer. The band budget is counted twice:
-        # a convolution also holds its transposed weight matrix (147 KB)
-        # and the copy numpy makes of a strided band to add the bias
-        # (99 KB). Fresh arrays per layer held three outputs at once.
+        # padded input (130 x 130 x 64), two 128 x 128 x 64 activations,
+        # which the bound allows at the 130-column padded width, and the
+        # columns buffer. The band budget is counted twice: a convolution
+        # also holds its transposed weight matrix (147 KB) and the biases
+        # of one output row (32 KB). Fresh arrays per layer held three
+        # outputs at once.
         img = RasterImage(pixels=textured_pixels(256, 256, seed=9))
-        c, n, pitch = 64, 128, 130
-        bound = 4 * (2 * c * n * pitch + c * pitch * pitch + 2 * stepnet._BAND_FLOATS)
+        c, n, pad = 64, 128, 130
+        bound = 4 * (2 * c * n * pad + c * pad * pad + 2 * stepnet._BAND_FLOATS)
         tracemalloc.start()
         try:
             infer_step_map(img, reference_plan)
