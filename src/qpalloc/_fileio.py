@@ -1,19 +1,28 @@
-"""Shared file plumbing: ASCII text in, strict number tokens, atomic writes.
+"""Shared file plumbing: ASCII text in, strict number tokens, tagged
+grids, atomic writes.
 
 Every text field gets its numbers here: read_text reads a whole text
 file (the QSNW2 weight loader decodes its header lines itself), then
-parse_ints reads integer fields and parse_reals real ones. A write goes
-to a uniquely named sibling temp file, is fsynced, then renamed over the
-target, and the directory is fsynced so the rename survives a crash. A
-failed or concurrent write never leaves a partial output at the target
-path; the OS-level cause is wrapped in OutputIOError so the CLI can
-classify it.
+parse_ints reads integer fields and parse_reals real ones. read_grid and
+write_grid hold the one layout that QSMAP, QPMAP, LSCALE and BITS share:
+
+    <TAG> 1
+    COLS ROWS [two more header integers]
+    <ROWS rows of COLS values>
+
+stepnet and gridfile add only their tags, extra header fields and
+value checks. A write goes to a uniquely named sibling temp file, is
+fsynced, then renamed over the target, and the directory is fsynced so
+the rename survives a crash. A failed or concurrent write never leaves
+a partial output at the target path; the OS-level cause is wrapped in
+OutputIOError so the CLI can classify it.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from collections.abc import Collection, Sequence
 
 import numpy as np
 
@@ -60,6 +69,64 @@ def parse_reals(tokens: list[str]) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError("non-finite value")
     return values
+
+
+def read_grid(path: str | os.PathLike, tags: Collection[str], extra: int,
+              int_tags: Collection[str] = ()) -> tuple[str, list[int], np.ndarray]:
+    """The tag, the `extra` header integers after COLS ROWS, and the
+    (ROWS, COLS) values: int64 for a tag in int_tags, else finite float64.
+    A tag outside tags, a version other than 1, a dimension below 1, a
+    wrong value count or a token that is not a strict number is a
+    FormatError."""
+    tokens = read_text(path).split()
+    if len(tokens) < 4 + extra:
+        raise FormatError(f"{path}: truncated grid file")
+    tag, version = tokens[0], tokens[1]
+    if tag not in tags:
+        raise FormatError(f"{path}: expected a {' or '.join(sorted(tags))} file, "
+                          f"found tag {tag!r}")
+    if version != "1":
+        raise FormatError(f"{path}: unsupported {tag} version {version!r}")
+    try:
+        cols, rows, *fields = parse_ints(tokens[2:4 + extra])
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad header line") from exc
+    if cols < 1 or rows < 1:
+        raise FormatError(f"{path}: bad dimensions {cols}x{rows}")
+    body = tokens[4 + extra:]
+    if len(body) != cols * rows:
+        raise FormatError(f"{path}: expected {cols * rows} values, found {len(body)}")
+    try:
+        if tag in int_tags:
+            values = np.array(parse_ints(body), dtype=np.int64)
+        else:
+            values = parse_reals(body)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc} in the grid") from exc
+    except OverflowError as exc:
+        raise FormatError(f"{path}: grid value outside the 64-bit integer range") from exc
+    return tag, fields, values.reshape(rows, cols)
+
+
+def write_grid(path: str | os.PathLike, tag: str, fields: Sequence[int],
+               values: np.ndarray, integer: bool) -> None:
+    """Write the layout canonically (single spaces, trailing newline) with
+    the header integers after COLS ROWS, so a file round-trips byte for
+    byte. Refuses (ValueError) what read_grid would refuse: values that
+    are not 2-D and at least 1x1, and, as integers, a dtype that does not
+    cast to int64 or, as reals, a value that is not finite."""
+    values = np.asarray(values)
+    if values.ndim != 2 or values.size == 0:
+        raise ValueError("grid values must be 2-D (rows, cols), at least 1x1")
+    if integer and not np.can_cast(values.dtype, np.int64):
+        raise ValueError(f"{tag} values must be integers, got {values.dtype}")
+    if not integer and not np.all(np.isfinite(values)):
+        raise ValueError(f"{tag} values must be finite")
+    # str of a Python int or float is its repr: 1 (never True), 1e+16, 5e-324
+    rows = values.astype(np.int64 if integer else np.float64).tolist()
+    lines = [f"{tag} 1", " ".join(map(str, [values.shape[1], values.shape[0], *fields]))]
+    lines += [" ".join(map(str, row)) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _create_sibling(target: str) -> tuple[int, str]:

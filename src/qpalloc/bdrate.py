@@ -117,16 +117,19 @@ def _antiderivative(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (((c[3] / 4 * s + c[2] / 3) * s + c[1] / 2) * s + c[0]) * s
 
 
+def _overlap(a: np.ndarray, b: np.ndarray, what: str) -> tuple[float, float]:
+    """The span both arrays cover; raises OverlapError, naming both
+    ranges, if it is empty."""
+    lo, hi = max(a.min(), b.min()), min(a.max(), b.max())
+    if hi <= lo:
+        raise OverlapError(f"{what} ranges do not overlap "
+                           f"([{a.min()}, {a.max()}] vs [{b.min()}, {b.max()}])")
+    return lo, hi
+
+
 def quality_overlap(anchor: RdCurve, test: RdCurve) -> tuple[float, float]:
     """Shared quality span used by bd_rate; raises OverlapError if empty."""
-    lo = max(anchor.qualities.min(), test.qualities.min())
-    hi = min(anchor.qualities.max(), test.qualities.max())
-    if hi <= lo:
-        raise OverlapError(
-            f"quality ranges do not overlap "
-            f"([{anchor.qualities.min()}, {anchor.qualities.max()}] vs "
-            f"[{test.qualities.min()}, {test.qualities.max()}])")
-    return lo, hi
+    return _overlap(anchor.qualities, test.qualities, "quality")
 
 
 def _mean_curve_value(x: np.ndarray, y: np.ndarray, lo: float, hi: float,
@@ -171,10 +174,7 @@ def bd_quality(anchor: RdCurve, test: RdCurve, mode: str = "cubic") -> float:
     difference beyond float64 raises CurveError."""
     log_anchor = np.log10(anchor.rates)
     log_test = np.log10(test.rates)
-    lo = max(log_anchor.min(), log_test.min())
-    hi = min(log_anchor.max(), log_test.max())
-    if hi <= lo:
-        raise OverlapError("rate ranges do not overlap")
+    lo, hi = _overlap(log_anchor, log_test, "log10 rate")
     # fit the qualities divided by 2^e, the power of two above every
     # |quality|, and scale the difference back, so no fit can overflow
     _, e = np.frexp(max(np.abs(anchor.qualities).max(), np.abs(test.qualities).max()))

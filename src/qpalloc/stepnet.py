@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import (atomic_write_bytes, atomic_write_text, parse_ints, parse_reals,
-                      read_text)
+from ._fileio import atomic_write_bytes, parse_ints, read_grid, write_grid
 from .errors import FormatError, InferenceError
 from .imageio import DOWNSAMPLE_FACTOR, RasterImage
 
@@ -413,31 +412,14 @@ def infer_step_map(img: RasterImage, weights: ModelWeights) -> StepMap:
 
 def read_step_map(path: str | os.PathLike) -> StepMap:
     """Read a QSMAP file: 'QSMAP 1', then 'W H', then H rows of W values."""
-    tokens = read_text(path).split()
-    if len(tokens) < 4 or tokens[0] != "QSMAP" or tokens[1] != "1":
-        raise FormatError(f"{path}: expected 'QSMAP 1' header")
-    try:
-        w, h = parse_ints(tokens[2:4])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad dimensions line") from exc
-    if w < 1 or h < 1:
-        raise FormatError(f"{path}: bad dimensions {w}x{h}")
-    if len(tokens) != 4 + w * h:
-        raise FormatError(f"{path}: expected {w * h} values, found {len(tokens) - 4}")
-    try:
-        values = parse_reals(tokens[4:])
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc} among the step values") from exc
+    _, _, values = read_grid(path, ("QSMAP",), 0)
     if not np.all(values > 0):
         raise FormatError(f"{path}: step values must be positive")
-    return StepMap(values=values.reshape(h, w))
+    return StepMap(values=values)
 
 
 def write_step_map(step_map: StepMap, path: str | os.PathLike) -> None:
-    lines = ["QSMAP 1", f"{step_map.grid_w} {step_map.grid_h}"]
-    for row in step_map.values:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_grid(path, "QSMAP", (), step_map.values, integer=False)
 
 
 # ---------------------------------------------------------------------------

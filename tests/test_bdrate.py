@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,7 +131,11 @@ class TestBdQuality:
     def test_disjoint_rate_ranges(self):
         anchor = curve(RATES, QUALS)
         test = curve([r * 100 for r in RATES], QUALS)
-        with pytest.raises(OverlapError):
+        # the message names both log10-rate ranges, as quality_overlap does
+        ranges = (f"[{np.log10(0.25)}, {np.log10(2.3)}] vs "
+                  f"[{np.log10(0.25 * 100)}, {np.log10(2.3 * 100)}]")
+        with pytest.raises(OverlapError, match=re.escape(f"log10 rate ranges do not "
+                                                         f"overlap ({ranges})")):
             bd_quality(anchor, test)
 
 

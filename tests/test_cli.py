@@ -595,15 +595,28 @@ class TestSimulateCommand:
         assert not list(tmp_path.glob("x.*"))
 
 
-# command, input file, message: reader faults of the PPM, QPMAP and QSMAP inputs
+# command, input file, message: reader faults of the PPM, QPMAP and QSMAP
+# inputs; each tagged-grid fault goes through both grid readers
 MALFORMED_INPUTS = {
     "ppm-truncated-header": ("metrics", b"P6\n4 4", "truncated header"),
     "ppm-non-numeric": ("metrics", b"P6\n4 x4 255\n", "non-numeric header token"),
     "ppm-zero-width": ("metrics", b"P6\n0 4 255\n", "invalid dimensions 0x4"),
     "qpmap-truncated": ("simulate", b"QPMAP 1\n1 1 64\n", "truncated grid file"),
-    "qpmap-zero-blocks": ("simulate", b"QPMAP 1\n0 1 64 32\n", "bad grid geometry"),
-    "qpmap-zero-block-size": ("simulate", b"QPMAP 1\n1 1 0 32\n", "bad grid geometry"),
+    "qpmap-zero-blocks": ("simulate", b"QPMAP 1\n0 1 64 32\n", "bad dimensions 0x1"),
+    "qpmap-zero-block-size": ("simulate", b"QPMAP 1\n1 1 0 32\n0\n", "bad block size 0"),
+    "qpmap-version": ("simulate", b"QPMAP 2\n1 1 64 32\n0\n",
+                      "unsupported QPMAP version '2'"),
+    "qpmap-given-qsmap": ("simulate", b"QSMAP 1\n2 1\n1.0 2.0\n",
+                          "expected a QPMAP file, found tag 'QSMAP'"),
+    "qpmap-value-count": ("simulate", b"QPMAP 1\n1 1 64 32\n0 0\n",
+                          "expected 1 values, found 2"),
+    "qpmap-non-ascii": ("simulate", b"QPMAP 1\n1 1 64 32\n\xd9\xa1\n", "not ASCII"),
     "qsmap-zero-width": ("qpmap", b"QSMAP 1\n0 1\n", "bad dimensions 0x1"),
+    "qsmap-version": ("qpmap", b"QSMAP 2\n1 1\n1.0\n", "unsupported QSMAP version '2'"),
+    "qsmap-given-qpmap": ("qpmap", b"QPMAP 1\n1 1 64 32\n0\n",
+                          "expected a QSMAP file, found tag 'QPMAP'"),
+    "qsmap-value-count": ("qpmap", b"QSMAP 1\n2 1\n1.0\n", "expected 2 values, found 1"),
+    "qsmap-non-ascii": ("qpmap", b"QSMAP 1\n1 1\n\xd9\xa1\n", "not ASCII"),
 }
 
 

@@ -3,12 +3,16 @@ import pytest
 
 from qpalloc.errors import FormatError
 from qpalloc.gridfile import GridFile, read_grid_file, write_grid_file
+from qpalloc.stepnet import StepMap, write_step_map
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("tag", ["QPMAP", "LSCALE", "BITS"])
+    # a fixed seed per tag: hash(tag) is salted per process
+    SEEDS = {"QPMAP": 2501, "LSCALE": 2502, "BITS": 2503}
+
+    @pytest.mark.parametrize("tag", list(SEEDS))
     def test_write_read_write_is_byte_identical(self, tmp_path, tag):
-        rng = np.random.default_rng(hash(tag) % 2 ** 31)
+        rng = np.random.default_rng(self.SEEDS[tag])
         for trial in range(10):
             bx, by = (int(v) for v in rng.integers(1, 12, 2))
             if tag in ("QPMAP", "BITS"):
@@ -41,18 +45,35 @@ class TestRoundTrip:
         loaded = read_grid_file(path)
         assert (loaded.block_size, loaded.base_qp) == (1, 32)
 
+    def test_writers_pin_repr_and_int_tokens(self, tmp_path):
+        # the expected text is spelled out here: the writers print each
+        # value as str() of a Python int or float, which is its repr
+        reals = [2.0, 1e16, 5e-324, 0.1]
+        write_step_map(StepMap(values=np.array([reals])), tmp_path / "s.qsmap")
+        write_grid_file(tmp_path / "s.lscale", "LSCALE", 64, 32,
+                        np.array([reals[:3], [reals[3], -0.0, 7.0]]))
+        write_grid_file(tmp_path / "bool.qpmap", "QPMAP", 64, 32,
+                        np.array([[True, False]]))
+        write_grid_file(tmp_path / "uint8.qpmap", "QPMAP", 64, 32,
+                        np.array([[0], [255]], np.uint8))
+        assert (tmp_path / "s.qsmap").read_bytes() == b"QSMAP 1\n4 1\n2.0 1e+16 5e-324 0.1\n"
+        assert (tmp_path / "s.lscale").read_bytes() == (
+            b"LSCALE 1\n3 2 64 32\n2.0 1e+16 5e-324\n0.1 -0.0 7.0\n")
+        assert (tmp_path / "bool.qpmap").read_bytes() == b"QPMAP 1\n2 1 64 32\n1 0\n"
+        assert (tmp_path / "uint8.qpmap").read_bytes() == b"QPMAP 1\n1 2 64 32\n0\n255\n"
+
 
 class TestValidation:
     def test_unknown_tag(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("QMAP 1\n1 1 64 32\n0\n")
-        with pytest.raises(FormatError, match="unknown tag"):
+        with pytest.raises(FormatError, match="found tag 'QMAP'"):
             read_grid_file(path)
         with pytest.raises(ValueError, match="unknown grid tag"):
             write_grid_file(path, "QMAP", 64, 32, np.zeros((1, 1)))
         # the per-block beta map is gone: beta is one scalar per frame
         path.write_text("BMAP 1\n1 1 64 0\n-1.0\n")
-        with pytest.raises(FormatError, match="unknown tag 'BMAP'"):
+        with pytest.raises(FormatError, match="found tag 'BMAP'"):
             read_grid_file(path)
 
     @pytest.mark.parametrize("tag", ["QPMAP", "BITS"])
@@ -91,7 +112,7 @@ class TestValidation:
     def test_bad_version(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("QPMAP 2\n1 1 64 32\n0\n")
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(FormatError, match="unsupported QPMAP version '2'"):
             read_grid_file(path)
 
     def test_value_count_checked(self, tmp_path):

@@ -619,7 +619,7 @@ class TestStepMapFiles:
     def test_header_and_counts_checked(self, tmp_path):
         path = tmp_path / "bad.qsmap"
         path.write_text("QSMAP 2\n1 1\n1.0\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="unsupported QSMAP version '2'"):
             read_step_map(path)
         path.write_text("QSMAP 1\n2 2\n1.0 2.0 3.0\n")
         with pytest.raises(FormatError, match="expected 4 values"):
@@ -627,8 +627,8 @@ class TestStepMapFiles:
 
     # the last two are good dimensions whose first step values only
     # float() accepts; an exponent sign is fine
-    STRICT_DIMENSIONS = [("2_0 1", "dimensions"), ("+2 1", "dimensions"),
-                         ("2 1_0", "dimensions"), ("3 7 1_0", "non-numeric"),
+    STRICT_DIMENSIONS = [("2_0 1", "bad header line"), ("+2 1", "bad header line"),
+                         ("2 1_0", "bad header line"), ("3 7 1_0", "non-numeric"),
                          ("11 2 1e+1 +1.0", "non-numeric")]
 
     @pytest.mark.parametrize("dims,match", STRICT_DIMENSIONS,
@@ -642,8 +642,15 @@ class TestStepMapFiles:
     def test_nonpositive_values_rejected(self, tmp_path):
         path = tmp_path / "bad.qsmap"
         path.write_text("QSMAP 1\n2 1\n1.0 0.0\n")
-        with pytest.raises(FormatError, match="positive"):
+        with pytest.raises(FormatError, match="step values must be positive"):
             read_step_map(path)
+
+    def test_writer_refuses_an_empty_map(self, tmp_path):
+        # "QSMAP 1\n3 0\n" would not read back: a dimension below 1
+        path = tmp_path / "empty.qsmap"
+        with pytest.raises(ValueError, match="at least 1x1"):
+            write_step_map(StepMap(values=np.zeros((0, 3))), path)
+        assert not path.exists()
 
 
 class TestReferencePlan:
