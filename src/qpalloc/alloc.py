@@ -133,8 +133,6 @@ def bit_ratios(qs: np.ndarray, grid: BlockGrid) -> np.ndarray:
     blocks.
     """
     qs = np.asarray(qs, np.float64)
-    if qs.size == 0:
-        raise ValueError("no blocks to normalize")
     if qs.size != grid.n_blocks:
         raise GridMismatchError(
             f"{qs.size} step means for a grid of {grid.n_blocks} blocks")

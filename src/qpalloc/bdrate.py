@@ -1,19 +1,15 @@
 """Bjontegaard delta statistics between two rate-quality curves.
 
-The default mode fits log10(rate) as a cubic polynomial in quality for
-each curve (normal equations on centered and scaled quality values),
-integrates both fits in closed form over the shared quality span, and
-converts the mean log-rate gap into a percentage:
+log10(rate) is fitted as a least-squares cubic polynomial in quality for
+each curve (normal equations on quality mapped onto [-1, 1]), both fits
+are integrated in closed form over the shared quality span, and the mean
+log-rate gap becomes a percentage:
 
     bd_rate = (10^((I_test - I_anchor) / span) - 1) * 100
 
 bd_quality is the dual: quality fitted as a cubic in log10(rate),
 integrated over the shared log-rate span, returned as a mean difference.
-This is Bjontegaard's cubic measure (VCEG-M33, 2001). "pchip" is the
-piecewise measure (VCEG-AI11, 2008) in closed form: SciPy's PCHIP
-(Fritsch & Carlson, 1980), with interior slopes the weighted harmonic
-mean of the adjacent secants, end slopes the one-sided three-point
-estimate clamped at 0, and each Hermite piece integrated exactly.
+This is Bjontegaard's cubic measure (VCEG-M33, 2001).
 """
 
 from __future__ import annotations
@@ -88,35 +84,6 @@ def read_rd_csv(path: str | os.PathLike) -> RdCurve:
     return RdCurve(rates=rates, qualities=qualities)
 
 
-def _cubic_mean(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
-    """Mean of the least-squares cubic y(x) over [lo, hi], in closed form."""
-    vander = np.vander(x, 4, increasing=True)
-    coeffs = np.linalg.solve(vander.T @ vander, vander.T @ y)
-    at_lo, at_hi = _antiderivative(coeffs, np.array([lo, hi]))
-    return float(at_hi - at_lo) / (hi - lo)
-
-
-def _pchip_mean(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
-    """Mean of SciPy's PchipInterpolator(x, y) over [lo, hi]. x and y must
-    be strictly increasing, as RdCurve makes them in both callers, so every
-    secant is positive and SciPy's sign-change rules never fire."""
-    h, dy = np.diff(x), np.diff(y)
-    m = dy / h
-    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-    ends = np.maximum(((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1), 0.0)
-    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-    d = np.concatenate((ends[:1], (w1 + w2) / (w1 / m[:-1] + w2 / m[1:]), ends[1:]))
-    hd0, hd1 = h * d[:-1], h * d[1:]
-    coeffs = np.array([y[:-1], hd0, 3 * dy - 2 * hd0 - hd1, hd0 + hd1 - 2 * dy])
-    at_lo, at_hi = _antiderivative(coeffs, np.clip((np.array([[lo], [hi]]) - x[:-1]) / h, 0, 1))
-    return float(np.sum(h * (at_hi - at_lo))) / (hi - lo)
-
-
-def _antiderivative(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Integral from 0 to s of c[0] + c[1] t + c[2] t^2 + c[3] t^3 (Horner)."""
-    return (((c[3] / 4 * s + c[2] / 3) * s + c[1] / 2) * s + c[0]) * s
-
-
 def _overlap(a: np.ndarray, b: np.ndarray, what: str) -> tuple[float, float]:
     """The span both arrays cover; raises OverlapError, naming both
     ranges, if it is empty."""
@@ -132,36 +99,34 @@ def quality_overlap(anchor: RdCurve, test: RdCurve) -> tuple[float, float]:
     return _overlap(anchor.qualities, test.qualities, "quality")
 
 
-def _mean_curve_value(x: np.ndarray, y: np.ndarray, lo: float, hi: float,
-                      mode: str) -> float:
-    """Mean of the fitted y(x) over [lo, hi] inside x's range. Both fits run
-    on x mapped onto [-1, 1], which leaves the mean unchanged and keeps the
-    arithmetic finite; halving each end first keeps the sums finite too.
-    x and y must increase strictly, also after the map."""
+def _cubic_mean(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
+    """Mean of the least-squares cubic y(x) over [lo, hi] inside x's range,
+    in closed form. The fit runs on x mapped onto [-1, 1], which leaves the
+    mean unchanged and keeps the arithmetic finite; halving each end first
+    keeps the sums finite too. x and y must increase strictly, also after
+    the map."""
     center = x.min() / 2 + x.max() / 2
     half_range = x.max() / 2 - x.min() / 2
     x = (x - center) / half_range
     if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
         raise CurveError("curve points coincide at float64 resolution of their span")
-    lo, hi = (lo - center) / half_range, (hi - center) / half_range
-    if mode == "cubic":
-        return _cubic_mean(x, y, lo, hi)
-    if mode == "pchip":
-        return _pchip_mean(x, y, lo, hi)
-    raise ValueError(f"unknown interpolation mode {mode!r}")
+    s = (np.array([lo, hi]) - center) / half_range
+    vander = np.vander(x, 4, increasing=True)
+    c = np.linalg.solve(vander.T @ vander, vander.T @ y)
+    # the antiderivative from 0 to s, by Horner
+    at_lo, at_hi = (((c[3] / 4 * s + c[2] / 3) * s + c[1] / 2) * s + c[0]) * s
+    return float(at_hi - at_lo) / (s[1] - s[0])
 
 
-def bd_rate(anchor: RdCurve, test: RdCurve, mode: str = "cubic") -> float:
+def bd_rate(anchor: RdCurve, test: RdCurve) -> float:
     """Average rate difference of test over anchor at equal quality (%).
 
     Negative means the test curve spends fewer bits for the same
     quality. A rate ratio beyond float64 raises CurveError.
     """
     lo, hi = quality_overlap(anchor, test)
-    mean_anchor = _mean_curve_value(anchor.qualities, np.log10(anchor.rates),
-                                    lo, hi, mode)
-    mean_test = _mean_curve_value(test.qualities, np.log10(test.rates),
-                                  lo, hi, mode)
+    mean_anchor = _cubic_mean(anchor.qualities, np.log10(anchor.rates), lo, hi)
+    mean_test = _cubic_mean(test.qualities, np.log10(test.rates), lo, hi)
     with np.errstate(over="ignore"):
         ratio = 10.0 ** (mean_test - mean_anchor)
     if not np.isfinite(ratio):
@@ -169,7 +134,7 @@ def bd_rate(anchor: RdCurve, test: RdCurve, mode: str = "cubic") -> float:
     return float((ratio - 1.0) * 100.0)
 
 
-def bd_quality(anchor: RdCurve, test: RdCurve, mode: str = "cubic") -> float:
+def bd_quality(anchor: RdCurve, test: RdCurve) -> float:
     """Average quality difference of test over anchor at equal rate. A
     difference beyond float64 raises CurveError."""
     log_anchor = np.log10(anchor.rates)
@@ -178,8 +143,8 @@ def bd_quality(anchor: RdCurve, test: RdCurve, mode: str = "cubic") -> float:
     # fit the qualities divided by 2^e, the power of two above every
     # |quality|, and scale the difference back, so no fit can overflow
     _, e = np.frexp(max(np.abs(anchor.qualities).max(), np.abs(test.qualities).max()))
-    mean_anchor = _mean_curve_value(log_anchor, np.ldexp(anchor.qualities, -e), lo, hi, mode)
-    mean_test = _mean_curve_value(log_test, np.ldexp(test.qualities, -e), lo, hi, mode)
+    mean_anchor = _cubic_mean(log_anchor, np.ldexp(anchor.qualities, -e), lo, hi)
+    mean_test = _cubic_mean(log_test, np.ldexp(test.qualities, -e), lo, hi)
     with np.errstate(over="ignore"):
         diff = np.ldexp(mean_test - mean_anchor, e)
     if not np.isfinite(diff):

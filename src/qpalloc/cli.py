@@ -132,8 +132,8 @@ def _cmd_bdrate(args) -> int:
     test = bdrate.read_rd_csv(args.test)
     lo, hi = bdrate.quality_overlap(anchor, test)
     result = {
-        "bd_rate_percent": bdrate.bd_rate(anchor, test, mode=args.interp),
-        "bd_quality": bdrate.bd_quality(anchor, test, mode=args.interp),
+        "bd_rate_percent": bdrate.bd_rate(anchor, test),
+        "bd_quality": bdrate.bd_quality(anchor, test),
         "overlap": [lo, hi],
     }
     print(json.dumps(result, sort_keys=True))
@@ -232,8 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bdrate", help="BD-rate/quality between two RD CSVs")
     p.add_argument("anchor", help="anchor curve CSV (rate_bpp,quality)")
     p.add_argument("test", help="test curve CSV")
-    p.add_argument("--interp", default="cubic", choices=["cubic", "pchip"],
-                   help="fit mode (default %(default)s)")
     p.set_defaults(func=_cmd_bdrate)
 
     p = sub.add_parser("simulate", help="toy-codec encode under a QP map")

@@ -1,22 +1,21 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately take different numeric routes than the production
-code (full 2-D kernels through scipy.signal.correlate2d, SciPy's
-PchipInterpolator, plain Python loops, scalar-weighted accumulation,
-per-block slices, scalar math) so that agreement actually checks
-something. The toy codec's oracle works one 8x8 unit and one
-coefficient at a time through the scalar helpers dct8_forward,
-quantize, golomb_bits, dequantize and dct8_inverse. write_qsnw2 packs
-weight files with struct, apart from the package's writer, port_qsnw1
-turns a QSNW1 text literal into its arguments, and activity_step_map
-stands in for a trained network's step map.
+code (full 2-D kernels through scipy.signal.correlate2d, BD statistics
+through np.polyfit and np.polyint on the raw axes, plain Python loops,
+scalar-weighted accumulation, per-block slices, scalar math) so that
+agreement actually checks something. The toy codec's oracle works one
+8x8 unit and one coefficient at a time through the scalar helpers
+dct8_forward, quantize, golomb_bits, dequantize and dct8_inverse.
+write_qsnw2 packs weight files with struct, apart from the package's
+writer, port_qsnw1 turns a QSNW1 text literal into its arguments, and
+activity_step_map stands in for a trained network's step map.
 """
 
 import math
 import struct
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.signal import correlate2d
 
 from qpalloc.imageio import BlockGrid, RasterImage
@@ -77,9 +76,29 @@ def reference_ms_ssim(a: RasterImage, b: RasterImage) -> float:
     return float(np.mean(scores))
 
 
-def reference_pchip_mean(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
-    """Mean over [lo, hi] of SciPy's PCHIP interpolant through (x, y)."""
-    return float(PchipInterpolator(x, y).integrate(lo, hi)) / (hi - lo)
+def _ref_cubic_mean(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
+    antiderivative = np.polyint(np.polyfit(x, y, 3))
+    return float(np.polyval(antiderivative, hi) - np.polyval(antiderivative, lo)) / (hi - lo)
+
+
+def reference_bd_rate(anchor, test) -> float:
+    """Bjontegaard's cubic BD-rate (VCEG-M33) of two RdCurves, the textbook
+    way: log10(rate) fitted by np.polyfit as a cubic in quality, integrated
+    through np.polyint over the shared quality span."""
+    lo = max(anchor.qualities.min(), test.qualities.min())
+    hi = min(anchor.qualities.max(), test.qualities.max())
+    gap = (_ref_cubic_mean(test.qualities, np.log10(test.rates), lo, hi)
+           - _ref_cubic_mean(anchor.qualities, np.log10(anchor.rates), lo, hi))
+    return (10.0 ** gap - 1.0) * 100.0
+
+
+def reference_bd_quality(anchor, test) -> float:
+    """The dual of reference_bd_rate: quality fitted as a cubic in
+    log10(rate), mean difference over the shared log-rate span."""
+    log_anchor, log_test = np.log10(anchor.rates), np.log10(test.rates)
+    lo, hi = max(log_anchor.min(), log_test.min()), min(log_anchor.max(), log_test.max())
+    return (_ref_cubic_mean(log_test, test.qualities, lo, hi)
+            - _ref_cubic_mean(log_anchor, anchor.qualities, lo, hi))
 
 
 def reference_conv2d(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,

@@ -114,8 +114,9 @@ class TestBitRatios:
         assert r[0] / r[1] == pytest.approx(1.0 / EPS)
 
     def test_empty_rejected(self):
+        # a grid holds at least 1 block, so the length check rejects it
         grid = BlockGrid(64, 64)
-        with pytest.raises(ValueError):
+        with pytest.raises(GridMismatchError, match="0 step means for a grid of 1 blocks"):
             bit_ratios(np.array([]), grid)
 
     @pytest.mark.parametrize("qs,error,match", [

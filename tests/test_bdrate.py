@@ -3,13 +3,11 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import PchipInterpolator
 
-from qpalloc.bdrate import (RdCurve, _pchip_mean, bd_quality, bd_rate,
-                            quality_overlap, read_rd_csv)
+from qpalloc.bdrate import RdCurve, bd_quality, bd_rate, quality_overlap, read_rd_csv
 from qpalloc.errors import CurveError, FormatError, OverlapError
 
-from _oracles import reference_pchip_mean
+from _oracles import reference_bd_quality, reference_bd_rate
 
 
 def curve(rates, qualities):
@@ -102,20 +100,14 @@ class TestBdRate:
         with pytest.raises(OverlapError):
             bd_rate(low, high)
 
-    def test_pchip_mode_close_to_cubic_on_smooth_curves(self):
-        anchor = curve(RATES, QUALS)
-        test = curve([r * 0.9 for r in RATES], QUALS)
-        assert bd_rate(anchor, test, mode="pchip") == pytest.approx(-10.0, abs=1e-6)
-
     def test_overflowing_rate_ratio_is_curve_error(self):
         # the mean log10-rate gap is about 448 decades; 10^448 used to
         # come back as inf (printed as JSON "Infinity") after a RuntimeWarning
         quals = [1.0, 2.0, 3.0, 4.0]
         anchor = curve([1e-300, 1e-299, 1e-298, 1e300], quals)
         test = curve([1e-300, 1e298, 1e299, 1e300], quals)
-        for mode in ("cubic", "pchip"):
-            with pytest.raises(CurveError, match="not finite"):
-                bd_rate(anchor, test, mode=mode)
+        with pytest.raises(CurveError, match="not finite"):
+            bd_rate(anchor, test)
 
 
 class TestBdQuality:
@@ -153,46 +145,41 @@ class TestHugeSpans:
         ([1e308, 1.5e308, 1.6e308, 1.7e308], [1e308, 1.55e308, 1.6e308, 1.7e308], 1e308),
     ]
 
-    @pytest.mark.parametrize("mode", ["cubic", "pchip"])
     @pytest.mark.parametrize("anchor,test,scale", CASES, ids=["1e300", "8e307", "1.7e308"])
-    def test_match_the_same_curves_at_unit_scale(self, anchor, test, scale, mode):
+    def test_match_the_same_curves_at_unit_scale(self, anchor, test, scale):
         big = curve(self.RATES, anchor), curve(self.RATES, test)
         small = (curve(self.RATES, [q / scale for q in anchor]),
                  curve(self.RATES, [q / scale for q in test]))
-        assert bd_rate(*big, mode=mode) == pytest.approx(bd_rate(*small, mode=mode), rel=1e-12)
-        assert bd_quality(*big, mode=mode) == pytest.approx(
-            scale * bd_quality(*small, mode=mode), rel=1e-12)
+        assert bd_rate(*big) == pytest.approx(bd_rate(*small), rel=1e-12)
+        assert bd_quality(*big) == pytest.approx(scale * bd_quality(*small), rel=1e-12)
 
-    @pytest.mark.parametrize("mode", ["cubic", "pchip"])
-    def test_quality_difference_beyond_float64_is_curve_error(self, mode):
+    def test_quality_difference_beyond_float64_is_curve_error(self):
         anchor = curve(self.RATES, [-1.7e308, -1.6e308, -1.5e308, -1.4e308])
         test = curve(self.RATES, [1.4e308, 1.5e308, 1.6e308, 1.7e308])
         with pytest.raises(CurveError, match="quality difference"):
-            bd_quality(anchor, test, mode=mode)
+            bd_quality(anchor, test)
 
 
 class TestCoincidingPoints:
     """Strictly increasing points that are equal at float64 resolution of
-    their span: neither fit can tell them apart. These used to raise
-    "Singular matrix" (cubic) or divide by zero (pchip)."""
+    their span: the fit cannot tell them apart. These used to raise
+    "Singular matrix"."""
 
     RATES = [1.0, 2.0, 3.0, 4.0]
 
-    @pytest.mark.parametrize("mode", ["cubic", "pchip"])
     @pytest.mark.parametrize("statistic", [bd_rate, bd_quality])
-    def test_subresolution_qualities(self, mode, statistic):
+    def test_subresolution_qualities(self, statistic):
         anchor = curve(self.RATES, [0.0, 5e-324, 1.0, 2.0])
         test = curve(self.RATES, [0.0, 0.5, 1.0, 2.0])
         with pytest.raises(CurveError, match="coincide at float64 resolution"):
-            statistic(anchor, test, mode=mode)
+            statistic(anchor, test)
 
-    @pytest.mark.parametrize("mode", ["cubic", "pchip"])
-    def test_rates_with_equal_log10(self, mode):
+    def test_rates_with_equal_log10(self):
         anchor = curve([1e300, np.nextafter(1e300, 2e300), 2e300, 3e300], [1, 2, 3, 4])
         test = curve([1e300, 1.5e300, 2e300, 3e300], [1, 2, 3, 4])
         assert np.log10(anchor.rates[0]) == np.log10(anchor.rates[1])
         with pytest.raises(CurveError, match="coincide at float64 resolution"):
-            bd_quality(anchor, test, mode=mode)
+            bd_quality(anchor, test)
 
 
 class TestCsv:
@@ -207,14 +194,15 @@ class TestCsv:
     def test_header_required(self, tmp_path):
         path = tmp_path / "curve.csv"
         path.write_text("bpp,psnr\n0.2,30\n")
-        with pytest.raises(FormatError, match="header"):
+        with pytest.raises(FormatError, match=": expected header"):
             read_rd_csv(path)
 
     def test_bad_row(self, tmp_path):
         path = tmp_path / "curve.csv"
         for row in ("0.2,30,9", "0.2,3_0", "+0.2,30"):
             path.write_text(f"rate_bpp,quality\n{row}\n")
-            with pytest.raises(FormatError, match="row"):
+            # the message starts with the path, which holds the test's name
+            with pytest.raises(FormatError, match=f": .*row {re.escape(repr(row))}"):
                 read_rd_csv(path)
 
 
@@ -226,61 +214,39 @@ class TestDiagnostics:
 
 
 @st.composite
-def pchip_cases(draw):
-    """A strictly increasing 4-8 point curve and a span inside its range.
+def overlapping_curves(draw):
+    """Two strictly increasing 4-8 point curves, 20-60 dB over 0.01-400
+    bpp, whose quality and log10-rate ranges overlap by at least 5 % of
+    the wider span: the means divide by the overlap, so the rounding of
+    either implementation grows as its inverse."""
+    quality, log_rate = draw(st.floats(20.0, 30.0)), draw(st.floats(-2.0, -1.0))
 
-    The span is at least 1 % of the range: the mean divides the integral by
-    hi - lo, so the rounding of either implementation grows as 1 / (hi - lo).
-    """
-    n = draw(st.integers(4, 8))
+    def one():
+        n = draw(st.integers(4, 8))
 
-    def axis():
-        gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
-        return draw(st.floats(-100.0, 100.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+        def axis(start, shift, lo, hi):
+            gaps = draw(st.lists(st.floats(lo, hi), min_size=n - 1, max_size=n - 1))
+            return start + draw(st.floats(0.0, shift)) + np.concatenate(([0.0], np.cumsum(gaps)))
 
-    x, y = axis(), axis()
-    start = draw(st.floats(0.0, 0.99))
-    stop = draw(st.floats(start + 0.01, 1.0))
-    lo = x[0] + start * (x[-1] - x[0])
-    return x, y, lo, min(x[0] + stop * (x[-1] - x[0]), x[-1])
+        return curve(10.0 ** axis(log_rate, 0.1, 0.1, 0.5), axis(quality, 1.0, 1.0, 4.0))
+
+    return one(), one()
 
 
-class TestPchip:
+class TestReferenceFit:
+    """The closed-form fit on mapped axes against the textbook VCEG-M33
+    route, np.polyfit and np.polyint on the raw axes. Over 11 runs of
+    5,000 pairs from this strategy the two differed by at most 7.9e-9 %
+    in BD-rate and 1.6e-11 dB in BD-quality; the bounds allow about 12
+    times that."""
+
+    BD_RATE_TOL = 1e-7  # %
+    BD_QUALITY_TOL = 2e-10  # dB
+
     @settings(max_examples=300, deadline=None)
-    @given(case=pchip_cases())
-    def test_matches_scipy_oracle(self, case):
-        x, y, lo, hi = case
-        assert abs(_pchip_mean(x, y, lo, hi) - reference_pchip_mean(x, y, lo, hi)) \
-            <= 1e-11 * np.abs(y).max()
-
-    @pytest.mark.parametrize("y,clamped", [
-        ([0.0, 1.0, 5.0, 9.0], [True, False]),
-        ([0.0, 4.0, 8.0, 9.0], [False, True]),
-        ([0.0, 1.0, 5.0, 6.0], [True, True]),
-    ], ids=["left", "right", "both"])
-    def test_end_slope_clamped_at_zero(self, y, clamped):
-        # an end secant of 1 next to one of 4 gives the three-point
-        # estimate (3 * 1 - 4) / 2 < 0 at that end, which SciPy sets to 0
-        x, y = np.arange(4.0), np.asarray(y)
-        ends = PchipInterpolator(x, y).derivative()(x[[0, -1]])
-        assert list(ends == 0.0) == clamped
-        for lo, hi in ((0.0, 3.0), (0.0, 0.5), (2.5, 3.0), (0.25, 2.75)):
-            assert _pchip_mean(x, y, lo, hi) == \
-                pytest.approx(reference_pchip_mean(x, y, lo, hi), abs=1e-11 * y.max())
-
-    @pytest.mark.parametrize("other", [
-        ([0.22, 0.5, 1.3, 2.1], [30.9, 33.4, 36.4, 38.2]),
-        ([0.2, 0.3, 0.9, 1.6, 2.8], [29.0, 31.8, 35.0, 36.1, 39.7]),
-    ])
-    def test_bd_statistics_match_scipy(self, other):
-        anchor, test = curve(RATES, QUALS), curve(*other)
-        lo, hi = quality_overlap(anchor, test)
-        gap = (reference_pchip_mean(test.qualities, np.log10(test.rates), lo, hi)
-               - reference_pchip_mean(anchor.qualities, np.log10(anchor.rates), lo, hi))
-        assert bd_rate(anchor, test, mode="pchip") == \
-            pytest.approx((10.0 ** gap - 1.0) * 100.0, rel=1e-10)
-        log_a, log_t = np.log10(anchor.rates), np.log10(test.rates)
-        lo, hi = max(log_a[0], log_t[0]), min(log_a[-1], log_t[-1])
-        assert bd_quality(anchor, test, mode="pchip") == pytest.approx(
-            reference_pchip_mean(log_t, test.qualities, lo, hi)
-            - reference_pchip_mean(log_a, anchor.qualities, lo, hi), rel=1e-10)
+    @given(pair=overlapping_curves())
+    def test_matches_polyfit_oracle(self, pair):
+        anchor, test = pair
+        assert abs(bd_rate(anchor, test) - reference_bd_rate(anchor, test)) <= self.BD_RATE_TOL
+        assert abs(bd_quality(anchor, test) - reference_bd_quality(anchor, test)) \
+            <= self.BD_QUALITY_TOL

@@ -405,51 +405,53 @@ class TestBdrateCommand:
         assert (code, stdout) == (2, "")
         assert "unrecognized arguments" in err
 
-    @pytest.mark.parametrize("interp", ["cubic", "pchip"])
-    def test_overflowing_rate_ratio_is_exit_2(self, run, tmp_path, interp):
+    def test_removed_interp_flag_is_a_usage_error(self, run, tmp_path):
+        # the cubic fit (VCEG-M33) is the one BD measure
+        csv = tmp_path / "c.csv"
+        self.write_curve(csv, self.RATES, self.QUALS)
+        code, stdout, err = run("bdrate", csv, csv, "--interp", "pchip")
+        assert (code, stdout) == (2, "")
+        assert "unrecognized arguments" in err
+
+    def test_overflowing_rate_ratio_is_exit_2(self, run, tmp_path):
         # a rate ratio of about 10^448 used to print "bd_rate_percent": Infinity,
         # which is not JSON, and exit 0
         anchor = tmp_path / "a.csv"
         test = tmp_path / "t.csv"
         self.write_curve(anchor, [1e-300, 1e-299, 1e-298, 1e300], [1, 2, 3, 4])
         self.write_curve(test, [1e-300, 1e298, 1e299, 1e300], [1, 2, 3, 4])
-        code, out, err = run("bdrate", anchor, test, "--interp", interp)
+        code, out, err = run("bdrate", anchor, test)
         assert (code, out) == (2, "")
         assert "not finite" in err
 
-    @pytest.mark.parametrize("interp", ["cubic", "pchip"])
-    def test_quality_span_beyond_float64_is_exit_2(self, run, tmp_path, interp):
+    def test_quality_span_beyond_float64_is_exit_2(self, run, tmp_path):
         # used to print overflow RuntimeWarnings, then "Singular matrix"
-        # (cubic) or "rate ratio 10^nan is not finite" (pchip)
         anchor = tmp_path / "a.csv"
         test = tmp_path / "t.csv"
         self.write_curve(anchor, [1, 2, 3, 4], [-1e308, 0, 1, 1e308])
         self.write_curve(test, [1, 2, 3, 4], [-1e308, 1e307, 1e308, 1.5e308])
-        code, out, err = run("bdrate", anchor, test, "--interp", interp)
+        code, out, err = run("bdrate", anchor, test)
         assert (code, out) == (2, "")
         assert "quality span" in err and "exceeds float64" in err
 
-    @pytest.mark.parametrize("interp", ["cubic", "pchip"])
-    def test_qualities_near_the_float64_limit(self, run, tmp_path, interp):
+    def test_qualities_near_the_float64_limit(self, run, tmp_path):
         # every statistic used to overflow in the fits
         anchor = tmp_path / "a.csv"
         test = tmp_path / "t.csv"
         self.write_curve(anchor, [1, 2, 3, 4], [1e308, 1.5e308, 1.6e308, 1.7e308])
         self.write_curve(test, [1, 2, 3, 4], [1e308, 1.55e308, 1.6e308, 1.7e308])
-        code, out, err = run("bdrate", anchor, test, "--interp", interp)
+        code, out, err = run("bdrate", anchor, test)
         assert (code, err) == (0, "")
         result = json.loads(out)
         assert np.isfinite([result["bd_rate_percent"], result["bd_quality"]]).all()
 
-    @pytest.mark.parametrize("interp", ["cubic", "pchip"])
-    def test_subresolution_quality_spacing_is_exit_2(self, run, tmp_path, interp):
-        # used to print "Singular matrix" (cubic), or four RuntimeWarnings
-        # and then "rate ratio 10^nan is not finite" (pchip)
+    def test_subresolution_quality_spacing_is_exit_2(self, run, tmp_path):
+        # used to print "Singular matrix"
         anchor = tmp_path / "a.csv"
         test = tmp_path / "t.csv"
         self.write_curve(anchor, [1, 2, 3, 4], [0, 5e-324, 1, 2])
         self.write_curve(test, [1, 2, 3, 4], [0, 0.5, 1, 2])
-        code, out, err = run("bdrate", anchor, test, "--interp", interp)
+        code, out, err = run("bdrate", anchor, test)
         assert (code, out) == (2, "")
         assert "coincide at float64 resolution" in err
         assert "RuntimeWarning" not in err
@@ -686,10 +688,10 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path):
 def test_import_leaves_scipy_unloaded(tmp_path, fixture_weights):
     """Every command runs in a fresh process that imports qpalloc.cli,
     which loads no scipy; and with scipy made unimportable, every command
-    runs, bdrate --interp pchip included, and prints what the library
-    computes in-process. scipy serves the tests only, as an oracle. Each
-    command also loads only the qpalloc modules it runs, and the front
-    door (the import, --version, --help, usage errors) loads no numpy."""
+    runs and prints what the library computes in-process. scipy serves
+    the tests only, as an oracle. Each command also loads only the
+    qpalloc modules it runs, and the front door (the import, --version,
+    --help, usage errors) loads no numpy."""
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath)
     # at exit, the last stderr line lists the numpy, scipy and qpalloc modules loaded
@@ -721,7 +723,8 @@ def test_import_leaves_scipy_unloaded(tmp_path, fixture_weights):
                   cli("--help")[1], cli(returncode=2)[1],
                   cli("qpmap", "--base-qp", 32, returncode=2)[1],
                   cli("metrics", image, image, "--lpips", "0.1", returncode=2)[1],
-                  cli("bdrate", anchor, test, "--metric", "psnr", returncode=2)[1]]
+                  cli("bdrate", anchor, test, "--metric", "psnr", returncode=2)[1],
+                  cli("bdrate", anchor, test, "--interp", "pchip", returncode=2)[1]]
     for modules in front_door:
         assert modules <= {"cli", "errors"}, modules
 
@@ -739,14 +742,12 @@ def test_import_leaves_scipy_unloaded(tmp_path, fixture_weights):
     anchor.write_text("rate_bpp,quality\n0.25,30.4\n0.55,33.1\n1.1,35.9\n2.3,38.6\n")
     test.write_text("rate_bpp,quality\n0.2,29.0\n0.3,31.8\n0.9,35.0\n1.6,36.1\n2.8,39.7\n")
     a, t = read_rd_csv(anchor), read_rd_csv(test)
-    for interp in ("cubic", "pchip"):
-        stdout, modules = cli("bdrate", anchor, test, "--interp", interp)
-        assert not modules & {"imageio", "metrics", "stepnet", "alloc", "toysim",
-                              "gridfile"}, modules
-        assert json.loads(stdout) == {
-            "bd_rate_percent": bd_rate(a, t, mode=interp),
-            "bd_quality": bd_quality(a, t, mode=interp),
-            "overlap": list(quality_overlap(a, t))}
+    stdout, modules = cli("bdrate", anchor, test)
+    assert not modules & {"imageio", "metrics", "stepnet", "alloc", "toysim",
+                          "gridfile"}, modules
+    assert json.loads(stdout) == {"bd_rate_percent": bd_rate(a, t),
+                                  "bd_quality": bd_quality(a, t),
+                                  "overlap": list(quality_overlap(a, t))}
 
 
 def test_readme_cli_examples_parse():
