@@ -104,13 +104,16 @@ def _cubic_mean(x: np.ndarray, y: np.ndarray, lo: float, hi: float) -> float:
     in closed form. The fit runs on x mapped onto [-1, 1], which leaves the
     mean unchanged and keeps the arithmetic finite; halving each end first
     keeps the sums finite too. x and y must increase strictly, also after
-    the map."""
+    the map, and [lo, hi] must map onto more than one point."""
     center = x.min() / 2 + x.max() / 2
     half_range = x.max() / 2 - x.min() / 2
     x = (x - center) / half_range
     if np.any(np.diff(x) <= 0) or np.any(np.diff(y) <= 0):
         raise CurveError("curve points coincide at float64 resolution of their span")
     s = (np.array([lo, hi]) - center) / half_range
+    if s[1] <= s[0]:
+        raise CurveError(f"shared span [{float(lo)!r}, {float(hi)!r}] is one point at "
+                         f"float64 resolution of a curve's span")
     vander = np.vander(x, 4, increasing=True)
     c = np.linalg.solve(vander.T @ vander, vander.T @ y)
     # the antiderivative from 0 to s, by Horner

@@ -9,7 +9,9 @@ frame (simulate --qpmap) must be its 64-px partition (exit 5).
 
 At import this module loads only the standard library and
 qpalloc.errors; each command imports the modules it runs. So --help,
---version and usage errors load no numpy.
+--version and usage errors load no numpy. Before a command loads numpy,
+main sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to
+1 where the environment does not set them already.
 
 Exit codes:
     0  success
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -257,6 +260,11 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
+    # One BLAS thread unless the caller chose otherwise: stepmap already
+    # runs its convolution bands on one thread per CPU, and BLAS threads
+    # on top of those lanes lost time. Set before any command loads numpy.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -5,10 +5,14 @@ resolution: a strided convolutional stem, residual blocks, and a single
 channel head passed through softplus. Weights travel in the QSNW2
 format: ASCII lines giving the layer shapes, then every parameter as
 raw little-endian float32. Convolutions run channels-last in float32
-as one matrix product per band of output rows, and a forward pass
-allocates one workspace that every layer reuses; the same image and
-weights give byte-identical results run to run on one host. The
-softplus head runs in float64.
+as one matrix product per band of output rows. The bands of a layer are
+dealt round-robin to one lane per CPU the process may run on, lane 0 in
+the caller and the others on worker threads, each lane with its own
+columns buffer; a forward pass allocates one workspace that every layer
+reuses and starts its worker threads once. Each band is the same matrix
+product at any lane count, so the same image and weights give
+byte-identical results run to run on one host. The softplus head runs
+in float64.
 
 No trained weights ship with the package. ``make_random_weights`` builds
 a seeded instance of the reference layer plan for tests and demos;
@@ -18,8 +22,10 @@ from QSMAP files.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +78,16 @@ class ConvLayer:
     @property
     def kernel_size(self) -> int:
         return self.weights.shape[2]
+
+    @cached_property
+    def _gemm_matrix(self) -> np.ndarray:
+        """The (k*k*in, out) matrix of one output pixel's channels-last
+        window, built on first use and read-only; the layer's weights
+        must not change after that."""
+        matrix = np.ascontiguousarray(
+            self.weights.transpose(2, 3, 1, 0).reshape(-1, self.out_channels))
+        matrix.flags.writeable = False
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -275,21 +291,46 @@ def _geometry(layer: ConvLayer, h: int, w: int) -> tuple[int, ...]:
     return out_h, out_w, pad_h, pad_w, rows
 
 
-def _buffer_floats(layer: ConvLayer, h: int, w: int) -> tuple[int, int, int]:
-    """Floats that _conv_into needs for its padded input, its columns
-    buffer and its output."""
+def _sizes(layer: ConvLayer, h: int, w: int) -> tuple[int, int, int, int]:
+    """Floats that _conv_into needs for its padded input, each lane's
+    columns buffer and its output, and its number of bands."""
     out_h, out_w, pad_h, pad_w, rows = _geometry(layer, h, w)
     k, c = layer.kernel_size, layer.in_channels
     return ((h + pad_h) * (w + pad_w) * c, rows * out_w * k * k * c,
-            out_h * out_w * layer.out_channels)
+            out_h * out_w * layer.out_channels, -(-out_h // rows))
+
+
+def _lane_count(bands: int) -> int:
+    """Lanes for work of this many bands: one per CPU the process may
+    run on, and no more than there are bands."""
+    if bands < 2:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, bands)
+
+
+def _workers(lanes: int):
+    """A context that gives a pool of lanes - 1 worker threads and closes
+    it on exit, or None for one lane. concurrent.futures is imported
+    here, so that importing this module does not pay for it."""
+    if lanes < 2:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(lanes - 1, thread_name_prefix="qpalloc-lane")
 
 
 def _conv_into(x: np.ndarray, layer: ConvLayer, padded_buf: np.ndarray,
-               cols_buf: np.ndarray, out_buf: np.ndarray) -> np.ndarray:
+               cols_bufs: np.ndarray, out_buf: np.ndarray, pool) -> np.ndarray:
     """conv2d of a channels-last x (h, w, c) through float32 buffers the
-    caller owns, each at least as long as _buffer_floats says. Returns
-    the (out_h, out_w, out) view of out_buf. x is read only while the
-    padded input is filled, so out_buf may hold x."""
+    caller owns, each at least as long as _sizes says: cols_bufs
+    holds one columns buffer per lane in its rows. The bands are dealt
+    round-robin to the lanes, lane 0 runs here and the others on pool's
+    threads (pool is None for one lane). Returns the (out_h, out_w, out)
+    view of out_buf. x is read only while the padded input is filled, so
+    out_buf may hold x."""
     h, w, c = x.shape
     s, k = layer.stride, layer.kernel_size
     out_h, out_w, pad_h, pad_w, rows = _geometry(layer, h, w)
@@ -304,18 +345,26 @@ def _conv_into(x: np.ndarray, layer: ConvLayer, padded_buf: np.ndarray,
     row, col, one = padded.strides
     taps = np.lib.stride_tricks.as_strided(
         padded, (out_h, out_w, k, k * c), (s * row, s * col, row, one), writeable=False)
-    weights = layer.weights.transpose(2, 3, 1, 0).reshape(-1, layer.out_channels)
+    weights = layer._gemm_matrix
     # the biases of a whole output row: added per pixel, numpy loops out floats at a time
     bias = np.tile(layer.bias, out_w)
     out = out_buf[:out_h * out_w * layer.out_channels].reshape(out_h, -1)
-    for r0 in range(0, out_h, rows):
-        m = min(rows, out_h - r0)
-        cols = cols_buf[:m * out_w * k * k * c].reshape(m, out_w, k, k * c)
-        cols[...] = taps[r0:r0 + m]
-        band = out[r0:r0 + m]
-        np.matmul(cols.reshape(m * out_w, -1), weights,
-                  out=band.reshape(m * out_w, layer.out_channels))
-        band += bias
+    lanes = 1 if pool is None else min(len(cols_bufs), -(-out_h // rows))
+
+    def lane(i: int) -> None:
+        for r0 in range(i * rows, out_h, lanes * rows):
+            m = min(rows, out_h - r0)
+            cols = cols_bufs[i, :m * out_w * k * k * c].reshape(m, out_w, k, k * c)
+            cols[...] = taps[r0:r0 + m]
+            band = out[r0:r0 + m]
+            np.matmul(cols.reshape(m * out_w, -1), weights,
+                      out=band.reshape(m * out_w, layer.out_channels))
+            band += bias
+
+    others = [pool.submit(lane, i) for i in range(1, lanes)]
+    lane(0)
+    for done in others:
+        done.result()
     return out.reshape(out_h, out_w, layer.out_channels)
 
 
@@ -333,16 +382,29 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     of an output pixel's window is k*c consecutive floats; a band of
     output rows copies its windows into a bounded columns buffer in one
     step for one float32 GEMM with the weights, and the bias is added.
-    Returns an (out, out_h, out_w) view of a channels-last result. Each
-    call allocates its own padded input, columns and output; a forward
+    The bands run on one lane per CPU the process may run on, each lane
+    with its own columns buffer; a layer of one band runs here and
+    starts no thread. Returns an (out, out_h, out_w) view of a
+    channels-last result. Each call allocates its own padded input,
+    columns and output and starts its own worker threads; a forward
     pass runs the same kernel in one workspace. The same input and
-    layer give byte-identical results run to run on one host.
+    layer give byte-identical results run to run on one host, at any
+    lane count.
     """
     if x.ndim != 3 or x.shape[0] != layer.in_channels:
         raise _channel_mismatch(x.shape[0] if x.ndim == 3 else "?", layer)
     x = np.asarray(x, dtype=np.float32).transpose(1, 2, 0)
-    out = _conv_into(x, layer, *(np.empty(n, np.float32)
-                                 for n in _buffer_floats(layer, *x.shape[:2])))
+    padded_n, cols_n, out_n, bands = _sizes(layer, *x.shape[:2])
+    lanes = _lane_count(bands)
+    # one block for the padded input and every lane's columns: allocated
+    # apart, with two lanes, glibc handed them back to the OS on each
+    # return and the next call faulted about 1,000 pages back in (64
+    # channels at 64x64); the output is its own array, so that the result
+    # does not keep the block alive
+    ws = np.empty(padded_n + lanes * cols_n, np.float32)
+    with _workers(lanes) as pool:
+        out = _conv_into(x, layer, ws[:padded_n], ws[padded_n:].reshape(lanes, cols_n),
+                         np.empty(out_n, np.float32), pool)
     return out.transpose(2, 0, 1)
 
 
@@ -360,12 +422,14 @@ def _forward(img: RasterImage, weights: ModelWeights) -> np.ndarray:
 
     Activations run channels-last, (h, w, c), from the pixels to the
     head. The pass allocates one float32 workspace: the largest padded
-    input, the largest columns buffer and two activation buffers. x
-    lives in the first activation buffer throughout: a plain convolution
-    overwrites its own input there, and a residual block runs its first
-    convolution into the second buffer, applies ReLU there in place,
-    runs its second convolution over it in place and adds the result
-    into x.
+    input, one largest columns buffer per lane and two activation
+    buffers, and starts its lanes' worker threads once, for every layer
+    (lanes: one per CPU the process may run on, at most the most bands
+    of any layer). x lives in the first activation buffer throughout: a
+    plain convolution overwrites its own input there, and a residual
+    block runs its first convolution into the second buffer, applies
+    ReLU there in place, runs its second convolution over it in place
+    and adds the result into x.
     """
     if img.channels != 3:
         raise InferenceError("inference requires a 3-channel image")
@@ -377,27 +441,30 @@ def _forward(img: RasterImage, weights: ModelWeights) -> np.ndarray:
         raise InferenceError("final layer must produce a single channel")
 
     c, h, w = 3, img.height, img.width
-    need = [0, 0, c * h * w]  # padded input, columns, one activation
+    need = [0, 0, c * h * w, 1]  # padded input, columns, one activation, bands
     for layer in weights.layers:
         for conv in (layer,) if isinstance(layer, ConvLayer) else (layer.conv1, layer.conv2):
             if conv.in_channels != c:
                 raise _channel_mismatch(c, conv)
-            need = [max(a, b) for a, b in zip(need, _buffer_floats(conv, h, w))]
+            need = [max(a, b) for a, b in zip(need, _sizes(conv, h, w))]
             c, h, w = conv.out_channels, -(-h // conv.stride), -(-w // conv.stride)
-    padded_n, cols_n, act_n = need
-    ws = np.empty(padded_n + cols_n + 2 * act_n, np.float32)
-    padded, cols = ws[:padded_n], ws[padded_n:padded_n + cols_n]
-    act, scratch = ws[padded_n + cols_n:-act_n], ws[-act_n:]
+    padded_n, cols_n, act_n, bands = need
+    lanes = _lane_count(bands)
+    ws = np.empty(padded_n + lanes * cols_n + 2 * act_n, np.float32)
+    padded = ws[:padded_n]
+    cols = ws[padded_n:padded_n + lanes * cols_n].reshape(lanes, cols_n)
+    act, scratch = ws[padded_n + lanes * cols_n:-act_n], ws[-act_n:]
 
     x = act[:img.height * img.width * 3].reshape(img.height, img.width, 3)
     np.divide(img.pixels, np.float32(255.0), out=x, dtype=np.float32)
-    for layer in weights.layers:
-        if isinstance(layer, ConvLayer):
-            x = _conv_into(x, layer, padded, cols, act)
-        else:
-            y = _conv_into(x, layer.conv1, padded, cols, scratch)
-            np.maximum(y, np.float32(0.0), out=y)
-            x += _conv_into(y, layer.conv2, padded, cols, scratch)
+    with _workers(lanes) as pool:
+        for layer in weights.layers:
+            if isinstance(layer, ConvLayer):
+                x = _conv_into(x, layer, padded, cols, act, pool)
+            else:
+                y = _conv_into(x, layer.conv1, padded, cols, scratch, pool)
+                np.maximum(y, np.float32(0.0), out=y)
+                x += _conv_into(y, layer.conv2, padded, cols, scratch, pool)
     return x[:, :, 0].copy()
 
 

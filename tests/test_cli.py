@@ -456,6 +456,19 @@ class TestBdrateCommand:
         assert "coincide at float64 resolution" in err
         assert "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["anchor-wide", "test-wide"])
+    def test_span_below_a_curves_resolution_is_exit_2(self, run, tmp_path, swap):
+        # the shared span maps onto one point of the wide curve's fitting
+        # axis; used to divide 0 by 0 and print "rate ratio 10^nan"
+        wide = tmp_path / "wide.csv"
+        narrow = tmp_path / "narrow.csv"
+        self.write_curve(wide, [1, 2, 3, 4], [-1e300, -1e299, 1e299, 1e300])
+        self.write_curve(narrow, [1, 2, 3, 4], [1e-300, 2e-300, 3e-300, 4e-300])
+        code, out, err = run("bdrate", *((narrow, wide) if swap else (wide, narrow)))
+        assert (code, out) == (2, "")
+        assert "shared span [1e-300, 4e-300] is one point at float64 resolution" in err
+        assert "RuntimeWarning" not in err
+
 
 class TestSimulateCommand:
     def test_black_image_is_lossless(self, run, tmp_path):
@@ -644,7 +657,9 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path):
     processes under one and two OpenBLAS threads, write the same bytes
     every time. The metrics frame is 2432 px wide so that the SSIM
     filter's tile products are large enough to be split across threads;
-    metrics prints its scores with repr."""
+    metrics prints its scores with repr. The same runs pinned to one CPU
+    run stepmap's convolution bands on one lane instead of one per CPU,
+    and write the same bytes too."""
     image = tmp_path / "img.ppm"
     save_ppm(RasterImage(pixels=textured_pixels(128, 128, seed=21)), image)
     wide = tmp_path / "wide.ppm"
@@ -657,7 +672,10 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path):
     write_grid_file(qpmap, "QPMAP", 64, 30, offsets)
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
-    def outputs(threads: str, tag: str) -> dict:
+    def pin_to_one_cpu():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    def outputs(threads: str, tag: str, pinned: bool = False) -> dict:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
         prefix = tmp_path / tag
         recon = f"{prefix}.wide.recon.ppm"
@@ -670,7 +688,8 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path):
                      ["metrics", wide, recon],
                      ["metrics", wide, recon, "--luma-only"]):
             proc = subprocess.run([sys.executable, "-m", "qpalloc.cli", *map(str, argv)],
-                                  env=env, capture_output=True, text=True)
+                                  env=env, capture_output=True, text=True,
+                                  preexec_fn=pin_to_one_cpu if pinned else None)
             assert proc.returncode == 0, proc.stderr
             if argv[0] == "metrics":
                 stdout.append(proc.stdout.replace(recon, "recon"))
@@ -683,6 +702,41 @@ def test_outputs_byte_identical_across_blas_threads(tmp_path):
     first = outputs("1", "t1")
     assert outputs("2", "t2a") == first
     assert outputs("2", "t2b") == first
+    if len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2:
+        pytest.skip("pinning to one CPU changes the lane count only where two are available")
+    assert outputs("1", "p1", pinned=True) == first
+    assert outputs("2", "p2", pinned=True) == first
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset-2"])
+def test_commands_default_to_one_blas_thread(tmp_path, preset):
+    """A command sets each BLAS thread variable to 1 before numpy loads,
+    so that BLAS threads do not multiply with stepmap's lanes; a value
+    the caller set is kept."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    # an import hook records the variables as numpy is first looked up
+    code = ("import json, os, sys\n"
+            "seen = {}\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            f"            seen.update((k, os.environ.get(k)) for k in {names!r})\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            "from qpalloc.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps(seen))\n"
+            "sys.exit(code)\n")
+    csv = tmp_path / "c.csv"
+    csv.write_text("rate_bpp,quality\n0.25,30.4\n0.55,33.1\n1.1,35.9\n2.3,38.6\n")
+    proc = subprocess.run([sys.executable, "-c", code, "bdrate", str(csv), str(csv)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "OPENBLAS_NUM_THREADS": preset or "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def test_import_leaves_scipy_unloaded(tmp_path, fixture_weights):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -437,15 +438,19 @@ class TestConv2d:
         assert -(-out_h // rows) >= 3 and out_h % rows
 
     def test_peak_memory_is_bounded_by_the_band_budget(self):
-        # The columns buffer is bounded, so a call holds the padded input
+        # The columns buffers are bounded, so a call holds the padded input
         # (258 x 258 x 64), the output and little more; the bound allows
-        # the output at the padded width. A per-tap window copy plus its
-        # matmul temporary would add two outputs.
+        # the output at the padded width. The band budget is counted once
+        # per lane, for its columns buffer, and twice more: the layer's
+        # weight matrix (147 KB), built on this first call, and the biases
+        # of one output row (64 KB). A per-tap window copy plus its matmul
+        # temporary would add two outputs.
         c, n, k = 64, 256, 3
         layer = _conv(np.zeros((c, c, k, k)), np.zeros(c), stride=1)
         x = np.zeros((c, n, n), np.float32)
         pad = n + k - 1  # padded width
-        bound = 4 * (c * pad * pad + c * n * pad + 3 * stepnet._BAND_FLOATS)
+        lanes = stepnet._lane_count(stepnet._sizes(layer, n, n)[3])
+        bound = 4 * (c * pad * pad + c * n * pad + (lanes + 2) * stepnet._BAND_FLOATS)
         tracemalloc.start()
         try:
             conv2d(x, layer)
@@ -554,14 +559,16 @@ class TestInference:
             self, reference_plan):
         # The workspace of a 256x256 pass: the first residual block's
         # padded input (130 x 130 x 64), two 128 x 128 x 64 activations,
-        # which the bound allows at the 130-column padded width, and the
-        # columns buffer. The band budget is counted twice: a convolution
-        # also holds its transposed weight matrix (147 KB) and the biases
-        # of one output row (32 KB). Fresh arrays per layer held three
-        # outputs at once.
+        # which the bound allows at the 130-column padded width, and one
+        # columns buffer per lane. The band budget is counted once more
+        # for the biases of one output row (32 KB). The layers' weight
+        # matrices (147 KB each) are built by a first pass and kept.
+        # Fresh arrays per layer held three outputs at once.
         img = RasterImage(pixels=textured_pixels(256, 256, seed=9))
+        infer_step_map(img, reference_plan)
         c, n, pad = 64, 128, 130
-        bound = 4 * (2 * c * n * pad + c * pad * pad + 2 * stepnet._BAND_FLOATS)
+        lanes = stepnet._lane_count(stepnet._sizes(reference_plan.layers[1].conv1, n, n)[3])
+        bound = 4 * (2 * c * n * pad + c * pad * pad + (lanes + 1) * stepnet._BAND_FLOATS)
         tracemalloc.start()
         try:
             infer_step_map(img, reference_plan)
@@ -569,6 +576,71 @@ class TestInference:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+class TestLanes:
+    """A convolution's bands run on one lane per CPU the process may run
+    on; each band is the same matrix product at any lane count."""
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                        reason="pinning to one CPU changes the lane count only "
+                               "where two are available")
+    @pytest.mark.parametrize("h,w", [(256, 256), (131, 77)])
+    def test_pinned_to_one_cpu_gives_the_same_bytes(self, reference_plan, h, w):
+        # At 256x256 the first residual block has 43 bands of 3 rows, the
+        # last of 2; at 131x77 it has 6 bands of 11 rows, and the stride-2
+        # convolution after it a band of 22 rows and one of 11
+        img = RasterImage(pixels=textured_pixels(h, w, seed=w))
+        unpinned = infer_step_map(img, reference_plan).values
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            assert stepnet._lane_count(64) == 1
+            pinned = infer_step_map(img, reference_plan).values
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert stepnet._lane_count(64) >= 2
+        assert pinned.tobytes() == unpinned.tobytes()
+
+    def test_concurrent_passes_give_the_serial_bytes(self, reference_plan):
+        # Four passes at once, each with its own lanes, under a short
+        # switch interval so that the threads interleave often
+        frames = [RasterImage(pixels=textured_pixels(h, w, seed=h))
+                  for h, w in [(128, 128), (131, 77), (61, 203), (96, 160)]]
+        serial = [infer_step_map(f, reference_plan).values.tobytes() for f in frames]
+        results = [None] * len(frames)
+
+        def run(i):
+            try:
+                for _ in range(3):
+                    results[i] = infer_step_map(frames[i], reference_plan).values.tobytes()
+                    if results[i] != serial[i]:
+                        return
+            except Exception as exc:  # reported below as a mismatch
+                results[i] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(frames))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+        assert not [t for t in threading.enumerate() if t.name.startswith("qpalloc-lane")]
+
+    def test_import_starts_no_thread(self):
+        code = ("import sys, threading; import qpalloc.stepnet; "
+                "assert threading.active_count() == 1, threading.enumerate(); "
+                "assert 'concurrent.futures' not in sys.modules")
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=pythonpath), timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
