@@ -171,7 +171,7 @@ def _cmd_simulate(args) -> int:
             dqp=qpm.values.reshape(-1))
         point, recon = toysim.encode_image(luma, allocation)
     else:
-        base_qp = args.qp if args.qp is not None else 32
+        base_qp = args.qp
         point, recon = toysim.encode_image(luma, base_qp)
 
     csv_path = args.out_prefix + ".rd.csv"
@@ -241,7 +241,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("image", help="input PPM")
     qp = p.add_mutually_exclusive_group()
     qp.add_argument("--qpmap", help="QPMAP file; omit for a flat scalar QP")
-    qp.add_argument("--qp", type=int, help="flat scalar QP (default 32)")
+    # a string default, which argparse converts only when --qp is absent:
+    # an int 32 would be the very object that "--qp 32" parses to, and
+    # argparse does not count an option given at its default as a
+    # conflict with --qpmap
+    qp.add_argument("--qp", type=int, default="32", help="flat scalar QP (default 32)")
     p.add_argument("out_prefix", help="output prefix for .rd.csv, .bits, .recon.ppm")
     p.set_defaults(func=_cmd_simulate)
     return parser

@@ -105,29 +105,12 @@ class ResBlock:
             if conv.kernel_size != 3 or conv.stride != 1:
                 raise ValueError("residual convolutions are 3x3 stride 1")
 
-    @property
-    def channels(self) -> int:
-        return self.conv1.in_channels
-
 
 @dataclass(frozen=True)
 class ModelWeights:
     """Ordered layer stack (ConvLayer or ResBlock entries)."""
 
     layers: tuple
-
-    @property
-    def total_stride(self) -> int:
-        s = 1
-        for layer in self.layers:
-            if isinstance(layer, ConvLayer):
-                s *= layer.stride
-        return s
-
-    @property
-    def out_channels(self) -> int:
-        last = self.layers[-1]
-        return last.out_channels if isinstance(last, ConvLayer) else last.channels
 
 
 @dataclass(frozen=True)
@@ -264,7 +247,7 @@ def save_weights(weights: ModelWeights, path: str | os.PathLike) -> None:
                          f"{layer.kernel_size} {layer.stride}")
             convs = (layer,)
         else:
-            lines.append(f"resblock {layer.channels}")
+            lines.append(f"resblock {layer.conv1.in_channels}")
             convs = (layer.conv1, layer.conv2)
         params += [a.reshape(-1) for conv in convs for a in (conv.weights, conv.bias)]
     lines.append("data\n")
@@ -291,13 +274,27 @@ def _geometry(layer: ConvLayer, h: int, w: int) -> tuple[int, ...]:
     return out_h, out_w, pad_h, pad_w, rows
 
 
-def _sizes(layer: ConvLayer, h: int, w: int) -> tuple[int, int, int, int]:
-    """Floats that _conv_into needs for its padded input, each lane's
-    columns buffer and its output, and its number of bands."""
-    out_h, out_w, pad_h, pad_w, rows = _geometry(layer, h, w)
-    k, c = layer.kernel_size, layer.in_channels
-    return ((h + pad_h) * (w + pad_w) * c, rows * out_w * k * k * c,
-            out_h * out_w * layer.out_channels, -(-out_h // rows))
+def _plan(convs, h: int, w: int, c: int) -> tuple[int, ...]:
+    """Walk convs in order from an h x w input of c channels; a
+    convolution that does not take the channels reaching it is an
+    InferenceError. Returns (padded, cols, act, bands, stride): the
+    floats of the largest padded input, columns buffer (one lane's) and
+    activation (the input included) that _conv_into needs, the most
+    bands of any convolution and the strides composed."""
+    padded = cols = bands = 0
+    act, stride = c * h * w, 1
+    for conv in convs:
+        if conv.in_channels != c:
+            raise InferenceError(f"channel mismatch: input has {c} channels, "
+                                 f"layer expects {conv.in_channels}")
+        out_h, out_w, pad_h, pad_w, rows = _geometry(conv, h, w)
+        k = conv.kernel_size
+        padded = max(padded, (h + pad_h) * (w + pad_w) * c)
+        cols = max(cols, rows * out_w * k * k * c)
+        bands = max(bands, -(-out_h // rows))
+        c, h, w = conv.out_channels, out_h, out_w
+        act, stride = max(act, c * h * w), stride * conv.stride
+    return padded, cols, act, bands, stride
 
 
 def _lane_count(bands: int) -> int:
@@ -325,7 +322,7 @@ def _workers(lanes: int):
 def _conv_into(x: np.ndarray, layer: ConvLayer, padded_buf: np.ndarray,
                cols_bufs: np.ndarray, out_buf: np.ndarray, pool) -> np.ndarray:
     """conv2d of a channels-last x (h, w, c) through float32 buffers the
-    caller owns, each at least as long as _sizes says: cols_bufs
+    caller owns, each at least as long as _plan says: cols_bufs
     holds one columns buffer per lane in its rows. The bands are dealt
     round-robin to the lanes, lane 0 runs here and the others on pool's
     threads (pool is None for one lane). Returns the (out_h, out_w, out)
@@ -368,11 +365,6 @@ def _conv_into(x: np.ndarray, layer: ConvLayer, padded_buf: np.ndarray,
     return out.reshape(out_h, out_w, layer.out_channels)
 
 
-def _channel_mismatch(has, layer: ConvLayer) -> InferenceError:
-    return InferenceError(f"channel mismatch: input has {has} channels, "
-                          f"layer expects {layer.in_channels}")
-
-
 def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """Strided convolution with same-ceil geometry and replicate padding.
 
@@ -391,10 +383,13 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     layer give byte-identical results run to run on one host, at any
     lane count.
     """
-    if x.ndim != 3 or x.shape[0] != layer.in_channels:
-        raise _channel_mismatch(x.shape[0] if x.ndim == 3 else "?", layer)
+    if np.ndim(x) != 3:
+        raise InferenceError("conv2d input must be (channels, height, width), "
+                             f"got shape {np.shape(x)}")
+    c, h, w = np.shape(x)
+    padded_n, cols_n, _, bands, _ = _plan((layer,), h, w, c)
+    out_h, out_w = _geometry(layer, h, w)[:2]
     x = np.asarray(x, dtype=np.float32).transpose(1, 2, 0)
-    padded_n, cols_n, out_n, bands = _sizes(layer, *x.shape[:2])
     lanes = _lane_count(bands)
     # one block for the padded input and every lane's columns: allocated
     # apart, with two lanes, glibc handed them back to the OS on each
@@ -404,7 +399,7 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     ws = np.empty(padded_n + lanes * cols_n, np.float32)
     with _workers(lanes) as pool:
         out = _conv_into(x, layer, ws[:padded_n], ws[padded_n:].reshape(lanes, cols_n),
-                         np.empty(out_n, np.float32), pool)
+                         np.empty(out_h * out_w * layer.out_channels, np.float32), pool)
     return out.transpose(2, 0, 1)
 
 
@@ -433,22 +428,14 @@ def _forward(img: RasterImage, weights: ModelWeights) -> np.ndarray:
     """
     if img.channels != 3:
         raise InferenceError("inference requires a 3-channel image")
-    if weights.total_stride != DOWNSAMPLE_FACTOR:
+    convs = [conv for layer in weights.layers for conv in
+             ((layer,) if isinstance(layer, ConvLayer) else (layer.conv1, layer.conv2))]
+    padded_n, cols_n, act_n, bands, stride = _plan(convs, img.height, img.width, 3)
+    if stride != DOWNSAMPLE_FACTOR:
         raise InferenceError(
-            f"layer strides compose to x{weights.total_stride}, "
-            f"need exactly x{DOWNSAMPLE_FACTOR}")
-    if weights.out_channels != 1:
+            f"layer strides compose to x{stride}, need exactly x{DOWNSAMPLE_FACTOR}")
+    if convs[-1].out_channels != 1:
         raise InferenceError("final layer must produce a single channel")
-
-    c, h, w = 3, img.height, img.width
-    need = [0, 0, c * h * w, 1]  # padded input, columns, one activation, bands
-    for layer in weights.layers:
-        for conv in (layer,) if isinstance(layer, ConvLayer) else (layer.conv1, layer.conv2):
-            if conv.in_channels != c:
-                raise _channel_mismatch(c, conv)
-            need = [max(a, b) for a, b in zip(need, _sizes(conv, h, w))]
-            c, h, w = conv.out_channels, -(-h // conv.stride), -(-w // conv.stride)
-    padded_n, cols_n, act_n, bands = need
     lanes = _lane_count(bands)
     ws = np.empty(padded_n + lanes * cols_n + 2 * act_n, np.float32)
     padded = ws[:padded_n]
@@ -469,7 +456,12 @@ def _forward(img: RasterImage, weights: ModelWeights) -> np.ndarray:
 
 
 def infer_step_map(img: RasterImage, weights: ModelWeights) -> StepMap:
-    """Run the network; softplus keeps every output strictly positive."""
+    """Run the network; softplus keeps every output strictly positive.
+
+    The convolutions already run one lane per CPU, and BLAS threads
+    multiply with the lanes: a library caller should set
+    OPENBLAS_NUM_THREADS=1 before numpy is first imported, as the CLI
+    does."""
     return StepMap(values=softplus(_forward(img, weights)))
 
 

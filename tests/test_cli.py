@@ -504,6 +504,14 @@ class TestSimulateCommand:
             assert (tmp_path / ("scalar" + suffix)).read_bytes() == \
                 (tmp_path / ("mapped" + suffix)).read_bytes()
 
+    def test_default_qp_is_32(self, run, tmp_path, ppm_64):
+        assert run("simulate", ppm_64, "--qp", 32, tmp_path / "explicit")[0] == 0
+        assert run("simulate", ppm_64, tmp_path / "default")[0] == 0
+        for suffix in (".rd.csv", ".bits", ".recon.ppm"):
+            assert (tmp_path / ("default" + suffix)).read_bytes() == \
+                (tmp_path / ("explicit" + suffix)).read_bytes()
+        assert read_grid_file(tmp_path / "default.bits", expect_tag="BITS").base_qp == 32
+
     @pytest.mark.parametrize("qpmap_text", [None, "QPMAP 1\n1 1 64 30\n-3\n"],
                              ids=["flat", "qpmap"])
     def test_stdout_repeats_the_rd_row(self, run, tmp_path, ppm_64, qpmap_text):

@@ -374,6 +374,12 @@ class TestConv2d:
         with pytest.raises(InferenceError, match="channel mismatch"):
             conv2d(np.ones((1, 4, 4), np.float32), layer)
 
+    def test_input_must_be_three_dimensional(self):
+        layer = _conv(np.ones((1, 1, 1, 1)), [0.0], stride=1)
+        with pytest.raises(InferenceError,
+                           match=r"must be \(channels, height, width\), got shape \(5, 4\)"):
+            conv2d(np.ones((5, 4), np.float32), layer)
+
     def test_same_ceil_shapes(self):
         rng = np.random.default_rng(1)
         for _ in range(40):
@@ -449,7 +455,7 @@ class TestConv2d:
         layer = _conv(np.zeros((c, c, k, k)), np.zeros(c), stride=1)
         x = np.zeros((c, n, n), np.float32)
         pad = n + k - 1  # padded width
-        lanes = stepnet._lane_count(stepnet._sizes(layer, n, n)[3])
+        lanes = stepnet._lane_count(stepnet._plan((layer,), n, n, c)[3])
         bound = 4 * (c * pad * pad + c * n * pad + (lanes + 2) * stepnet._BAND_FLOATS)
         tracemalloc.start()
         try:
@@ -538,6 +544,15 @@ class TestInference:
         with pytest.raises(InferenceError, match="input has 4 channels, layer expects 5"):
             infer_step_map(img, ModelWeights(layers=(first, head)))
 
+    def test_channel_mismatch_is_reported_before_the_stride(self):
+        # strides compose to x8 as well; the one walk over the plan meets
+        # the mismatch first
+        stem = _conv(np.ones((4, 3, 1, 1)), np.zeros(4), stride=8)
+        head = _conv(np.ones((1, 5, 1, 1)), [0.0], stride=1)
+        img = RasterImage(pixels=np.zeros((16, 16, 3), np.uint8))
+        with pytest.raises(InferenceError, match="input has 4 channels, layer expects 5"):
+            infer_step_map(img, ModelWeights(layers=(stem, head)))
+
     # ragged frames: odd sizes, padding on the leading and the trailing
     # side of both axes, and a frame only one step-map block wide
     @pytest.mark.parametrize("h,w", [(131, 77), (61, 203), (16, 16)])
@@ -567,7 +582,7 @@ class TestInference:
         img = RasterImage(pixels=textured_pixels(256, 256, seed=9))
         infer_step_map(img, reference_plan)
         c, n, pad = 64, 128, 130
-        lanes = stepnet._lane_count(stepnet._sizes(reference_plan.layers[1].conv1, n, n)[3])
+        lanes = stepnet._lane_count(stepnet._plan((reference_plan.layers[1].conv1,), n, n, c)[3])
         bound = 4 * (2 * c * n * pad + c * pad * pad + (lanes + 1) * stepnet._BAND_FLOATS)
         tracemalloc.start()
         try:
@@ -736,8 +751,9 @@ class TestReferencePlan:
 
     def test_seeded_weights_are_usable_and_stable(self):
         weights = make_random_weights(seed=7, width=4)
-        assert weights.total_stride == 16
-        assert weights.out_channels == 1
+        img = RasterImage(pixels=textured_pixels(48, 64, seed=7))
+        values = infer_step_map(img, weights).values
+        assert values.shape == (3, 4) and (values > 0).all()
         again = make_random_weights(seed=7, width=4)
         for a, b in zip(weights.layers, again.layers):
             if isinstance(a, ConvLayer):
