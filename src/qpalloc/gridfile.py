@@ -62,7 +62,9 @@ def write_grid_file(path: str | os.PathLike, tag: str, block_size: int,
 
 
 def read_grid_file(path: str | os.PathLike, expect_tag: str | None = None) -> GridFile:
-    tags = KNOWN_TAGS if expect_tag is None else KNOWN_TAGS & {expect_tag}
+    tags = KNOWN_TAGS if expect_tag is None else {expect_tag}
+    if not tags <= KNOWN_TAGS:
+        raise ValueError(f"unknown grid tag {expect_tag!r}")
     tag, (block_size, base_qp), values = read_grid(path, tags, 2, INT_TAGS)
     if block_size < 1:
         raise FormatError(f"{path}: bad block size {block_size}")

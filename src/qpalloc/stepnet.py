@@ -145,70 +145,63 @@ _HEADER_LINE_BYTES = 256  # the most one header line may take, newline included
 def load_weights(path: str | os.PathLike) -> ModelWeights:
     """Read a QSNW2 weight file.
 
-    Layout: an ASCII header of whitespace-separated tokens: the magic
-    ``QSNW2``, ``layers N``, ``conv IN OUT K STRIDE`` or ``resblock CH``
-    for each layer, then ``data`` as the last token of its line. The
-    writer puts each on a line of its own, but any layout of the same
-    tokens reads the same. Every parameter follows that line's newline
-    as a little-endian float32, layer by layer: out-channel-major
-    weights, then biases, and a resblock carries its two convolutions in
-    order. Nothing follows the last parameter.
+    Layout: ASCII header lines, each one record: the magic ``QSNW2``,
+    ``layers N``, one ``conv IN OUT K STRIDE`` or ``resblock CH`` line
+    per layer, then ``data``. A line may end in CRLF and its tokens may
+    be split by any spaces or tabs; any other layout, such as a blank
+    line or two records on one line, is a FormatError. Every parameter
+    follows the data line as a little-endian float32, layer by layer:
+    out-channel-major weights, then biases, and a resblock carries its
+    two convolutions in order. Nothing follows the last parameter.
 
-    The header is read in bounded lines, only as far as the next token
-    is needed, so a file of another kind is rejected at its first line.
-    The payload must hold exactly the parameters the header declares,
-    each one finite; they are returned as native float32 copies.
+    Each header line is one bounded readline, so a file of another kind
+    is rejected at its first line. The payload must hold exactly the
+    parameters the header declares, each one finite; they are returned
+    as native float32 copies.
     """
     with open(path, "rb") as fh:
-        pending: list[str] = []  # tokens read but not yet taken, in order
 
-        def take(n: int) -> list[str]:
-            while len(pending) < n:
-                raw = fh.readline(_HEADER_LINE_BYTES)
-                try:
-                    line = raw.decode("ascii")
-                except UnicodeDecodeError as exc:
-                    raise FormatError(f"{path}: not ASCII text") from exc
-                if not line.endswith("\n"):
-                    if len(raw) < _HEADER_LINE_BYTES:
-                        raise FormatError(f"{path}: file ends early in the header")
-                    raise FormatError(f"{path}: header line longer than "
-                                      f"{_HEADER_LINE_BYTES} bytes")
-                pending.extend(line.split())
-            taken = pending[:n]
-            del pending[:n]
-            return taken
+        def fields() -> list[str]:
+            raw = fh.readline(_HEADER_LINE_BYTES)
+            try:
+                line = raw.decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: not ASCII text") from exc
+            if not line.endswith("\n"):
+                if len(raw) < _HEADER_LINE_BYTES:
+                    raise FormatError(f"{path}: file ends early in the header")
+                raise FormatError(f"{path}: header line longer than "
+                                  f"{_HEADER_LINE_BYTES} bytes")
+            return line.split()
 
-        (magic,) = take(1)
-        if magic != "QSNW2":
-            if magic.startswith("QSNW"):
-                raise FormatError(f"{path}: unsupported version {magic!r}")
-            raise FormatError(f"{path}: bad magic {magic!r}, expected QSNW2")
-        kw, count = take(2)
+        magic = fields()
+        if magic != ["QSNW2"]:
+            if magic and magic[0] != "QSNW2" and magic[0].startswith("QSNW"):
+                raise FormatError(f"{path}: unsupported version {magic[0]!r}")
+            raise FormatError(f"{path}: bad magic {' '.join(magic)!r}, expected QSNW2")
+        kw = fields()
         try:
-            (n_layers,) = parse_ints([count])
+            (n_layers,) = parse_ints(kw[1:])
         except ValueError as exc:
             raise FormatError(f"{path}: expected 'layers N' after the magic") from exc
-        if kw != "layers" or n_layers < 1:
+        if kw[0] != "layers" or n_layers < 1:
             raise FormatError(f"{path}: expected 'layers N' after the magic")
 
         # (c_in, c_out, k, stride) of each layer's convolutions, in file order
         plan = []
         for idx in range(n_layers):
-            (kind,) = take(1)
+            kind, *header = fields() or [""]
             if kind not in ("conv", "resblock"):
                 raise FormatError(f"{path}: unknown layer kind {kind!r} in layer {idx}")
             try:
-                dims = parse_ints(take(4 if kind == "conv" else 1))
+                dims = parse_ints(header)
             except ValueError as exc:
                 raise FormatError(f"{path}: bad {kind} header in layer {idx}") from exc
-            if min(dims) < 1:
+            if len(dims) != (4 if kind == "conv" else 1) or min(dims) < 1:
                 raise FormatError(f"{path}: bad {kind} header in layer {idx}")
             plan.append([tuple(dims)] if kind == "conv" else [(dims[0], dims[0], 3, 1)] * 2)
-        if take(1) != ["data"]:
+        if fields() != ["data"]:
             raise FormatError(f"{path}: expected 'data' after the layer headers")
-        if pending:
-            raise FormatError(f"{path}: expected 'data' to end its header line")
         payload = fh.read()
 
     # out-channel-major weights, then biases, of each convolution in turn
@@ -300,8 +293,6 @@ def _plan(convs, h: int, w: int, c: int) -> tuple[int, ...]:
 def _lane_count(bands: int) -> int:
     """Lanes for work of this many bands: one per CPU the process may
     run on, and no more than there are bands."""
-    if bands < 2:
-        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has CPU affinity
@@ -324,10 +315,12 @@ def _conv_into(x: np.ndarray, layer: ConvLayer, padded_buf: np.ndarray,
     """conv2d of a channels-last x (h, w, c) through float32 buffers the
     caller owns, each at least as long as _plan says: cols_bufs
     holds one columns buffer per lane in its rows. The bands are dealt
-    round-robin to the lanes, lane 0 runs here and the others on pool's
-    threads (pool is None for one lane). Returns the (out_h, out_w, out)
-    view of out_buf. x is read only while the padded input is filled, so
-    out_buf may hold x."""
+    round-robin to one lane per row, and no more lanes than bands: lane
+    0 runs here and the others on pool's threads, so with one row every
+    band runs here and pool may be None. Each lane ignores float
+    overflow and invalid results; infer_step_map checks the steps they
+    lead to. Returns the (out_h, out_w, out) view of out_buf. x is read
+    only while the padded input is filled, so out_buf may hold x."""
     h, w, c = x.shape
     s, k = layer.stride, layer.kernel_size
     out_h, out_w, pad_h, pad_w, rows = _geometry(layer, h, w)
@@ -346,17 +339,19 @@ def _conv_into(x: np.ndarray, layer: ConvLayer, padded_buf: np.ndarray,
     # the biases of a whole output row: added per pixel, numpy loops out floats at a time
     bias = np.tile(layer.bias, out_w)
     out = out_buf[:out_h * out_w * layer.out_channels].reshape(out_h, -1)
-    lanes = 1 if pool is None else min(len(cols_bufs), -(-out_h // rows))
+    lanes = min(len(cols_bufs), -(-out_h // rows))
 
     def lane(i: int) -> None:
-        for r0 in range(i * rows, out_h, lanes * rows):
-            m = min(rows, out_h - r0)
-            cols = cols_bufs[i, :m * out_w * k * k * c].reshape(m, out_w, k, k * c)
-            cols[...] = taps[r0:r0 + m]
-            band = out[r0:r0 + m]
-            np.matmul(cols.reshape(m * out_w, -1), weights,
-                      out=band.reshape(m * out_w, layer.out_channels))
-            band += bias
+        # numpy's error state is per thread, so each lane sets its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r0 in range(i * rows, out_h, lanes * rows):
+                m = min(rows, out_h - r0)
+                cols = cols_bufs[i, :m * out_w * k * k * c].reshape(m, out_w, k, k * c)
+                cols[...] = taps[r0:r0 + m]
+                band = out[r0:r0 + m]
+                np.matmul(cols.reshape(m * out_w, -1), weights,
+                          out=band.reshape(m * out_w, layer.out_channels))
+                band += bias
 
     others = [pool.submit(lane, i) for i in range(1, lanes)]
     lane(0)
@@ -381,7 +376,7 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     columns and output and starts its own worker threads; a forward
     pass runs the same kernel in one workspace. The same input and
     layer give byte-identical results run to run on one host, at any
-    lane count.
+    lane count. A float32 overflow gives inf or nan and no warning.
     """
     if np.ndim(x) != 3:
         raise InferenceError("conv2d input must be (channels, height, width), "
@@ -456,13 +451,20 @@ def _forward(img: RasterImage, weights: ModelWeights) -> np.ndarray:
 
 
 def infer_step_map(img: RasterImage, weights: ModelWeights) -> StepMap:
-    """Run the network; softplus keeps every output strictly positive.
+    """Run the network; softplus of the head's output gives the steps.
 
-    The convolutions already run one lane per CPU, and BLAS threads
-    multiply with the lanes: a library caller should set
-    OPENBLAS_NUM_THREADS=1 before numpy is first imported, as the CLI
-    does."""
-    return StepMap(values=softplus(_forward(img, weights)))
+    Weights that do not fit the image raise InferenceError, and so do
+    weights whose pass gives a step value that is not finite and
+    positive: a float32 overflow, or a head output so negative that
+    softplus underflows to 0. Neither warns. The convolutions already
+    run one lane per CPU, and BLAS threads multiply with the lanes: a
+    library caller should set OPENBLAS_NUM_THREADS=1 before numpy is
+    first imported, as the CLI does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = softplus(_forward(img, weights))
+        if not (np.isfinite(values) & (values > 0)).all():
+            raise InferenceError("weights give step values that are not finite and positive")
+    return StepMap(values=values)
 
 
 # ---------------------------------------------------------------------------

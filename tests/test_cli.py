@@ -15,7 +15,7 @@ from qpalloc.bdrate import bd_quality, bd_rate, quality_overlap, read_rd_csv
 from qpalloc.cli import _DEFAULT_BETA, _build_parser, main
 from qpalloc.gridfile import read_grid_file, write_grid_file
 from qpalloc.imageio import RasterImage, load_ppm, save_ppm
-from qpalloc.stepnet import make_random_weights, save_weights
+from qpalloc.stepnet import ConvLayer, ModelWeights, make_random_weights, save_weights
 
 from conftest import textured_pixels
 from _oracles import write_qsnw2
@@ -128,6 +128,26 @@ class TestStepmapCommand:
             assert (code, out) == (3, ""), layer
             assert message in err
             assert not (tmp_path / "map.qsmap").exists()
+
+    # each loads, but its pass gives step values that are not finite and
+    # positive: four 1x1 stride-2 convolutions with every weight 0.25 and
+    # a head bias whose softplus underflows to 0, or with every weight
+    # 3e37, whose float32 products overflow
+    @pytest.mark.parametrize("weight,head_bias", [(0.25, -800.0), (3e37, 0.0)],
+                             ids=["head-underflow", "overflow"])
+    def test_numeric_failure_is_inference_error(self, run, tmp_path, ppm_64, weight,
+                                                head_bias):
+        layers = tuple(ConvLayer(weights=np.full((c_out, c_in, 1, 1), weight, np.float32),
+                                 bias=np.full(c_out, head_bias if c_out == 1 else 0.0,
+                                              np.float32), stride=2)
+                       for c_in, c_out in [(3, 4), (4, 4), (4, 4), (4, 1)])
+        path = tmp_path / "w.qsnw"
+        save_weights(ModelWeights(layers=layers), path)
+        code, out, err = run("stepmap", ppm_64, path, tmp_path / "map.qsmap")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "finite and positive" in err
+        assert not (tmp_path / "map.qsmap").exists()
 
     def test_byte_identical_across_runs(self, run, tmp_path, ppm_64, weights_file):
         first = tmp_path / "a.qsmap"

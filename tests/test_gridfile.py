@@ -109,6 +109,13 @@ class TestValidation:
         with pytest.raises(FormatError, match="expected a QPMAP"):
             read_grid_file(path, expect_tag="QPMAP")
 
+    @pytest.mark.parametrize("tag", ["QSMAP", "qpmap"])
+    def test_unknown_expected_tag_is_refused_before_the_file_is_opened(self, tmp_path, tag):
+        # the tag is the caller's fault, not the file's: the path need not exist
+        with pytest.raises(ValueError, match=f"^unknown grid tag '{tag}'$") as info:
+            read_grid_file(tmp_path / "missing.qpmap", expect_tag=tag)
+        assert not isinstance(info.value, FormatError)
+
     def test_bad_version(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("QPMAP 2\n1 1 64 32\n0\n")
