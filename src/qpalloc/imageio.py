@@ -14,6 +14,7 @@ edge of one step-map cell.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,11 @@ from .errors import FormatError
 
 BLOCK_SIZE = 64    # block edge in pixels: 4x4 step-map cells, 8x8 transform units
 DOWNSAMPLE_FACTOR = 16    # step-map cell edge in pixels: the network's total stride
+
+# one P6 header field: whitespace and "#" comments up to the next LF, then
+# the field's token (empty at the end of the data); (\S*) always matches,
+# so a match never backtracks
+_PPM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 __all__ = [
     "BLOCK_SIZE",
@@ -105,8 +111,13 @@ class BlockGrid:
 def load_ppm(path: str | os.PathLike) -> RasterImage:
     """Load a binary P6 portable pixmap with maxval 255.
 
-    Distinct errors for a missing file, wrong magic, unsupported maxval,
-    a truncated pixel payload, and bytes after the payload.
+    The header is the magic P6, then width, height and maxval as decimal
+    tokens. Before each token may come any run of ASCII whitespace and
+    "#" comments, each running to the next line feed (LF); exactly one
+    whitespace byte follows maxval, and the pixel payload starts after it.
+    Distinct errors for a missing file, wrong magic, a truncated or
+    non-numeric header, unsupported maxval, a truncated pixel payload,
+    and bytes after the payload.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -118,21 +129,12 @@ def load_ppm(path: str | os.PathLike) -> RasterImage:
         magic = data[:3].decode("ascii", "replace")
         raise FormatError(f"{path}: bad magic {magic!r}, expected P6 then whitespace")
 
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    fields, pos = [], 2
+    for _ in range(3):
+        match = _PPM_FIELD.match(data, pos)
+        token, pos = match[1], match.end()
+        if not token:
             raise FormatError(f"{path}: truncated header")
-        token = data[start:pos]
         if not token.isdigit():
             raise FormatError(f"{path}: non-numeric header token {token!r}")
         fields.append(int(token))

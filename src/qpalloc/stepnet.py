@@ -22,7 +22,6 @@ from QSMAP files.
 
 from __future__ import annotations
 
-import contextlib
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -301,13 +300,12 @@ def _lane_count(bands: int) -> int:
 
 
 def _workers(lanes: int):
-    """A context that gives a pool of lanes - 1 worker threads and closes
-    it on exit, or None for one lane. concurrent.futures is imported
-    here, so that importing this module does not pay for it."""
-    if lanes < 2:
-        return contextlib.nullcontext()
+    """A pool of up to lanes - 1 worker threads, closed on exit. A thread
+    starts only when a lane is submitted, so one lane starts none.
+    concurrent.futures is imported here, so that importing this module
+    does not pay for it."""
     from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(lanes - 1, thread_name_prefix="qpalloc-lane")
+    return ThreadPoolExecutor(max(1, lanes - 1), thread_name_prefix="qpalloc-lane")
 
 
 def _conv_into(x: np.ndarray, layer: ConvLayer, padded_buf: np.ndarray,
@@ -317,7 +315,7 @@ def _conv_into(x: np.ndarray, layer: ConvLayer, padded_buf: np.ndarray,
     holds one columns buffer per lane in its rows. The bands are dealt
     round-robin to one lane per row, and no more lanes than bands: lane
     0 runs here and the others on pool's threads, so with one row every
-    band runs here and pool may be None. Each lane ignores float
+    band runs here and pool starts no thread. Each lane ignores float
     overflow and invalid results; infer_step_map checks the steps they
     lead to. Returns the (out_h, out_w, out) view of out_buf. x is read
     only while the padded input is filled, so out_buf may hold x."""

@@ -1,12 +1,37 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qpalloc.errors import FormatError
 from qpalloc.imageio import BlockGrid, RasterImage, load_ppm, rgb_to_gray, save_ppm
 
+# the six bytes that bytes.isspace() accepts
+WHITESPACE = b" \t\n\r\x0b\x0c"
+
 
 def ppm_bytes(width, height, payload):
     return f"P6\n{width} {height}\n255\n".encode() + bytes(payload)
+
+
+@st.composite
+def spaced_ppms(draw):
+    """A P6 file of 1-8 px per side whose magic and fields are separated by
+    runs of whitespace and "#" comments (any bytes but LF, then LF), with
+    one whitespace byte after maxval; returns (file bytes, (h, w, 3) pixels)."""
+    space = st.sampled_from(WHITESPACE).map(lambda b: bytes([b]))
+    comment = st.binary(max_size=12).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+    # a gap starts with whitespace: "#" right after the magic or a field
+    # would belong to it
+    gaps = [draw(space) + b"".join(draw(st.lists(st.one_of(space, comment), max_size=4)))
+            for _ in range(3)]
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    fields = [str(width).encode(), str(height).encode(), b"255"]
+    payload = draw(st.binary(min_size=width * height * 3, max_size=width * height * 3))
+    header = b"P6" + b"".join(gap + field for gap, field in zip(gaps, fields))
+    pixels = np.frombuffer(payload, np.uint8).reshape(height, width, 3)
+    return header + draw(space) + payload, pixels
 
 
 class TestPpm:
@@ -64,6 +89,29 @@ class TestPpm:
         path.write_bytes(b"P6\n# made by hand\n2 1\n255\n" + bytes(6))
         img = load_ppm(path)
         assert (img.width, img.height) == (2, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=spaced_ppms())
+    @example(case=(b"P6\r#a\rb\n2\x0b#\x0c\n\x0c1\t#\n\n255\x0c#\n\x00\x01\x02\x03",
+                   np.array([[[35, 10, 0], [1, 2, 3]]], np.uint8)))
+    def test_spaced_and_commented_headers_load(self, tmp_path_factory, case):
+        data, pixels = case
+        path = tmp_path_factory.mktemp("spaced") / "frame.ppm"
+        path.write_bytes(data)
+        loaded = load_ppm(path).pixels
+        assert loaded.shape == pixels.shape
+        assert loaded.tobytes() == pixels.tobytes()
+
+    @pytest.mark.parametrize("data,match", [
+        (b"P6\n2 1\n# to the end of the file", ": truncated header$"),
+        (b"P6\n4#c 1\n255\n" + bytes(12), re.escape(": non-numeric header token b'4#c'")),
+        (b"P6#x\n1 1\n255\n" + bytes(3), re.escape(": bad magic 'P6#'")),
+    ], ids=["open-comment", "hash-in-field", "hash-after-magic"])
+    def test_header_refusals(self, tmp_path, data, match):
+        path = tmp_path / "frame.ppm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=match):
+            load_ppm(path)
 
     def test_round_trip_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(1)

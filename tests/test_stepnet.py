@@ -634,20 +634,32 @@ class TestLanes:
                         reason="pinning to one CPU changes the lane count only "
                                "where two are available")
     @pytest.mark.parametrize("h,w", [(256, 256), (131, 77)])
-    def test_pinned_to_one_cpu_gives_the_same_bytes(self, reference_plan, h, w):
+    def test_pinned_to_one_cpu_gives_the_same_bytes(self, reference_plan, monkeypatch, h, w):
         # At 256x256 the first residual block has 43 bands of 3 rows, the
         # last of 2; at 131x77 it has 6 bands of 11 rows, and the stride-2
         # convolution after it a band of 22 rows and one of 11
         img = RasterImage(pixels=textured_pixels(h, w, seed=w))
         unpinned = infer_step_map(img, reference_plan).values
+        # one lane takes the pool path too, but submits nothing to it
+        lane_starts = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            if thread.name.startswith("qpalloc-lane"):
+                lane_starts.append(thread.name)
+            start(thread)
+
         cpus = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {min(cpus)})
         try:
             assert stepnet._lane_count(64) == 1
+            monkeypatch.setattr(threading.Thread, "start", counted_start)
             pinned = infer_step_map(img, reference_plan).values
         finally:
+            monkeypatch.undo()
             os.sched_setaffinity(0, cpus)
         assert stepnet._lane_count(64) >= 2
+        assert lane_starts == []
         assert pinned.tobytes() == unpinned.tobytes()
 
     def test_concurrent_passes_give_the_serial_bytes(self, reference_plan):
