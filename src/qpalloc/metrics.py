@@ -11,7 +11,9 @@ all that the luminance and contrast-structure maps need. Each axis of
 the separable filter is a run of small matrix products: a tile of at
 most 16 output rows (or columns) is one product of the 26 input rows
 (columns) it reads with a banded matrix whose 16 columns each hold the
-window, one row lower per column. The contrast-structure map is formed
+window, one row lower per column; the full column tiles of a strip run
+as one batched product over a strided view of its rows, with the bits of
+one product per tile. The contrast-structure map is formed
 and summed per strip; the luminance map only where a score uses it.
 MS-SSIM is the five-scale product with exponents
 (0.0448, 0.2856, 0.3001, 0.2363, 0.1333): the contrast-structure mean
@@ -103,6 +105,28 @@ def psnr(a: RasterImage, b: RasterImage) -> float:
     return 10.0 * math.log10(_L * _L / (sse / a.pixels.size))
 
 
+def _filter_columns(rows: np.ndarray, out: np.ndarray) -> None:
+    """Write into out (n, w - 10) the horizontal window means of rows (n, w).
+
+    Output tile k, columns _TILE k to _TILE (k + 1) - 1, is the product of
+    the _TILE + 10 columns of rows it reads with _BAND. One batched product
+    over a strided view of rows makes every full tile (numpy runs one BLAS
+    product per tile, with no Python loop), and a last, narrower tile takes
+    the top-left corner of _BAND, so each tile has the bits of its own
+    product.
+    """
+    n, out_w = out.shape
+    tiles, full = out_w // _TILE, out_w - out_w % _TILE
+    step, one = rows.strides
+    # windows[k] is the (n, _TILE + 10) block of rows that tile k reads
+    windows = np.lib.stride_tricks.as_strided(
+        rows, (tiles, n, _BAND.shape[0]), (_TILE * one, step, one), writeable=False)
+    np.matmul(windows, _BAND, out=out[:, :full].reshape(n, tiles, _TILE).transpose(1, 0, 2))
+    if full < out_w:
+        np.matmul(rows[:, full:], _BAND[:rows.shape[1] - full, :out_w - full],
+                  out=out[:, full:])
+
+
 def _ssim_means(x: np.ndarray, y: np.ndarray, lum: bool = False) -> tuple[float, ...]:
     """(mean cs,) of one plane pair or, with lum, (mean cs, mean lum * cs,
     mean lum): the window means of the valid-region SSIM maps.
@@ -111,9 +135,9 @@ def _ssim_means(x: np.ndarray, y: np.ndarray, lum: bool = False) -> tuple[float,
     at a time, in one workspace of about 424 * w floats. Each strip fills
     its 42 input rows of x, y, x*x + y*y and x*y, filters them vertically
     per _TILE output rows (one product per plane with the top-left
-    (r + 10, r) corner of _BAND, transposed) and horizontally per _TILE
-    output columns (one product of the strip's four planes, stacked into
-    one matrix, with the corner of _BAND), then forms
+    (r + 10, r) corner of _BAND, transposed) and horizontally with
+    _filter_columns (the strip's four planes stacked into one matrix),
+    then forms
     cs = (2 (E[xy] - mu_x mu_y) + C2) / (E[x^2 + y^2] - (mu_x^2 + mu_y^2) + C2)
     and, if asked, lum = (2 mu_x mu_y + C1) / (mu_x^2 + mu_y^2 + C1)
     in place. Every term is symmetric in x and y, and the products give a
@@ -143,11 +167,7 @@ def _ssim_means(x: np.ndarray, y: np.ndarray, lum: bool = False) -> tuple[float,
             r = min(_TILE, s - t)
             np.matmul(_BAND[:r + pad, :r].T, planes[:, t:t + r + pad],
                       out=rows[:, t:t + r])
-        stacked_rows, stacked_maps = rows.reshape(4 * s, w), maps.reshape(4 * s, out_w)
-        for j in range(0, out_w, _TILE):
-            r = min(_TILE, out_w - j)
-            np.matmul(stacked_rows[:, j:j + r + pad], _BAND[:r + pad, :r],
-                      out=stacked_maps[:, j:j + r])
+        _filter_columns(rows.reshape(4 * s, w), maps.reshape(4 * s, out_w))
         mu_x, mu_y, cs, exy = maps
         lum_map = rows.reshape(-1)[:s * out_w].reshape(s, out_w)  # rows are spent
         np.multiply(mu_x, mu_y, out=lum_map)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qpalloc.imageio import RasterImage
-from qpalloc.metrics import _ssim_means, metric_report, ms_ssim, psnr, ssim
+from qpalloc.metrics import (_BAND, _filter_columns, _ssim_means, metric_report,
+                             ms_ssim, psnr, ssim)
 
 from conftest import textured_pixels
 from _oracles import _ref_maps, noisy_variant, reference_ms_ssim, reference_ssim
@@ -59,6 +60,21 @@ def test_ssim_means_match_direct_correlation(out_h, w, pixels, seed):
     # exact SSIM symmetry needs the same bits whichever slot a plane takes
     assert _ssim_means(x, y) == means[:1]
     assert _ssim_means(y, x, lum=True) == means
+
+
+# widths of 11 and 25 give no full 16-column tile, 26 and 42 full tiles
+# only, the rest full tiles and a narrower last one; rows 4 and 128 are
+# the four stacked planes of a 1-row and a 32-row strip
+@pytest.mark.parametrize("n", [4, 128])
+@pytest.mark.parametrize("w", [11, 25, 26, 27, 41, 42, 43, 200, 360])
+def test_column_filter_gives_each_tile_the_bits_of_its_own_product(n, w):
+    rng = np.random.default_rng(w)
+    rows = rng.uniform(0.0, 2.0 * 255.0 ** 2, (n, w))
+    out = np.full((n, w - 10), np.nan)
+    _filter_columns(rows, out)
+    for j in range(0, w - 10, 16):
+        r = min(16, w - 10 - j)
+        assert np.array_equal(out[:, j:j + r], rows[:, j:j + r + 10] @ _BAND[:r + 10, :r])
 
 
 class TestPsnr:
