@@ -49,6 +49,19 @@ def _qp_index(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _qp_range(value, what: str) -> int:
+    """_qp_index(value, what), refused outside [0, 63]."""
+    value = _qp_index(value, what)
+    if not 0 <= value <= 63:
+        raise ValueError(f"{what} {value} outside [0, 63]")
+    return value
+
+
+def _check_beta(beta) -> None:
+    if np.ndim(beta) != 0 or not math.isfinite(beta):
+        raise ValueError(f"beta must be a finite scalar, got {beta!r}")
+
+
 @dataclass(frozen=True)
 class AllocConfig:
     """Knobs for the ratio-to-QP conversion: the frame's base QP, the
@@ -59,14 +72,9 @@ class AllocConfig:
     clamp: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "base_qp", _qp_index(self.base_qp, "base_qp"))
-        object.__setattr__(self, "clamp", _qp_index(self.clamp, "clamp"))
-        if not 0 <= self.base_qp <= 63:
-            raise ValueError(f"base_qp {self.base_qp} outside [0, 63]")
-        if np.ndim(self.beta) != 0 or not math.isfinite(self.beta):
-            raise ValueError(f"beta must be a finite scalar, got {self.beta!r}")
-        if not 0 <= self.clamp <= 63:
-            raise ValueError(f"clamp {self.clamp} outside [0, 63]")
+        object.__setattr__(self, "base_qp", _qp_range(self.base_qp, "base_qp"))
+        _check_beta(self.beta)
+        object.__setattr__(self, "clamp", _qp_range(self.clamp, "clamp"))
 
 
 @dataclass(frozen=True)
@@ -112,14 +120,14 @@ def block_mean_step(step_map: StepMap, grid: BlockGrid) -> np.ndarray:
     (short of subnormal cells, far below the EPS floor).
     """
     f = DOWNSAMPLE_FACTOR
-    if (step_map.grid_w != -(-grid.width // f)
-            or step_map.grid_h != -(-grid.height // f)):
+    rows, cols = step_map.values.shape
+    want = (-(-grid.height // f), -(-grid.width // f))
+    if (rows, cols) != want:
         raise GridMismatchError(
-            f"step map {step_map.grid_w}x{step_map.grid_h} does not match "
-            f"a {grid.width}x{grid.height} frame (expected "
-            f"{-(-grid.width // f)}x{-(-grid.height // f)})")
+            f"step map {cols}x{rows} does not match a {grid.width}x{grid.height} "
+            f"frame (expected {want[1]}x{want[0]})")
     # cell values / 16 and a 1 per real cell, summed per block
-    cells = np.ones((2, step_map.grid_h, step_map.grid_w))
+    cells = np.ones((2, rows, cols))
     cells[0] = step_map.values / 16
     sums, counts = grid.block_sums(cells, f)
     return ((sums / counts) * 16).reshape(-1)
@@ -149,11 +157,14 @@ def qp_offset(ratio, beta: float, clamp: int) -> np.ndarray:
 
     round(N * beta * log2(r)) half away from zero, then clamped to
     [-clamp, +clamp]; an overflowing raw offset saturates, and a ratio
-    of exactly 1 gives 0 whatever beta is.
+    of exactly 1 gives 0 whatever beta is. Ratios must be finite and
+    positive, and beta and clamp as AllocConfig takes them.
     """
     ratio = np.asarray(ratio, np.float64)
-    if np.any(ratio <= 0):
-        raise ValueError("bit ratios must be positive")
+    if not np.all(np.isfinite(ratio) & (ratio > 0)):
+        raise ValueError("bit ratios must be finite and positive")
+    _check_beta(beta)
+    clamp = _qp_range(clamp, "clamp")
     log_r = np.log2(ratio)
     with np.errstate(over="ignore", invalid="ignore"):
         raw = np.where(log_r == 0.0, 0.0, N_CONST * beta * log_r)
@@ -189,12 +200,12 @@ def linearity_fit(bits_per_block, qs) -> LinearityReport:
         raise ValueError(f"length mismatch: {bits.shape} bits vs {qs.shape} steps")
     if bits.size < 2:
         raise ValueError("need at least 2 blocks to fit")
-    if np.any(bits < 0):
-        raise ValueError("bit counts must be non-negative")
+    if not np.all(np.isfinite(bits) & (bits >= 0)):
+        raise ValueError("bit counts must be finite and non-negative")
     if bits.mean() <= 0:
         raise ValueError("mean bits must be positive")
-    if np.any(qs <= 0):
-        raise ValueError("step means must be positive")
+    if not np.all(np.isfinite(qs) & (qs > 0)):
+        raise ValueError("step means must be finite and positive")
 
     inv = 1.0 / qs
     x = inv / inv.mean()

@@ -58,7 +58,8 @@ def _cmd_stepmap(args) -> int:
     weights = stepnet.load_weights(args.weights)
     step_map = stepnet.infer_step_map(img, weights)
     stepnet.write_step_map(step_map, args.out)
-    print(f"stepmap {step_map.grid_w}x{step_map.grid_h} "
+    rows, cols = step_map.values.shape
+    print(f"stepmap {cols}x{rows} "
           f"min {_fmt(step_map.values.min())} max {_fmt(step_map.values.max())}")
     return 0
 
@@ -72,8 +73,9 @@ def _cmd_qpmap(args) -> int:
     from ._fileio import atomic_write_text
     from .imageio import BLOCK_SIZE, DOWNSAMPLE_FACTOR
     step_map = stepnet.read_step_map(args.stepmap)
-    width = step_map.grid_w * DOWNSAMPLE_FACTOR if args.width is None else args.width
-    height = step_map.grid_h * DOWNSAMPLE_FACTOR if args.height is None else args.height
+    rows, cols = step_map.values.shape
+    width = cols * DOWNSAMPLE_FACTOR if args.width is None else args.width
+    height = rows * DOWNSAMPLE_FACTOR if args.height is None else args.height
     cfg = alloc.AllocConfig(base_qp=args.base_qp, beta=args.beta, clamp=args.clamp)
 
     allocation = alloc.build_allocation(step_map, width, height, cfg)
@@ -160,10 +162,10 @@ def _cmd_simulate(args) -> int:
     if args.qpmap:
         qpm = gridfile.read_grid_file(args.qpmap, expect_tag="QPMAP")
         base_qp = qpm.base_qp
-        if (qpm.blocks_x, qpm.blocks_y, qpm.block_size) != \
-                (grid.blocks_x, grid.blocks_y, BLOCK_SIZE):
+        rows, cols = qpm.values.shape
+        if (cols, rows, qpm.block_size) != (grid.blocks_x, grid.blocks_y, BLOCK_SIZE):
             raise GridMismatchError(
-                f"{args.qpmap}: grid {qpm.blocks_x}x{qpm.blocks_y} "
+                f"{args.qpmap}: grid {cols}x{rows} "
                 f"block {qpm.block_size} does not match the "
                 f"{grid.blocks_x}x{grid.blocks_y} block {BLOCK_SIZE} frame partition")
         allocation = alloc.BlockAllocation(

@@ -38,14 +38,6 @@ class GridFile:
     base_qp: int
     values: np.ndarray  # (blocks_y, blocks_x); int64 or float64 by tag
 
-    @property
-    def blocks_x(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def blocks_y(self) -> int:
-        return self.values.shape[0]
-
 
 def write_grid_file(path: str | os.PathLike, tag: str, block_size: int,
                     base_qp: int, values: np.ndarray) -> None:

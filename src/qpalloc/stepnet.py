@@ -61,6 +61,8 @@ class ConvLayer:
     def __post_init__(self):
         if self.weights.ndim != 4 or self.weights.shape[2] != self.weights.shape[3]:
             raise ValueError("weights must be (out, in, k, k)")
+        if 0 in self.weights.shape:
+            raise ValueError(f"weights of shape {self.weights.shape} have an empty axis")
         if self.bias.shape != (self.weights.shape[0],):
             raise ValueError("bias length must equal the output channel count")
         if self.stride < 1:
@@ -124,14 +126,6 @@ class StepMap:
             raise ValueError("step map must be 2-D")
         if not np.all(np.isfinite(v)) or not np.all(v > 0):
             raise ValueError("step map values must be finite and positive")
-
-    @property
-    def grid_h(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def grid_w(self) -> int:
-        return self.values.shape[1]
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,13 @@ class TestBlockMeanStep:
         with pytest.raises(GridMismatchError):
             block_mean_step(uniform_map(4, 4), grid)
 
+    def test_mismatch_reads_rows_then_columns(self):
+        # 8 rows of 4 cells fit a 64x128 frame, not a 128x64 one
+        with pytest.raises(GridMismatchError) as info:
+            block_mean_step(uniform_map(8, 4), BlockGrid(128, 64))
+        assert str(info.value) == \
+            "step map 4x8 does not match a 128x64 frame (expected 8x4)"
+
 
 class TestBitRatios:
     def test_uniform_steps_normalize_to_one(self):
@@ -144,6 +151,23 @@ class TestQpOffset:
     def test_nonpositive_ratio_rejected(self):
         with pytest.raises(ValueError):
             qp_offset(0.0, -1.0, 4)
+
+    @pytest.mark.parametrize("ratio,beta,clamp,match", [
+        (math.nan, -1.367, 4, "bit ratios must be finite and positive"),
+        (math.inf, 0.0, 4, "bit ratios must be finite and positive"),
+        (np.array([1.0, math.nan]), -1.367, 4, "bit ratios must be finite and positive"),
+        (2.0, math.nan, 4, "beta must be a finite scalar"),
+        (2.0, -math.inf, 4, "beta must be a finite scalar"),
+        (2.0, np.array([-1.0, -2.0]), 4, "beta must be a finite scalar"),
+        (2.0, -1.367, -1, r"clamp -1 outside \[0, 63\]"),
+        (2.0, -1.367, 64, r"clamp 64 outside \[0, 63\]"),
+        (2.0, -1.367, 2.5, "clamp must be an integer"),
+    ], ids=["nan-ratio", "inf-ratio", "nan-in-array", "nan-beta", "inf-beta",
+            "array-beta", "negative-clamp", "clamp-64", "float-clamp"])
+    def test_out_of_domain_input_rejected(self, ratio, beta, clamp, match):
+        # AllocConfig's domain for beta and clamp, with its wording
+        with pytest.raises(ValueError, match=match):
+            qp_offset(ratio, beta, clamp)
 
     def test_offset_always_within_clamp(self):
         rng = np.random.default_rng(3)
@@ -293,3 +317,13 @@ class TestLinearityFit:
             linearity_fit(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match="mean bits"):
             linearity_fit(np.zeros(3), np.ones(3))
+
+    @pytest.mark.parametrize("bits,qs,match", [
+        ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0], "bit counts must be finite"),
+        ([1.0, math.inf, 3.0], [1.0, 2.0, 3.0], "bit counts must be finite"),
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0], "step means must be finite"),
+        ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0], "step means must be finite"),
+    ], ids=["nan-bits", "inf-bits", "inf-step", "nan-step"])
+    def test_non_finite_input_rejected(self, bits, qs, match):
+        with pytest.raises(ValueError, match=match):
+            linearity_fit(np.array(bits), np.array(qs))

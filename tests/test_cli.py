@@ -245,7 +245,7 @@ class TestQpmapCommand:
                          "--width", 100, "--height", 80, out)
         assert code == 0
         qpm = read_grid_file(out)
-        assert (qpm.blocks_x, qpm.blocks_y) == (2, 2)
+        assert qpm.values.shape == (2, 2)
 
     def test_invalid_base_qp(self, run, tmp_path):
         qsmap = tmp_path / "u.qsmap"
@@ -570,6 +570,18 @@ class TestSimulateCommand:
             code, stdout, _ = run("simulate", ppm_64, "--qpmap", qpmap, tmp_path / "x")
             assert (code, stdout) == (5, ""), size
             assert not list(tmp_path.glob("x.*"))
+
+    def test_transposed_grid_is_exit_5(self, run, tmp_path):
+        # a 128x64 frame is 2 blocks across and 1 down; the file holds
+        # 1 across and 2 down, the same block count laid out transposed
+        ppm = tmp_path / "wide.ppm"
+        save_ppm(RasterImage(pixels=textured_pixels(64, 128, seed=21)), ppm)
+        qpmap = tmp_path / "tall.qpmap"
+        qpmap.write_text("QPMAP 1\n1 2 64 32\n0\n0\n")
+        assert run("simulate", ppm, "--qpmap", qpmap, tmp_path / "x") == (
+            5, "", f"error: {qpmap}: grid 1x2 block 64 does not match the "
+                   "2x1 block 64 frame partition\n")
+        assert not list(tmp_path.glob("x.*"))
 
     def test_conflicting_qp_is_exit_2(self, run, tmp_path, ppm_64):
         # --qp and --qpmap are mutually exclusive, even when --qp repeats

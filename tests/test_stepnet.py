@@ -340,10 +340,19 @@ class TestConstructorChecks:
         ((1, 3, 3), [0.0], 1, r"\(out, in, k, k\)"),
         ((2, 3, 3, 3), [0.0], 1, "bias length"),
         ((1, 3, 3, 3), [0.0], 0, "stride must be positive"),
-    ], ids=["3-d-weights", "bias-length", "stride-0"])
+        ((1, 3, 0, 0), [0.0], 1, "empty axis"),
+        ((0, 3, 3, 3), [], 1, "empty axis"),
+        ((1, 0, 3, 3), [0.0], 1, "empty axis"),
+    ], ids=["3-d-weights", "bias-length", "stride-0", "empty-kernel",
+            "no-output-channel", "no-input-channel"])
     def test_conv_layer(self, shape, bias, stride, match):
         with pytest.raises(ValueError, match=match):
             _conv(np.ones(shape), bias, stride)
+
+    def test_zero_width_plan_refused_where_built(self):
+        # its first convolution would have no output channel
+        with pytest.raises(ValueError, match="empty axis"):
+            make_random_weights(0, width=0)
 
     @pytest.mark.parametrize("shape,match", [((4, 3, 3, 3), "preserve the channel count"),
                                              ((3, 3, 1, 1), "3x3 stride 1")],
