@@ -62,6 +62,7 @@ def _gaussian_window() -> np.ndarray:
 _WINDOW = _gaussian_window()
 _TILE = 16  # output rows (columns) per banded product of the filter
 _STRIP = 2 * _TILE  # valid output rows scored at a time by _ssim_means
+_PSNR_CHUNK = 1 << 16  # samples squared at a time by psnr: 256 KB of int32
 
 
 def _banded_window() -> np.ndarray:
@@ -92,14 +93,16 @@ def _check_pair(a: RasterImage, b: RasterImage) -> None:
 def psnr(a: RasterImage, b: RasterImage) -> float:
     """10 * log10(255^2 / MSE) over all samples; +inf for identical inputs.
 
-    The squared errors are summed exactly in int64, _STRIP rows at a time;
-    every partial sum of the float64 mean they replace is an integer below
-    2^53, so the MSE has the same bits."""
+    The differences are squared in int32 (at most 255^2), _PSNR_CHUNK
+    samples at a time, and each chunk is summed in int64, so the squared
+    error sum is exact: every partial sum of the float64 mean it replaces is
+    an integer below 2^53, and the MSE has the same bits."""
     _check_pair(a, b)
+    x, y = a.pixels.reshape(-1), b.pixels.reshape(-1)
     sse = 0
-    for i in range(0, a.height, _STRIP):
-        diff = np.subtract(a.pixels[i:i + _STRIP], b.pixels[i:i + _STRIP], dtype=np.int64)
-        sse += int(np.vdot(diff, diff))
+    for i in range(0, x.size, _PSNR_CHUNK):
+        diff = np.subtract(x[i:i + _PSNR_CHUNK], y[i:i + _PSNR_CHUNK], dtype=np.int32)
+        sse += int(np.multiply(diff, diff, out=diff).sum(dtype=np.int64))
     if sse == 0:
         return math.inf
     return 10.0 * math.log10(_L * _L / (sse / a.pixels.size))

@@ -10,10 +10,12 @@ every other block.
 
 Planes that are not multiples of 8 are edge-replicated up to the next
 transform unit; padded samples are priced with their block but cropped
-from the reconstruction. Every stage works on one (tu_y, tu_x, 8, 8)
-view of the padded plane, from the DCT B @ X @ B.T to the inverse
-written back. The codec does not score the reconstruction itself:
-RdPoint.quality is metrics.psnr of it.
+from the reconstruction. The frame is coded one 64-row block strip at a
+time in one workspace: the strip's rows of units go through the DCT
+B @ X @ B.T as two products, B on each unit row's (8, width) slab and
+then B.T on every 8-column run of the result, and back through the
+inverse the same way. The codec does not score the reconstruction
+itself: RdPoint.quality is metrics.psnr of it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ def _dct_basis() -> np.ndarray:
 
 
 DCT_BASIS = _dct_basis()
+_BASIS_T = np.ascontiguousarray(DCT_BASIS.T)
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,11 @@ def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
     Returns (RdPoint, reconstruction). The reconstruction is uint8,
     rounded half-up and clipped; quality is metrics.psnr of it against
     luma, +inf when it is lossless.
+
+    Memory does not grow with the frame's height: beside the
+    reconstruction, the encode holds one workspace of three float64 and
+    one int32 BLOCK_SIZE-row planes of the padded width, 1,792 B per
+    padded column (0.66 MB at 368 columns).
     """
     luma = np.asarray(luma)
     if luma.ndim != 2 or luma.dtype != np.uint8:
@@ -96,27 +104,52 @@ def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
         raise ValueError(f"plane {w}x{h} smaller than one {TU_SIZE}x{TU_SIZE} unit")
     grid = BlockGrid(w, h)
     qp_blocks = _qp_blocks(grid, qp_map)
+    steps = np.power(2.0, (qp_blocks - 4) / 6.0)
 
-    pad = ((0, -h % TU_SIZE), (0, -w % TU_SIZE))
-    plane = np.pad(luma.astype(np.float64), pad, mode="edge")
-    tu_y, tu_x = plane.shape[0] // TU_SIZE, plane.shape[1] // TU_SIZE
+    pw = w + -w % TU_SIZE
+    block_cols = np.arange(0, pw, BLOCK_SIZE)  # each block's first column
+    cols_units = np.diff(block_cols, append=pw) // TU_SIZE  # unit columns per block
+    pixels, work, coeffs = np.empty((3, BLOCK_SIZE, pw))
+    exps = np.empty((BLOCK_SIZE, pw), np.int32)
+    recon = np.empty_like(luma)
+    per_block = np.empty(qp_blocks.shape, np.int64)
+    for by, y in enumerate(range(0, h, BLOCK_SIZE)):
+        rows = min(BLOCK_SIZE, h - y)
+        units = -(-rows // TU_SIZE)  # unit rows in the strip
+        x, t, c, e = (a[:units * TU_SIZE] for a in (pixels, work, coeffs, exps))
+        x[:rows, :w] = luma[y:y + rows]
+        x[:rows, w:] = x[:rows, w - 1:w]
+        x[rows:] = x[rows - 1]
+        # slab u holds unit row u's 8 pixel rows. Each coefficient is the
+        # same 8-term product sum as B @ X @ B.T on its unit alone (the
+        # oracle tests hold the levels to a unit-by-unit encode).
+        slabs = (units, TU_SIZE, pw)
+        np.matmul(DCT_BASIS, x.reshape(slabs), out=t.reshape(slabs))
+        np.matmul(t.reshape(-1, TU_SIZE), _BASIS_T, out=c.reshape(-1, TU_SIZE))
 
-    # (tu_y, tu_x, 8, 8) view of the transform units; each takes the QP of
-    # the block holding its top-left pixel (always inside the unpadded frame).
-    tiles = plane.reshape(tu_y, TU_SIZE, tu_x, TU_SIZE).swapaxes(1, 2)
-    per = BLOCK_SIZE // TU_SIZE
-    tu_qps = qp_blocks.repeat(per, 0).repeat(per, 1)[:tu_y, :tu_x]
-    q = np.power(2.0, (tu_qps - 4) / 6.0)[:, :, None, None]
+        # Levels round half away from zero, into the spent pixel rows. Each
+        # costs its order-0 signed exp-Golomb length 2*e + 1, where e is the
+        # frexp exponent of the level itself: floor(log2|level|) + 1, and 0
+        # for level 0. A block's 64 * units * cols_units levels thus cost
+        # 2 * (their exponent sum) + 64 * units * cols_units bits. The strip
+        # is one block row, so each column's step is its block's.
+        q = steps[by].repeat(BLOCK_SIZE)[:pw]
+        np.abs(c, out=x)
+        x /= q
+        x += 0.5
+        np.floor(x, out=x)
+        np.copysign(x, c, out=x)
+        np.frexp(x, out=(t, e))
+        per_block[by] = (2 * np.add.reduceat(e.sum(axis=0), block_cols)
+                         + TU_SIZE * TU_SIZE * units * cols_units)
 
-    # Levels round half away from zero. Each costs its order-0 signed
-    # exp-Golomb length 2*e + 1, where e is the frexp exponent of the
-    # level itself: floor(log2|level|) + 1, and 0 for level 0.
-    coeffs = DCT_BASIS @ tiles @ DCT_BASIS.T
-    levels = np.copysign(np.floor(np.abs(coeffs) / q + 0.5), coeffs)
-    tu_bits = np.sum(2 * np.frexp(levels)[1] + 1, axis=(2, 3), dtype=np.int64)
-    tiles[...] = DCT_BASIS.T @ (levels * q) @ DCT_BASIS  # back into the plane
-    recon = np.clip(np.floor(plane[:h, :w] + 0.5), 0, 255).astype(np.uint8)
-    per_block = grid.block_sums(tu_bits, TU_SIZE).reshape(-1)
+        x *= q
+        np.matmul(_BASIS_T, x.reshape(slabs), out=t.reshape(slabs))
+        np.matmul(t.reshape(-1, TU_SIZE), DCT_BASIS, out=c.reshape(-1, TU_SIZE))
+        c += 0.5
+        np.floor(c, out=c)
+        recon[y:y + rows] = np.clip(c[:rows, :w], 0, 255, out=c[:rows, :w])
+    per_block = per_block.reshape(-1)
     quality = psnr(RasterImage(pixels=luma[:, :, None]),
                    RasterImage(pixels=recon[:, :, None]))
     point = RdPoint(rate=float(per_block.sum()) / (w * h), quality=quality,

@@ -87,6 +87,13 @@ class TestPsnr:
         # MSE 256 -> 10*log10(255^2/256)
         assert psnr(a, b) == pytest.approx(24.048403955560614, abs=1e-9)
 
+    @pytest.mark.parametrize("shape", [(130, 256, 1), (97, 120, 3)])
+    def test_full_scale_error_sum_is_exact(self, shape):
+        # 33,280 and 34,920 squared errors of 255^2 sum past 2^31 within one
+        # chunk, so a chunk summed in int32 would wrap; the exact MSE is
+        # 255^2, which gives 0 dB
+        assert psnr(constant_image(0, shape), constant_image(255, shape)) == 0.0
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             psnr(constant_image(0, (2, 2, 3)), constant_image(0, (3, 3, 3)))
@@ -94,8 +101,8 @@ class TestPsnr:
     @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 3), (33, 65, 1),
                                        (97, 40, 3), (248, 360, 1)])
     def test_bits_equal_float64_mean(self, shape):
-        # the exact int64 error sum gives the float64 formula's bits,
-        # strip edges included (33 and 97 rows end strips part-way)
+        # the exact int64 error sum gives the float64 formula's bits, chunk
+        # edges included (248x360 ends its second 2^16-sample chunk part-way)
         def float64_psnr(a, b):
             diff = a.pixels.astype(np.float64) - b.pixels.astype(np.float64)
             mse = float(np.mean(diff * diff))
@@ -238,7 +245,7 @@ class TestReport:
             assert report.ms_ssim == ms_ssim(a, b)
 
     def test_peak_memory_is_that_of_ms_ssim(self):
-        # PSNR sums its errors per strip, so on a 1920x1080 RGB pair the
+        # PSNR sums its errors per chunk, so on a 1920x1080 RGB pair the
         # report peaks where MS-SSIM does (11.5 MB); a float64 error plane
         # in PSNR alone would take 99.5 MB
         a = RasterImage(pixels=textured_pixels(1080, 1920, seed=9))

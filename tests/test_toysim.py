@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.fft import dctn
 
 from qpalloc.alloc import BlockAllocation, linearity_fit, block_mean_step
@@ -155,11 +156,11 @@ class TestEncode:
             ["rate", "quality", "per_block_bits"]
 
     def test_peak_memory_per_pixel(self):
-        # the float64 plane viewed as 8x8 units, with the quantizer's
-        # coefficient and level arrays alive at once: 40.4 B per pixel at
-        # 360x248. The bound allows about one more float64 plane (11.6 B
-        # per pixel) over that, and fails on copying the units out of the
-        # plane and back (64.4 B per pixel)
+        # one block strip's workspace (three float64 and one int32 plane of
+        # 64 rows by 360 columns, 0.65 MB), the uint8 reconstruction and
+        # psnr's int32 chunks: 13.1 B per pixel at 360x248. The bound allows
+        # about 0.6 MB over that, and fails on whole-frame float64 planes
+        # (40.4 B per pixel for the plane with its coefficients and levels)
         luma = textured_pixels(248, 360, seed=4)[:, :, 0].copy()
         tracemalloc.start()
         try:
@@ -167,7 +168,24 @@ class TestEncode:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 52 * luma.size
+        assert peak < 20 * luma.size
+
+    def test_peak_memory_independent_of_height(self):
+        # the workspace is one block strip whatever the height, so eight
+        # times the rows add the uint8 reconstruction's 1 B per pixel and
+        # psnr's second live chunk (0.57 B per extra pixel here); whole-frame
+        # planes grow the peak by about 40 B per pixel
+        encode_image(textured_pixels(64, 64, seed=6)[:, :, 0].copy(), 27)  # warm up
+        peaks = {}
+        for h in (256, 2048):
+            luma = textured_pixels(h, 256, seed=6)[:, :, 0].copy()
+            tracemalloc.start()
+            try:
+                encode_image(luma, 27)
+                peaks[h] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2048] - peaks[256] <= 3 * 256 * (2048 - 256)
 
     def test_grid_mismatch(self, textured_luma):
         wrong = BlockGrid(256, 256)
@@ -225,7 +243,8 @@ class TestQualityMatchesMetrics:
     """The codec does not score its reconstruction: quality is
     metrics.psnr of the reconstruction against the encoded plane."""
 
-    # the strip-edge shapes of TestPsnr, which ends strips part-way
+    # ragged frames that end a block strip part-way; 248x360 also ends
+    # psnr's second 2^16-sample chunk part-way
     @pytest.mark.parametrize("h,w", [(33, 65), (97, 40), (248, 360)])
     def test_flat_and_mapped_points(self, h, w):
         luma = textured_pixels(h, w, seed=h + w)[:, :, 0].copy()
@@ -255,6 +274,29 @@ class TestReferenceEncode:
                                                             grid.blocks_x))
         np.testing.assert_array_equal(point.per_block_bits, bits)
         np.testing.assert_array_equal(recon, expected)
+
+
+class TestBlockSeparability:
+    """Each 8x8 unit is coded from its own (edge-padded) pixels and its own
+    block's QP, so a mapped encode is a block-by-block pick from flat
+    encodes. Strips, and any later change to the codec, must keep this."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.integers(8, 200), height=st.integers(8, 200),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_mapped_encode_picks_from_flat_encodes(self, width, height, seed):
+        rng = np.random.default_rng(seed)
+        luma = rng.integers(0, 256, (height, width)).astype(np.uint8)
+        grid = BlockGrid(width, height)
+        qps = rng.integers(0, 64, grid.n_blocks)
+        point, recon = encode_image(luma, allocation_with_offsets(grid, 0, qps))
+        flat = {qp: encode_image(luma, int(qp)) for qp in np.unique(qps)}
+        for k, qp in enumerate(qps):
+            flat_point, flat_recon = flat[qp]
+            assert point.per_block_bits[k] == flat_point.per_block_bits[k]
+            by, bx = divmod(k, grid.blocks_x)
+            block = np.s_[64 * by:64 * (by + 1), 64 * bx:64 * (bx + 1)]
+            assert np.array_equal(recon[block], flat_recon[block])
 
 
 class TestLinearityEcho:
