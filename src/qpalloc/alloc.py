@@ -79,22 +79,19 @@ class AllocConfig:
 
 @dataclass(frozen=True)
 class BlockAllocation:
-    """Per-block products of the pipeline, row-major flat arrays."""
+    """Per-block products of the pipeline, each a (blocks_y, blocks_x) array."""
 
     grid: BlockGrid
     base_qp: int
     ratio: np.ndarray         # normalized bit ratio, weighted mean 1
-    dqp: np.ndarray           # integer offsets, |dqp| <= clamp, 0 <= qp <= 63
+    dqp: np.ndarray           # integer offsets, |dqp| <= clamp, 0 <= base_qp + dqp <= 63
 
     def __post_init__(self):
+        want = (self.grid.blocks_y, self.grid.blocks_x)
         for what, values in (("bit ratios", self.ratio), ("QP offsets", self.dqp)):
-            if np.size(values) != self.grid.n_blocks:
-                raise GridMismatchError(f"{np.size(values)} {what} for a grid of "
-                                        f"{self.grid.n_blocks} blocks")
-
-    @property
-    def qp(self) -> np.ndarray:
-        return self.base_qp + self.dqp
+            if np.shape(values) != want:
+                raise GridMismatchError(f"{what} shaped {np.shape(values)} for a "
+                                        f"grid of {want} blocks")
 
     @property
     def lambda_scale(self) -> np.ndarray:
@@ -109,7 +106,8 @@ class LinearityReport:
 
 
 def block_mean_step(step_map: StepMap, grid: BlockGrid) -> np.ndarray:
-    """Mean step per block over the latent cells the block overlaps.
+    """(blocks_y, blocks_x) mean step per block over the latent cells the
+    block overlaps.
 
     Latent cell (i, j) covers the 16x16 pixel square at (16i, 16j) in
     row, column order; a full 64-px block therefore averages a 4x4 cell
@@ -130,25 +128,26 @@ def block_mean_step(step_map: StepMap, grid: BlockGrid) -> np.ndarray:
     cells = np.ones((2, rows, cols))
     cells[0] = step_map.values / 16
     sums, counts = grid.block_sums(cells, f)
-    return ((sums / counts) * 16).reshape(-1)
+    return (sums / counts) * 16
 
 
 def bit_ratios(qs: np.ndarray, grid: BlockGrid) -> np.ndarray:
     """Reciprocal steps normalized to pixel-weighted mean 1.
 
-    raw_k = 1 / max(qs_k, EPS); weights are block pixel counts, so the
-    frame bit budget is preserved to first order even with partial edge
-    blocks.
+    qs is the (blocks_y, blocks_x) step mean per block, and so is the
+    result. raw_k = 1 / max(qs_k, EPS); weights are block pixel counts,
+    so the frame bit budget is preserved to first order even with
+    partial edge blocks.
     """
     qs = np.asarray(qs, np.float64)
-    if qs.size != grid.n_blocks:
+    weights = grid.pixel_counts().astype(np.float64)
+    if qs.shape != weights.shape:
         raise GridMismatchError(
-            f"{qs.size} step means for a grid of {grid.n_blocks} blocks")
+            f"step means shaped {qs.shape} for a grid of {weights.shape} blocks")
     if not np.all(np.isfinite(qs)):
         raise ValueError("step means must be finite")
     raw = 1.0 / np.maximum(qs, EPS)
-    weights = grid.pixel_counts().astype(np.float64)
-    weighted_mean = float(np.dot(weights, raw) / weights.sum())
+    weighted_mean = float(np.dot(weights.ravel(), raw.ravel()) / weights.sum())
     return raw / weighted_mean
 
 
@@ -192,12 +191,14 @@ def linearity_fit(bits_per_block, qs) -> LinearityReport:
 
     x_k = (1/qs_k) / mean(1/qs), y_k = bits_k / mean(bits); the slope is
     sum(xy)/sum(xx) and r^2 = 1 - SS_res/SS_tot (0 when SS_tot is 0).
-    A slope near 1 means measured bits track the reciprocal step.
+    A slope near 1 means measured bits track the reciprocal step. The
+    two arrays may have any shape, the same for both.
     """
     bits = np.asarray(bits_per_block, np.float64)
     qs = np.asarray(qs, np.float64)
     if bits.shape != qs.shape:
         raise ValueError(f"length mismatch: {bits.shape} bits vs {qs.shape} steps")
+    bits, qs = bits.ravel(), qs.ravel()
     if bits.size < 2:
         raise ValueError("need at least 2 blocks to fit")
     if not np.all(np.isfinite(bits) & (bits >= 0)):

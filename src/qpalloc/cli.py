@@ -80,14 +80,12 @@ def _cmd_qpmap(args) -> int:
 
     allocation = alloc.build_allocation(step_map, width, height, cfg)
     grid = allocation.grid
-    shape = (grid.blocks_y, grid.blocks_x)
 
     lscale_path = args.out + ".lscale"
     manifest_path = args.out + ".manifest.json"
-    gridfile.write_grid_file(args.out, "QPMAP", BLOCK_SIZE, cfg.base_qp,
-                             allocation.dqp.reshape(shape))
+    gridfile.write_grid_file(args.out, "QPMAP", BLOCK_SIZE, cfg.base_qp, allocation.dqp)
     gridfile.write_grid_file(lscale_path, "LSCALE", BLOCK_SIZE, cfg.base_qp,
-                             allocation.lambda_scale.reshape(shape))
+                             allocation.lambda_scale)
 
     manifest = {
         "command": "qpmap",
@@ -169,8 +167,7 @@ def _cmd_simulate(args) -> int:
                 f"block {qpm.block_size} does not match the "
                 f"{grid.blocks_x}x{grid.blocks_y} block {BLOCK_SIZE} frame partition")
         allocation = alloc.BlockAllocation(
-            grid=grid, base_qp=base_qp, ratio=np.ones(grid.n_blocks),
-            dqp=qpm.values.reshape(-1))
+            grid=grid, base_qp=base_qp, ratio=np.ones(qpm.values.shape), dqp=qpm.values)
         point, recon = toysim.encode_image(luma, allocation)
     else:
         base_qp = args.qp
@@ -181,9 +178,7 @@ def _cmd_simulate(args) -> int:
     recon_path = args.out_prefix + ".recon.ppm"
     atomic_write_text(csv_path, "rate_bpp,quality\n"
                       f"{_fmt(point.rate)},{_fmt(point.quality)}\n")
-    gridfile.write_grid_file(bits_path, "BITS", BLOCK_SIZE, base_qp,
-                             point.per_block_bits.reshape(grid.blocks_y,
-                                                          grid.blocks_x))
+    gridfile.write_grid_file(bits_path, "BITS", BLOCK_SIZE, base_qp, point.per_block_bits)
     save_ppm(RasterImage(pixels=recon[:, :, None]), recon_path)
     print(f"rate_bpp {_fmt(point.rate)} psnr {_fmt(point.quality)}")
     return 0

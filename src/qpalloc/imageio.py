@@ -5,10 +5,10 @@ full-range BT.601 luma with fixed coefficients, computed as
 floor(0.299 R + 0.587 G + 0.114 B + 0.5) in float64, so it is
 bit-exact across platforms. That rounds the exact sum half up, except
 at 3,464 of its 16,782 ties, which round down (see rgb_to_gray).
-BlockGrid tiles a frame into the row-major BLOCK_SIZE (64 px) blocks
-that QP maps, lambda scales and bit counts are laid out on; the block
-size is fixed, not a parameter, and so is DOWNSAMPLE_FACTOR, the 16-px
-edge of one step-map cell.
+BlockGrid tiles a frame into the BLOCK_SIZE (64 px) blocks that QP
+maps, lambda scales and bit counts are laid out on, each a (blocks_y,
+blocks_x) array; the block size is fixed, not a parameter, and so is
+DOWNSAMPLE_FACTOR, the 16-px edge of one step-map cell.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from .errors import FormatError
 BLOCK_SIZE = 64    # block edge in pixels: 4x4 step-map cells, 8x8 transform units
 DOWNSAMPLE_FACTOR = 16    # step-map cell edge in pixels: the network's total stride
 
-# one P6 header field: whitespace and "#" comments up to the next LF, then
-# the field's token (empty at the end of the data); (\S*) always matches,
-# so a match never backtracks
-_PPM_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+# one P6 header field, as Netpbm's pm_getc reads it: whitespace and "#"
+# comments, each up to the next CR or LF, then the field's token (empty at
+# the end of the data), which a "#" ends, then that comment if one follows;
+# ([^\s#]*) always matches, so a match never backtracks
+_PPM_FIELD = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)(?:#[^\r\n]*)?")
 
 __all__ = [
     "BLOCK_SIZE",
@@ -71,7 +72,7 @@ class RasterImage:
 
 @dataclass(frozen=True)
 class BlockGrid:
-    """Row-major tiling of a frame into BLOCK_SIZE squares.
+    """Tiling of a frame into blocks_y rows of blocks_x BLOCK_SIZE squares.
 
     Blocks at the right and bottom edges may be smaller; the union of
     block extents tiles the frame exactly.
@@ -93,10 +94,10 @@ class BlockGrid:
         return self.blocks_x * self.blocks_y
 
     def pixel_counts(self) -> np.ndarray:
-        """Per-block pixel counts, row-major (edge blocks are smaller)."""
+        """(blocks_y, blocks_x) per-block pixel counts (edge blocks are smaller)."""
         ws = np.minimum(BLOCK_SIZE, self.width - np.arange(self.blocks_x) * BLOCK_SIZE)
         hs = np.minimum(BLOCK_SIZE, self.height - np.arange(self.blocks_y) * BLOCK_SIZE)
-        return (hs[:, None] * ws[None, :]).reshape(-1).astype(np.int64)
+        return (hs[:, None] * ws[None, :]).astype(np.int64)
 
     def block_sums(self, cells: np.ndarray, cell: int) -> np.ndarray:
         """Per-block sums of (..., rows, cols) cells of cell px (a divisor of
@@ -111,10 +112,12 @@ class BlockGrid:
 def load_ppm(path: str | os.PathLike) -> RasterImage:
     """Load a binary P6 portable pixmap with maxval 255.
 
-    The header is the magic P6, then width, height and maxval as decimal
-    tokens. Before each token may come any run of ASCII whitespace and
-    "#" comments, each running to the next line feed (LF); exactly one
-    whitespace byte follows maxval, and the pixel payload starts after it.
+    The header is the magic P6 and a whitespace byte, then width, height
+    and maxval as decimal tokens. Before each token may come any run of
+    ASCII whitespace and "#" comments, each running to the next carriage
+    return (CR) or line feed (LF), and a "#" right after a token starts
+    such a comment, as in Netpbm. Exactly one whitespace byte follows
+    maxval, or its comment; the pixel payload starts after it.
     Distinct errors for a missing file, wrong magic, a truncated or
     non-numeric header, unsupported maxval, a truncated pixel payload,
     and bytes after the payload.
@@ -144,7 +147,7 @@ def load_ppm(path: str | os.PathLike) -> RasterImage:
     if width < 1 or height < 1:
         raise FormatError(f"{path}: invalid dimensions {width}x{height}")
 
-    pos += 1  # single whitespace byte after maxval
+    pos += 1  # the single whitespace byte after maxval or its comment
     expected = width * height * 3
     payload = data[pos:]
     if len(payload) < expected:

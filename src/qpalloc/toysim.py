@@ -50,7 +50,7 @@ _BASIS_T = np.ascontiguousarray(DCT_BASIS.T)
 @dataclass(frozen=True)
 class RdPoint:
     """One operating point: rate in bits/pixel, the PSNR of the
-    reconstruction and the bits of each block."""
+    reconstruction and the (blocks_y, blocks_x) bits of each block."""
 
     rate: float
     quality: float
@@ -72,13 +72,14 @@ def _qp_blocks(grid: BlockGrid, qp_map) -> np.ndarray:
             raise ValueError(f"QP offsets must be integers, got {dqp.dtype}")
         dqp = dqp.astype(np.int64)
     else:
-        base, dqp = _qp_index(qp_map, "QP"), np.zeros(grid.n_blocks, np.int64)
+        # an int64 zero per block, shaped as the grid
+        base, dqp = _qp_index(qp_map, "QP"), np.zeros_like(grid.pixel_counts())
     lo, hi = base + int(dqp.min()), base + int(dqp.max())
     if lo < 0 or hi > 63:
         raise ValueError(f"block QPs span [{lo}, {hi}], outside [0, 63]")
     if not 0 <= base <= 63:  # offsets can carry a bad base back into range
         raise ValueError(f"base QP {base} outside [0, 63]")
-    return (base + dqp).reshape(grid.blocks_y, grid.blocks_x)
+    return base + dqp
 
 
 def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
@@ -149,7 +150,6 @@ def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
         c += 0.5
         np.floor(c, out=c)
         recon[y:y + rows] = np.clip(c[:rows, :w], 0, 255, out=c[:rows, :w])
-    per_block = per_block.reshape(-1)
     quality = psnr(RasterImage(pixels=luma[:, :, None]),
                    RasterImage(pixels=recon[:, :, None]))
     point = RdPoint(rate=float(per_block.sum()) / (w * h), quality=quality,

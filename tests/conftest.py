@@ -14,9 +14,10 @@ def fixture_weights():
 
 def allocation_with_offsets(grid, base_qp, dqp):
     """A BlockAllocation that carries only block QP offsets, as
-    `simulate --qpmap` builds one from a QPMAP: the ratio map is flat."""
-    return BlockAllocation(grid=grid, base_qp=base_qp, ratio=np.ones(grid.n_blocks),
-                           dqp=np.asarray(dqp, np.int64))
+    `simulate --qpmap` builds one from a QPMAP: the ratio map is flat.
+    dqp is the (blocks_y, blocks_x) offset grid."""
+    dqp = np.asarray(dqp, np.int64)
+    return BlockAllocation(grid=grid, base_qp=base_qp, ratio=np.ones(dqp.shape), dqp=dqp)
 
 
 def textured_pixels(height: int, width: int, seed: int = 0) -> np.ndarray:

@@ -79,7 +79,7 @@ def test_c03_ratio_normalization_invariant():
         step_map = StepMap(values=rng.uniform(1e-3, 30.0, (grid_h, grid_w)))
         ratios = bit_ratios(block_mean_step(step_map, grid), grid)
         weights = grid.pixel_counts().astype(np.float64)
-        worst = max(worst, abs(float(np.dot(weights, ratios) / weights.sum()) - 1.0))
+        worst = max(worst, abs(float(np.dot(weights.ravel(), ratios.ravel()) / weights.sum()) - 1.0))
     elapsed = time.perf_counter() - start
     assert worst < 1e-9
     assert elapsed < 5.0
@@ -163,13 +163,13 @@ def test_c08_toy_codec_rate_behavior():
 
     luma = textured_pixels(128, 128, seed=9)[:, :, 0].copy()
     grid = BlockGrid(128, 128)
-    base_point, _ = encode_image(luma, allocation_with_offsets(grid, 32, [0, 0, 0, 0]))
-    for target in range(4):
-        dqp = np.zeros(4, np.int64)
+    base_point, _ = encode_image(luma, allocation_with_offsets(grid, 32, [[0, 0], [0, 0]]))
+    for target in np.ndindex(2, 2):
+        dqp = np.zeros((2, 2), np.int64)
         dqp[target] = -4
         point, _ = encode_image(luma, allocation_with_offsets(grid, 32, dqp))
         assert point.per_block_bits[target] >= base_point.per_block_bits[target]
-        for k in range(4):
+        for k in np.ndindex(2, 2):
             if k != target:
                 assert point.per_block_bits[k] == base_point.per_block_bits[k]
     report(8, "toy codec rate behavior",

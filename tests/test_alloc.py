@@ -46,14 +46,14 @@ class TestBlockMeanStep:
     def test_uniform_map(self):
         grid = BlockGrid(128, 128)
         qs = block_mean_step(uniform_map(8, 8, 3.25), grid)
-        np.testing.assert_array_equal(qs, np.full(4, 3.25))
+        np.testing.assert_array_equal(qs, np.full((2, 2), 3.25))
 
     def test_quadrant_means(self):
         values = np.ones((8, 8))
         values[:4, :4] = 2.0
         grid = BlockGrid(128, 128)
         qs = block_mean_step(StepMap(values=values), grid)
-        np.testing.assert_array_equal(qs, [2.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(qs, [[2.0, 1.0], [1.0, 1.0]])
 
     def test_steps_near_the_float64_limit(self):
         # 16 cells of 1e308 used to overflow the block sum (and print a
@@ -61,10 +61,10 @@ class TestBlockMeanStep:
         values = np.ones((4, 8))
         values[:, :4] = 1e308
         qs = block_mean_step(StepMap(values=values), BlockGrid(128, 64))
-        np.testing.assert_array_equal(qs, [1e308, 1.0])
+        np.testing.assert_array_equal(qs, [[1e308, 1.0]])
         largest = np.finfo(np.float64).max
         qs = block_mean_step(uniform_map(4, 4, largest), BlockGrid(64, 64))
-        np.testing.assert_array_equal(qs, [largest])
+        np.testing.assert_array_equal(qs, [[largest]])
 
     def test_partial_edge_blocks_average_covered_cells(self):
         # 100x80 frame: 7x5 step cells, 2x2 blocks with 36px-wide right
@@ -73,9 +73,9 @@ class TestBlockMeanStep:
         values = rng.uniform(0.5, 4.0, (5, 7))
         grid = BlockGrid(100, 80)
         qs = block_mean_step(StepMap(values=values), grid)
-        assert qs.shape == (4,)
-        expected = [values[0:4, 0:4].mean(), values[0:4, 4:7].mean(),
-                    values[4:5, 0:4].mean(), values[4:5, 4:7].mean()]
+        assert qs.shape == (2, 2)
+        expected = [[values[0:4, 0:4].mean(), values[0:4, 4:7].mean()],
+                    [values[4:5, 0:4].mean(), values[4:5, 4:7].mean()]]
         # one cell sum per block adds in another order than np.mean
         np.testing.assert_allclose(qs, expected, rtol=1e-15, atol=0)
 
@@ -95,13 +95,13 @@ class TestBlockMeanStep:
 class TestBitRatios:
     def test_uniform_steps_normalize_to_one(self):
         grid = BlockGrid(128, 128)
-        np.testing.assert_allclose(bit_ratios(np.full(4, 2.5), grid), 1.0,
+        np.testing.assert_allclose(bit_ratios(np.full((2, 2), 2.5), grid), 1.0,
                                    atol=1e-12)
 
     def test_two_equal_blocks(self):
         grid = BlockGrid(128, 64)
-        r = bit_ratios(np.array([1.0, 2.0]), grid)
-        np.testing.assert_allclose(r, [4.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
+        r = bit_ratios(np.array([[1.0, 2.0]]), grid)
+        np.testing.assert_allclose(r, [[4.0 / 3.0, 2.0 / 3.0]], rtol=1e-15)
 
     def test_weighted_mean_is_one_under_fuzz(self):
         rng = np.random.default_rng(1)
@@ -109,27 +109,32 @@ class TestBitRatios:
             w = int(rng.integers(1, 400))
             h = int(rng.integers(1, 400))
             grid = BlockGrid(w, h)
-            qs = rng.uniform(1e-4, 50.0, grid.n_blocks)
-            r = bit_ratios(qs, grid)
             weights = grid.pixel_counts().astype(np.float64)
-            assert abs(np.dot(weights, r) / weights.sum() - 1.0) < 1e-9
+            qs = rng.uniform(1e-4, 50.0, weights.shape)
+            r = bit_ratios(qs, grid)
+            assert r.shape == weights.shape
+            assert abs(np.dot(weights.ravel(), r.ravel()) / weights.sum() - 1.0) < 1e-9
 
     def test_eps_floors_degenerate_steps(self):
         grid = BlockGrid(128, 64)
-        r = bit_ratios(np.array([0.0, 1.0]), grid)
-        assert np.all(np.isfinite(r)) and r[0] > r[1]
-        assert r[0] / r[1] == pytest.approx(1.0 / EPS)
+        r = bit_ratios(np.array([[0.0, 1.0]]), grid)
+        assert np.all(np.isfinite(r)) and r[0, 0] > r[0, 1]
+        assert r[0, 0] / r[0, 1] == pytest.approx(1.0 / EPS)
 
     def test_empty_rejected(self):
-        # a grid holds at least 1 block, so the length check rejects it
+        # a grid holds at least 1 block, so the shape check rejects it
         grid = BlockGrid(64, 64)
-        with pytest.raises(GridMismatchError, match="0 step means for a grid of 1 blocks"):
+        with pytest.raises(GridMismatchError,
+                           match=r"step means shaped \(0,\) for a grid of \(1, 1\) blocks"):
             bit_ratios(np.array([]), grid)
 
     @pytest.mark.parametrize("qs,error,match", [
-        (np.ones(3), GridMismatchError, "3 step means for a grid of 4 blocks"),
-        (np.array([1.0, np.nan, 1.0, 1.0]), ValueError, "must be finite"),
-    ], ids=["wrong-length", "nan"])
+        (np.ones(3), GridMismatchError, r"step means shaped \(3,\) for a grid of \(2, 2\) blocks"),
+        (np.array([[1.0, np.nan], [1.0, 1.0]]), ValueError, "must be finite"),
+        # the right number of blocks, laid out flat, is not the grid
+        (np.ones(4), GridMismatchError, r"step means shaped \(4,\) for a grid of \(2, 2\) blocks"),
+        (np.ones((4, 1)), GridMismatchError, r"shaped \(4, 1\) for a grid of \(2, 2\) blocks"),
+    ], ids=["wrong-length", "nan", "flat", "transposed-layout"])
     def test_bad_step_means_rejected(self, qs, error, match):
         with pytest.raises(error, match=match):
             bit_ratios(qs, BlockGrid(128, 128))
@@ -137,7 +142,7 @@ class TestBitRatios:
     def test_normalization_is_idempotent(self):
         rng = np.random.default_rng(2)
         grid = BlockGrid(200, 137)
-        qs = rng.uniform(0.1, 10.0, grid.n_blocks)
+        qs = rng.uniform(0.1, 10.0, (grid.blocks_y, grid.blocks_x))
         first = bit_ratios(1.0 / qs, grid)
         second = bit_ratios(1.0 / first, grid)
         np.testing.assert_allclose(second, first, atol=1e-12)
@@ -208,7 +213,7 @@ class TestBuildAllocation:
         allocation = build_allocation(uniform_map(8, 8, 2.0), 128, 128, cfg)
         np.testing.assert_array_equal(allocation.dqp, 0)
         np.testing.assert_array_equal(allocation.lambda_scale, 1.0)
-        np.testing.assert_array_equal(allocation.qp, 37)
+        np.testing.assert_array_equal(allocation.base_qp + allocation.dqp, 37)
 
     def test_two_block_chain(self):
         values = np.ones((4, 8))
@@ -216,10 +221,10 @@ class TestBuildAllocation:
         cfg = AllocConfig(base_qp=32, beta=-1.0)
         allocation = build_allocation(StepMap(values=values), 128, 64, cfg)
         # ratios {4/3, 2/3} -> raw offsets {-1.245, +1.755} -> {-1, +2}
-        np.testing.assert_array_equal(allocation.dqp, [-1, 2])
-        np.testing.assert_array_equal(allocation.qp, [31, 34])
+        np.testing.assert_array_equal(allocation.dqp, [[-1, 2]])
+        np.testing.assert_array_equal(allocation.base_qp + allocation.dqp, [[31, 34]])
         np.testing.assert_allclose(allocation.lambda_scale,
-                                   [2.0 ** (-1 / 3), 2.0 ** (2 / 3)], atol=1e-12)
+                                   [[2.0 ** (-1 / 3), 2.0 ** (2 / 3)]], atol=1e-12)
 
     def test_negative_beta_gives_monotone_offsets_in_step(self):
         rng = np.random.default_rng(5)
@@ -229,8 +234,8 @@ class TestBuildAllocation:
             values = rng.uniform(0.2, 5.0, (gh, gw))
             step_map = StepMap(values=values)
             allocation = build_allocation(step_map, gw * 16, gh * 16, cfg)
-            order = np.argsort(block_mean_step(step_map, allocation.grid))
-            assert np.all(np.diff(allocation.dqp[order]) >= 0)
+            order = np.argsort(block_mean_step(step_map, allocation.grid).ravel())
+            assert np.all(np.diff(allocation.dqp.ravel()[order]) >= 0)
 
     def test_record_holds_what_its_readers_use(self):
         # block mean steps are not kept: block_mean_step(step_map, grid)
@@ -238,11 +243,17 @@ class TestBuildAllocation:
             ["grid", "base_qp", "ratio", "dqp"]
 
     @pytest.mark.parametrize("ratio,dqp,match", [
-        (np.ones(4), np.zeros(3, np.int64), "3 QP offsets for a grid of 4 blocks"),
-        (np.ones(5), np.zeros(4, np.int64), "5 bit ratios for a grid of 4 blocks"),
-    ], ids=["short-dqp", "long-ratio"])
+        (np.ones((2, 2)), np.zeros((2, 1), np.int64),
+         r"QP offsets shaped \(2, 1\) for a grid of \(2, 2\) blocks"),
+        (np.ones((2, 3)), np.zeros((2, 2), np.int64),
+         r"bit ratios shaped \(2, 3\) for a grid of \(2, 2\) blocks"),
+        # the right number of blocks, laid out flat: refused, not broadcast
+        (np.ones((2, 2)), np.zeros(4, np.int64), r"QP offsets shaped \(4,\)"),
+        (np.ones(4), np.zeros((2, 2), np.int64), r"bit ratios shaped \(4,\)"),
+        (np.ones((2, 2)), np.zeros((1, 4), np.int64), r"QP offsets shaped \(1, 4\)"),
+    ], ids=["short-dqp", "long-ratio", "flat-dqp", "flat-ratio", "wrong-layout-dqp"])
     def test_record_lengths_must_match_the_grid(self, ratio, dqp, match):
-        # refused where it is built, not inside the codec's reshape
+        # refused where it is built, not inside the codec
         with pytest.raises(GridMismatchError, match=match):
             BlockAllocation(grid=BlockGrid(128, 128), base_qp=32, ratio=ratio, dqp=dqp)
 
@@ -268,7 +279,7 @@ class TestAllocConfig:
         values[:, 4:] = 2.0
         allocation = build_allocation(StepMap(values=values), 128, 64, cfg)
         assert allocation.dqp.dtype == np.int64
-        np.testing.assert_array_equal(allocation.qp, [31, 34])
+        np.testing.assert_array_equal(allocation.base_qp + allocation.dqp, [[31, 34]])
 
     def test_overflowing_raw_offset_saturates(self):
         # 3 * beta overflows to inf; ratio 1 still gives 0
@@ -309,6 +320,14 @@ class TestLinearityFit:
         assert report.slope_through_origin == pytest.approx(slope, abs=1e-9)
         assert report.r_squared == pytest.approx(1 - ss_res / ss_tot, abs=1e-9)
         assert 0.0 <= report.r_squared <= 1.0
+
+    def test_block_grids_fit_as_their_row_major_values(self):
+        # per-block arrays come as (blocks_y, blocks_x); the fit pairs them
+        # element by element, not as matrices
+        rng = np.random.default_rng(7)
+        qs = rng.uniform(0.5, 6.0, (3, 3))
+        bits = 300.0 / qs + rng.normal(0.0, 15.0, (3, 3))
+        assert linearity_fit(bits, qs) == linearity_fit(bits.ravel(), qs.ravel())
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="at least 2"):

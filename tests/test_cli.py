@@ -884,7 +884,7 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
-    assert namespace["allocation"].dqp.shape == (6,)  # 3x2 blocks of 64 px
+    assert namespace["allocation"].dqp.shape == (2, 3)  # 3x2 blocks of 64 px
     assert capsys.readouterr().out.strip()
 
 

@@ -62,7 +62,7 @@ def test_qpmap_bytes_match_the_golden_corpus(tmp_path, capsys, cols, rows, frame
     size_args = ["--width", str(width), "--height", str(height)] if frame else []
 
     ratios = build_allocation(read_step_map(qsmap), width, height,
-                              AllocConfig(base_qp=22)).ratio.tolist()
+                              AllocConfig(base_qp=22)).ratio.ravel().tolist()
     for beta in BETAS:
         raw = [3 * beta * math.log2(r) for r in ratios]
         nearest = min(abs(abs(x) % 1 - 0.5) for x in raw)

@@ -18,20 +18,23 @@ def ppm_bytes(width, height, payload):
 @st.composite
 def spaced_ppms(draw):
     """A P6 file of 1-8 px per side whose magic and fields are separated by
-    runs of whitespace and "#" comments (any bytes but LF, then LF), with
-    one whitespace byte after maxval; returns (file bytes, (h, w, 3) pixels)."""
+    runs of whitespace and "#" comments (any bytes but CR and LF, then CR
+    or LF), with one whitespace byte, or a comment and its CR or LF, after
+    maxval; returns (file bytes, (h, w, 3) pixels)."""
     space = st.sampled_from(WHITESPACE).map(lambda b: bytes([b]))
-    comment = st.binary(max_size=12).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
-    # a gap starts with whitespace: "#" right after the magic or a field
-    # would belong to it
-    gaps = [draw(space) + b"".join(draw(st.lists(st.one_of(space, comment), max_size=4)))
+    comment = st.tuples(st.binary(max_size=12), st.sampled_from([b"\r", b"\n"])).map(
+        lambda t: b"#" + t[0].replace(b"\n", b"").replace(b"\r", b"") + t[1])
+    # the gap after the magic starts with whitespace, as the magic needs;
+    # a comment may follow a field directly
+    gaps = [b"".join(draw(st.lists(st.one_of(space, comment), min_size=1, max_size=4)))
             for _ in range(3)]
+    gaps[0] = draw(space) + gaps[0]
     width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     fields = [str(width).encode(), str(height).encode(), b"255"]
     payload = draw(st.binary(min_size=width * height * 3, max_size=width * height * 3))
     header = b"P6" + b"".join(gap + field for gap, field in zip(gaps, fields))
     pixels = np.frombuffer(payload, np.uint8).reshape(height, width, 3)
-    return header + draw(space) + payload, pixels
+    return header + draw(st.one_of(space, comment)) + payload, pixels
 
 
 class TestPpm:
@@ -92,7 +95,7 @@ class TestPpm:
 
     @settings(max_examples=200, deadline=None)
     @given(case=spaced_ppms())
-    @example(case=(b"P6\r#a\rb\n2\x0b#\x0c\n\x0c1\t#\n\n255\x0c#\n\x00\x01\x02\x03",
+    @example(case=(b"P6\r#a\r\n2#b\r\x0b#\x0c\n\x0c1\t#\n\n255\x0c#\n\x00\x01\x02\x03",
                    np.array([[[35, 10, 0], [1, 2, 3]]], np.uint8)))
     def test_spaced_and_commented_headers_load(self, tmp_path_factory, case):
         data, pixels = case
@@ -102,9 +105,21 @@ class TestPpm:
         assert loaded.shape == pixels.shape
         assert loaded.tobytes() == pixels.tobytes()
 
+    def test_netpbm_comment_rule(self, tmp_path):
+        # a comment ends at CR as at LF, and a "#" ends the token before it;
+        # after maxval, the comment's CR or LF is the one whitespace byte
+        path = tmp_path / "frame.ppm"
+        for header in (b"P6\n# made on a Mac\r2 1\r255\r", b"P6\n2 1#note\n255\n",
+                       b"P6\n2#w\r1 255#m\r"):
+            path.write_bytes(header + bytes(range(6)))
+            assert load_ppm(path).pixels.tobytes() == bytes(range(6)), header
+
     @pytest.mark.parametrize("data,match", [
         (b"P6\n2 1\n# to the end of the file", ": truncated header$"),
-        (b"P6\n4#c 1\n255\n" + bytes(12), re.escape(": non-numeric header token b'4#c'")),
+        # the comment "#c 1" takes the height, so 255 is the height and
+        # the payload is read as maxval
+        (b"P6\n4#c 1\n255\n" + bytes(12), re.escape(": non-numeric header token b'" +
+                                                      "\\x00" * 12 + "'")),
         (b"P6#x\n1 1\n255\n" + bytes(3), re.escape(": bad magic 'P6#'")),
     ], ids=["open-comment", "hash-in-field", "hash-after-magic"])
     def test_header_refusals(self, tmp_path, data, match):
@@ -158,12 +173,12 @@ class TestBlockPartition:
         assert (grid.blocks_x, grid.blocks_y) == (2, 2)
         # right column 36 px wide, bottom row 16 px tall
         np.testing.assert_array_equal(grid.pixel_counts(),
-                                      [64 * 64, 36 * 64, 64 * 16, 36 * 16])
+                                      [[64 * 64, 36 * 64], [64 * 16, 36 * 16]])
 
     def test_identity_case(self):
         grid = BlockGrid(64, 64)
         assert grid.n_blocks == 1
-        np.testing.assert_array_equal(grid.pixel_counts(), [64 * 64])
+        np.testing.assert_array_equal(grid.pixel_counts(), [[64 * 64]])
 
     def test_extents_tile_the_frame(self):
         rng = np.random.default_rng(4)
@@ -172,21 +187,20 @@ class TestBlockPartition:
             w, h = rng.integers(1, 300, 2)
             grid = BlockGrid(int(w), int(h))
             counts = grid.pixel_counts()
+            assert counts.shape == (grid.blocks_y, grid.blocks_x)
             assert counts.sum() == w * h
             covered = np.zeros((h, w), np.int32)
-            for k in range(grid.n_blocks):
-                by, bx = divmod(k, grid.blocks_x)
+            for by, bx in np.ndindex(counts.shape):
                 block = covered[by * b:(by + 1) * b, bx * b:(bx + 1) * b]
                 block += 1
-                assert counts[k] == block.size
+                assert counts[by, bx] == block.size
             assert np.all(covered == 1)
 
     def test_block_sums_pool_cells_into_blocks(self):
         grid = BlockGrid(100, 80)
         # one sum per block of its real pixels, and of its 16-px cells
         np.testing.assert_array_equal(
-            grid.block_sums(np.ones((80, 100), np.int64), 1).reshape(-1),
-            grid.pixel_counts())
+            grid.block_sums(np.ones((80, 100), np.int64), 1), grid.pixel_counts())
         np.testing.assert_array_equal(grid.block_sums(np.ones((5, 7)), 16),
                                       [[16, 12], [4, 3]])
         # leading axes are carried through

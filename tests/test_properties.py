@@ -1,15 +1,18 @@
 """Property tests for the allocation invariants: the pixel-weighted
 mean-1 ratio, the uniform-map zero fixed point, dQP monotone in the
-ratio, agreement with the per-block oracles, and the ceil(dims/16)
-step-map shape law."""
+ratio, agreement with the per-block oracles, the ceil(dims/16)
+step-map shape law and the ceil(dims/64) per-block array shape."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpalloc.alloc import (AllocConfig, bit_ratios, block_mean_step, build_allocation,
-                           qp_offset)
+from qpalloc.alloc import (AllocConfig, BlockAllocation, bit_ratios, block_mean_step,
+                           build_allocation, qp_offset)
+from qpalloc.errors import GridMismatchError
 from qpalloc.imageio import RasterImage
 from qpalloc.stepnet import StepMap, infer_step_map, make_random_weights
+from qpalloc.toysim import encode_image
 
 from _oracles import reference_block_mean_step, reference_qp_offset
 
@@ -33,7 +36,7 @@ def test_ratio_has_pixel_weighted_mean_one(width, height, seed):
     allocation = build_allocation(StepMap(values=values), width, height,
                                   AllocConfig(base_qp=32))
     weights = allocation.grid.pixel_counts().astype(np.float64)
-    assert abs(np.dot(weights, allocation.ratio) / weights.sum() - 1.0) < 1e-9
+    assert abs(np.dot(weights.ravel(), allocation.ratio.ravel()) / weights.sum() - 1.0) < 1e-9
 
 
 @PROPERTY
@@ -44,7 +47,7 @@ def test_uniform_map_gives_zero_offsets(width, height, value, base_qp, beta):
     cfg = AllocConfig(base_qp=base_qp, beta=beta)
     allocation = build_allocation(step_map, width, height, cfg)
     assert np.all(allocation.dqp == 0)
-    assert np.all(allocation.qp == base_qp)
+    assert np.all(allocation.base_qp + allocation.dqp == base_qp)
     assert np.all(allocation.lambda_scale == 1.0)
 
 
@@ -67,13 +70,13 @@ def test_allocation_matches_per_block_oracles(width, height, seed, beta, clamp):
     step_map = StepMap(values=values)
     allocation = build_allocation(step_map, width, height,
                                   AllocConfig(base_qp=32, beta=beta, clamp=clamp))
-    qs = reference_block_mean_step(values, allocation.grid)
-    np.testing.assert_allclose(block_mean_step(step_map, allocation.grid), qs,
+    qs = reference_block_mean_step(values, allocation.grid)  # row-major, one block at a time
+    np.testing.assert_allclose(block_mean_step(step_map, allocation.grid).ravel(), qs,
                                rtol=1e-14, atol=0)
     # each block QP 32 + dqp is clipped to [0, 63]
     dqp = [min(max(reference_qp_offset(r, beta, clamp), -32), 31)
-           for r in bit_ratios(qs, allocation.grid)]
-    np.testing.assert_array_equal(allocation.dqp, dqp)
+           for r in bit_ratios(qs.reshape(allocation.dqp.shape), allocation.grid).ravel()]
+    np.testing.assert_array_equal(allocation.dqp.ravel(), dqp)
 
 
 @settings(max_examples=25, deadline=None)
@@ -84,3 +87,24 @@ def test_step_map_is_ceil_dims_over_16(width, height, seed):
     step_map = infer_step_map(RasterImage(pixels=pixels), SHAPE_LAW_WEIGHTS)
     assert step_map.values.shape == grid_shape(width, height)
     assert np.all(step_map.values > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=st.integers(8, 300), height=st.integers(8, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_per_block_arrays_are_block_grids(width, height, seed):
+    # every per-block product is one (blocks_y, blocks_x) array, and the
+    # record refuses the same values laid out flat instead of broadcasting
+    blocks = (-(-height // 64), -(-width // 64))
+    rng = np.random.default_rng(seed)
+    values = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), grid_shape(width, height)))
+    allocation = build_allocation(StepMap(values=values), width, height,
+                                  AllocConfig(base_qp=32))
+    for array in (allocation.ratio, allocation.dqp, allocation.lambda_scale):
+        assert array.shape == blocks
+    luma = rng.integers(0, 256, (height, width)).astype(np.uint8)
+    for qp_map in (allocation, 32):
+        assert encode_image(luma, qp_map)[0].per_block_bits.shape == blocks
+    for flat in ({"ratio": allocation.ratio.ravel()}, {"dqp": allocation.dqp.ravel()}):
+        fields = {"ratio": allocation.ratio, "dqp": allocation.dqp, **flat}
+        with pytest.raises(GridMismatchError, match="shaped"):
+            BlockAllocation(grid=allocation.grid, base_qp=32, **fields)

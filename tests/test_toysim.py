@@ -103,7 +103,7 @@ class TestEncode:
 
     def test_zero_offset_map_equals_scalar_qp(self, textured_luma):
         grid = BlockGrid(128, 128)
-        allocation = allocation_with_offsets(grid, 32, np.zeros(4, np.int64))
+        allocation = allocation_with_offsets(grid, 32, np.zeros((2, 2), np.int64))
         point_map, recon_map = encode_image(textured_luma, allocation)
         point_qp, recon_qp = encode_image(textured_luma, 32)
         assert np.array_equal(point_map.per_block_bits, point_qp.per_block_bits)
@@ -119,14 +119,15 @@ class TestEncode:
 
     def test_lowering_one_block_only_raises_its_own_bits(self, textured_luma):
         grid = BlockGrid(128, 128)
-        base = allocation_with_offsets(grid, 32, np.zeros(4, np.int64))
+        base = allocation_with_offsets(grid, 32, np.zeros((2, 2), np.int64))
         point_base, _ = encode_image(textured_luma, base)
-        for target in range(4):
-            dqp = np.zeros(4, np.int64)
+        for target in np.ndindex(2, 2):
+            dqp = np.zeros((2, 2), np.int64)
             dqp[target] = -4
             point_mod, _ = encode_image(textured_luma,
                                         allocation_with_offsets(grid, 32, dqp))
-            others = [k for k in range(4) if k != target]
+            others = np.ones((2, 2), bool)
+            others[target] = False
             assert point_mod.per_block_bits[target] >= point_base.per_block_bits[target]
             np.testing.assert_array_equal(point_mod.per_block_bits[others],
                                           point_base.per_block_bits[others])
@@ -140,7 +141,7 @@ class TestEncode:
         point, recon = encode_image(luma, 30)
         assert recon.shape == luma.shape
         grid = BlockGrid(84, 100)
-        assert point.per_block_bits.shape == (grid.n_blocks,)
+        assert point.per_block_bits.shape == (grid.blocks_y, grid.blocks_x)
         assert point.rate == point.per_block_bits.sum() / (84 * 100)
 
     def test_deterministic(self, textured_luma):
@@ -189,7 +190,7 @@ class TestEncode:
 
     def test_grid_mismatch(self, textured_luma):
         wrong = BlockGrid(256, 256)
-        allocation = allocation_with_offsets(wrong, 32, np.zeros(16, np.int64))
+        allocation = allocation_with_offsets(wrong, 32, np.zeros((4, 4), np.int64))
         with pytest.raises(GridMismatchError):
             encode_image(textured_luma, allocation)
 
@@ -214,12 +215,12 @@ class TestEncode:
 
     def test_allocation_qps_must_be_integers(self, textured_luma):
         grid = BlockGrid(128, 128)
-        allocation = allocation_with_offsets(grid, 32.5, [0, 0, 0, 2])
+        allocation = allocation_with_offsets(grid, 32.5, [[0, 0], [0, 2]])
         with pytest.raises(ValueError, match="must be an integer"):
             encode_image(textured_luma, allocation)
         # a float offset would be truncated: 1.5 encoded as 1
-        allocation = BlockAllocation(grid=grid, base_qp=32, ratio=np.ones(4),
-                                     dqp=np.array([0.0, 0.0, 0.0, 1.5]))
+        allocation = BlockAllocation(grid=grid, base_qp=32, ratio=np.ones((2, 2)),
+                                     dqp=np.array([[0.0, 0.0], [0.0, 1.5]]))
         with pytest.raises(ValueError, match="must be integers"):
             encode_image(textured_luma, allocation)
         _, recon = encode_image(textured_luma, np.int64(32))  # numpy ints are integers
@@ -227,11 +228,12 @@ class TestEncode:
 
     def test_block_qp_out_of_range(self, textured_luma):
         grid = BlockGrid(128, 128)
-        allocation = allocation_with_offsets(grid, 62, [0, 0, 0, 2])
+        allocation = allocation_with_offsets(grid, 62, [[0, 0], [0, 2]])
         with pytest.raises(ValueError, match=r"outside \[0, 63\]"):
             encode_image(textured_luma, allocation)
 
-    @pytest.mark.parametrize("base_qp,dqp", [(-5, [10, 10, 5, 5]), (64, [-1, -4, -4, -1])])
+    @pytest.mark.parametrize("base_qp,dqp", [(-5, [[10, 10], [5, 5]]),
+                                              (64, [[-1, -4], [-4, -1]])])
     def test_base_qp_out_of_range(self, textured_luma, base_qp, dqp):
         # every block QP is in range; the base used to pass unchecked
         allocation = allocation_with_offsets(BlockGrid(128, 128), base_qp, dqp)
@@ -249,7 +251,7 @@ class TestQualityMatchesMetrics:
     def test_flat_and_mapped_points(self, h, w):
         luma = textured_pixels(h, w, seed=h + w)[:, :, 0].copy()
         grid = BlockGrid(w, h)
-        dqp = np.random.default_rng(w).integers(-8, 9, grid.n_blocks)
+        dqp = np.random.default_rng(w).integers(-8, 9, (grid.blocks_y, grid.blocks_x))
         for qp_map in (0, 22, 37, allocation_with_offsets(grid, 30, dqp)):
             point, recon = encode_image(luma, qp_map)
             assert point.quality == psnr(RasterImage(pixels=luma[:, :, None]),
@@ -268,11 +270,10 @@ class TestReferenceEncode:
         else:
             luma = textured_pixels(h, w, seed=seed)[:, :, 0].copy()
         grid = BlockGrid(w, h)
-        dqp = rng.integers(0, 64, grid.n_blocks)
+        dqp = rng.integers(0, 64, (grid.blocks_y, grid.blocks_x))
         point, recon = encode_image(luma, allocation_with_offsets(grid, 0, dqp))
-        bits, expected = reference_encode(luma, dqp.reshape(grid.blocks_y,
-                                                            grid.blocks_x))
-        np.testing.assert_array_equal(point.per_block_bits, bits)
+        bits, expected = reference_encode(luma, dqp)
+        np.testing.assert_array_equal(point.per_block_bits.ravel(), bits)
         np.testing.assert_array_equal(recon, expected)
 
 
@@ -288,13 +289,12 @@ class TestBlockSeparability:
         rng = np.random.default_rng(seed)
         luma = rng.integers(0, 256, (height, width)).astype(np.uint8)
         grid = BlockGrid(width, height)
-        qps = rng.integers(0, 64, grid.n_blocks)
+        qps = rng.integers(0, 64, (grid.blocks_y, grid.blocks_x))
         point, recon = encode_image(luma, allocation_with_offsets(grid, 0, qps))
         flat = {qp: encode_image(luma, int(qp)) for qp in np.unique(qps)}
-        for k, qp in enumerate(qps):
+        for (by, bx), qp in np.ndenumerate(qps):
             flat_point, flat_recon = flat[qp]
-            assert point.per_block_bits[k] == flat_point.per_block_bits[k]
-            by, bx = divmod(k, grid.blocks_x)
+            assert point.per_block_bits[by, bx] == flat_point.per_block_bits[by, bx]
             block = np.s_[64 * by:64 * (by + 1), 64 * bx:64 * (bx + 1)]
             assert np.array_equal(recon[block], flat_recon[block])
 
@@ -306,12 +306,12 @@ class TestLinearityEcho:
         luma = textured_pixels(192, 192, seed=5)[:, :, 0].copy()
         grid = BlockGrid(192, 192)
         rng = np.random.default_rng(5)
-        dqp = rng.integers(-4, 5, grid.n_blocks)
+        dqp = rng.integers(-4, 5, (3, 3))
         allocation = allocation_with_offsets(grid, 32, dqp)
         point, _ = encode_image(luma, allocation)
 
         # each 64-px block covers 4x4 step cells of its quantizer step
-        qsteps = np.array([qstep(int(q)) for q in allocation.qp]).reshape(3, 3)
+        qsteps = np.vectorize(qstep)(allocation.base_qp + allocation.dqp)
         cells = np.repeat(np.repeat(qsteps, 4, axis=0), 4, axis=1)
         qs = block_mean_step(StepMap(values=cells), grid)
 
