@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GridMismatchError
-from .imageio import DOWNSAMPLE_FACTOR, BlockGrid
+from .imageio import BLOCK_SIZE, DOWNSAMPLE_FACTOR, BlockGrid
 
 if TYPE_CHECKING:
     from .stepnet import StepMap
@@ -112,22 +112,24 @@ def block_mean_step(step_map: StepMap, grid: BlockGrid) -> np.ndarray:
     Latent cell (i, j) covers the 16x16 pixel square at (16i, 16j) in
     row, column order; a full 64-px block therefore averages a 4x4 cell
     window, while edge blocks average only the cells they actually
-    cover. Cells are pooled as value / 16 and the mean scaled back by 16,
-    so that finite steps cannot overflow the sum. Scaling by a power of
-    two commutes with rounding, so this gives the plain mean's bits
-    (short of subnormal cells, far below the EPS floor).
+    cover. The cells are zero-padded to whole blocks and summed here, as
+    value / 16 and the mean scaled back by 16, so that finite steps
+    cannot overflow the sum. Scaling by a power of two commutes with
+    rounding, so this gives the plain mean's bits (short of subnormal
+    cells, far below the EPS floor).
     """
-    f = DOWNSAMPLE_FACTOR
+    f, per = DOWNSAMPLE_FACTOR, BLOCK_SIZE // DOWNSAMPLE_FACTOR  # cells per block edge
     rows, cols = step_map.values.shape
     want = (-(-grid.height // f), -(-grid.width // f))
     if (rows, cols) != want:
         raise GridMismatchError(
             f"step map {cols}x{rows} does not match a {grid.width}x{grid.height} "
             f"frame (expected {want[1]}x{want[0]})")
-    # cell values / 16 and a 1 per real cell, summed per block
-    cells = np.ones((2, rows, cols))
-    cells[0] = step_map.values / 16
-    sums, counts = grid.block_sums(cells, f)
+    # cell values / 16 and a 1 per real cell, zero-padded to whole blocks
+    cells = np.zeros((2, grid.blocks_y * per, grid.blocks_x * per))
+    cells[0, :rows, :cols] = step_map.values / 16
+    cells[1, :rows, :cols] = 1
+    sums, counts = cells.reshape(2, grid.blocks_y, per, grid.blocks_x, per).sum(axis=(2, 4))
     return (sums / counts) * 16
 
 

@@ -99,15 +99,6 @@ class BlockGrid:
         hs = np.minimum(BLOCK_SIZE, self.height - np.arange(self.blocks_y) * BLOCK_SIZE)
         return (hs[:, None] * ws[None, :]).astype(np.int64)
 
-    def block_sums(self, cells: np.ndarray, cell: int) -> np.ndarray:
-        """Per-block sums of (..., rows, cols) cells of cell px (a divisor of
-        BLOCK_SIZE), zero-padded to whole blocks: (..., blocks_y, blocks_x)."""
-        per = BLOCK_SIZE // cell
-        *lead, rows, cols = cells.shape
-        padded = np.zeros((*lead, self.blocks_y * per, self.blocks_x * per), cells.dtype)
-        padded[..., :rows, :cols] = cells
-        return padded.reshape(*lead, self.blocks_y, per, self.blocks_x, per).sum(axis=(-3, -1))
-
 
 def load_ppm(path: str | os.PathLike) -> RasterImage:
     """Load a binary P6 portable pixmap with maxval 255.

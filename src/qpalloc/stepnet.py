@@ -116,7 +116,7 @@ class ModelWeights:
 
 @dataclass(frozen=True)
 class StepMap:
-    """Positive step values at 1/16 image resolution, row-major."""
+    """(rows, cols) positive step values at 1/16 image resolution."""
 
     values: np.ndarray
 

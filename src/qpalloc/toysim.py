@@ -72,8 +72,8 @@ def _qp_blocks(grid: BlockGrid, qp_map) -> np.ndarray:
             raise ValueError(f"QP offsets must be integers, got {dqp.dtype}")
         dqp = dqp.astype(np.int64)
     else:
-        # an int64 zero per block, shaped as the grid
-        base, dqp = _qp_index(qp_map, "QP"), np.zeros_like(grid.pixel_counts())
+        base = _qp_index(qp_map, "QP")
+        dqp = np.zeros((grid.blocks_y, grid.blocks_x), np.int64)
     lo, hi = base + int(dqp.min()), base + int(dqp.max())
     if lo < 0 or hi > 63:
         raise ValueError(f"block QPs span [{lo}, {hi}], outside [0, 63]")

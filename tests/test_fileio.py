@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,29 @@ class TestAtomicWrite:
         plain.write_bytes(b"")
         assert target.read_bytes() == b"second"
         assert os.stat(target).st_mode == os.stat(plain).st_mode
+
+    def test_name_collision_draws_a_new_name(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.bin"
+        squatter = tmp_path / f"out.bin.{os.getpid()}.{'ab' * 4}.tmp"
+        squatter.write_bytes(b"squatter")
+        draws = iter([b"\xab" * 4, b"\xab" * 4, b"\xcd" * 4])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        atomic_write_bytes(target, b"payload")
+        assert target.read_bytes() == b"payload"
+        assert squatter.read_bytes() == b"squatter"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", squatter.name]
+
+    def test_temp_file_that_cannot_be_removed(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise PermissionError("refused")
+
+        target = tmp_path / "out.bin"
+        monkeypatch.setattr(os, "replace", refuse)
+        monkeypatch.setattr(os, "unlink", refuse)
+        with pytest.raises(OutputIOError, match=re.escape(f"cannot write {target}: refused")):
+            atomic_write_bytes(target, b"payload")
+        monkeypatch.undo()
+        assert not target.exists()
 
 
 class TestParseInts:

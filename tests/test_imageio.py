@@ -196,18 +196,6 @@ class TestBlockPartition:
                 assert counts[by, bx] == block.size
             assert np.all(covered == 1)
 
-    def test_block_sums_pool_cells_into_blocks(self):
-        grid = BlockGrid(100, 80)
-        # one sum per block of its real pixels, and of its 16-px cells
-        np.testing.assert_array_equal(
-            grid.block_sums(np.ones((80, 100), np.int64), 1), grid.pixel_counts())
-        np.testing.assert_array_equal(grid.block_sums(np.ones((5, 7)), 16),
-                                      [[16, 12], [4, 3]])
-        # leading axes are carried through
-        stacked = grid.block_sums(np.arange(70.0).reshape(2, 5, 7), 16)
-        assert stacked.shape == (2, 2, 2)
-        assert stacked[1, 1, 1] == np.arange(35.0, 70.0).reshape(5, 7)[4:, 4:].sum()
-
     def test_rejects_degenerate_arguments(self):
         with pytest.raises(ValueError):
             BlockGrid(width=0, height=4)

@@ -671,6 +671,14 @@ class TestLanes:
         assert lane_starts == []
         assert pinned.tobytes() == unpinned.tobytes()
 
+    @pytest.mark.parametrize("cpus,bands,lanes", [(None, 64, 1), (8, 64, 8), (8, 3, 3)])
+    def test_without_cpu_affinity_counts_cpus(self, monkeypatch, cpus, bands, lanes):
+        # where os has no sched_getaffinity, the lanes come from
+        # os.cpu_count(), which may not know the count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert stepnet._lane_count(bands) == lanes
+
     def test_concurrent_passes_give_the_serial_bytes(self, reference_plan):
         # Four passes at once, each with its own lanes, under a short
         # switch interval so that the threads interleave often
