@@ -169,8 +169,7 @@ def qp_offset(ratio, beta: float, clamp: int) -> np.ndarray:
     log_r = np.log2(ratio)
     with np.errstate(over="ignore", invalid="ignore"):
         raw = np.where(log_r == 0.0, 0.0, N_CONST * beta * log_r)
-    rounded = np.sign(raw) * np.floor(np.abs(raw) + 0.5)
-    return np.clip(rounded, -clamp, clamp).astype(np.int64)
+    return np.clip(np.trunc(raw + np.copysign(0.5, raw)), -clamp, clamp).astype(np.int64)
 
 
 def lambda_adapt(dqp) -> np.ndarray:

@@ -170,10 +170,13 @@ def rgb_to_gray(img: RasterImage) -> np.ndarray:
     float64 sum falls just below the tie and rounds down, so (0, 36, 12)
     sums to 22.5 but gives 22. This is the plane the toy codec encodes
     and the one that metrics --luma-only scores; black maps to 0 and
-    white to 255. A single-channel image gives a copy of its one plane.
+    white to 255. The weights are non-negative and sum to 1, so the sum
+    never leaves [0, 255] by more than a few ulps and its rounding needs
+    no clip before the uint8 cast. A single-channel image gives a copy
+    of its one plane.
     """
     if img.channels == 1:
         return img.pixels[:, :, 0].copy()
     p = img.pixels.astype(np.float64)
     y = 0.299 * p[:, :, 0] + 0.587 * p[:, :, 1] + 0.114 * p[:, :, 2]
-    return np.clip(np.floor(y + 0.5), 0, 255).astype(np.uint8)
+    return np.floor(y + 0.5).astype(np.uint8)

@@ -391,11 +391,9 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
 
 
 def softplus(x):
-    """ln(1 + e^x), overflow-safe: for large x this is x + ln(1 + e^-x)."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.where(arr > 30.0,
-                   arr + np.log1p(np.exp(-np.abs(arr))),
-                   np.log1p(np.exp(np.minimum(arr, 30.0))))
+    """ln(1 + e^x) in float64, as np.logaddexp(0, x), which neither
+    overflows for large x nor loses the tail for very negative x."""
+    out = np.logaddexp(0.0, np.asarray(x, np.float64))
     return float(out) if np.ndim(x) == 0 else out
 
 

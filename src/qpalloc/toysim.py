@@ -128,18 +128,19 @@ def encode_image(luma: np.ndarray, qp_map: BlockAllocation | int):
         np.matmul(DCT_BASIS, x.reshape(slabs), out=t.reshape(slabs))
         np.matmul(t.reshape(-1, TU_SIZE), _BASIS_T, out=c.reshape(-1, TU_SIZE))
 
-        # Levels round half away from zero, into the spent pixel rows. Each
-        # costs its order-0 signed exp-Golomb length 2*e + 1, where e is the
-        # frexp exponent of the level itself: floor(log2|level|) + 1, and 0
-        # for level 0. A block's 64 * units * cols_units levels thus cost
-        # 2 * (their exponent sum) + 64 * units * cols_units bits. The strip
-        # is one block row, so each column's step is its block's.
+        # Levels round half away from zero as trunc(c / q + copysign(1/2, c)),
+        # into the spent pixel rows, with the signed halves in the spent first
+        # product; division and addition are sign-symmetric, so this is
+        # floor(|c| / q + 1/2) with c's sign. Each level costs its order-0
+        # signed exp-Golomb length 2*e + 1, where e is the frexp exponent of
+        # the level itself: floor(log2|level|) + 1, and 0 for level 0. A
+        # block's 64 * units * cols_units levels thus cost 2 * (their exponent
+        # sum) + 64 * units * cols_units bits. The strip is one block row, so
+        # each column's step is its block's.
         q = steps[by].repeat(BLOCK_SIZE)[:pw]
-        np.abs(c, out=x)
-        x /= q
-        x += 0.5
-        np.floor(x, out=x)
-        np.copysign(x, c, out=x)
+        np.divide(c, q, out=x)
+        x += np.copysign(0.5, c, out=t)
+        np.trunc(x, out=x)
         np.frexp(x, out=(t, e))
         per_block[by] = (2 * np.add.reduceat(e.sum(axis=0), block_cols)
                          + TU_SIZE * TU_SIZE * units * cols_units)

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.signal import correlate2d
 
 from qpalloc.imageio import BlockGrid, RasterImage
+from qpalloc.stepnet import ResBlock
 from qpalloc.toysim import DCT_BASIS
 
 
@@ -103,12 +104,13 @@ def reference_bd_quality(anchor, test) -> float:
 
 def reference_conv2d(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                      stride: int, out_h: int, out_w: int) -> np.ndarray:
-    """Fixed-order float32 convolution of an already padded input.
+    """Fixed-order convolution of an already padded input, in float32,
+    or in float64 when the input or the weights are float64.
 
     Sums one scalar weight times one strided input plane at a time, in
     input channel, kernel row, kernel column order, onto the bias.
     """
-    out = np.empty((weights.shape[0], out_h, out_w), np.float32)
+    out = np.empty((weights.shape[0], out_h, out_w), np.result_type(padded, weights))
     out[:] = bias[:, None, None]
     n_in = weights.shape[1]
     k = weights.shape[2]
@@ -120,6 +122,32 @@ def reference_conv2d(padded: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                                 kc:kc + stride * (out_w - 1) + 1:stride]
                 out += weights[:, i, kr, kc][:, None, None] * window[None]
     return out
+
+
+def reference_step_map(pixels: np.ndarray, weights) -> np.ndarray:
+    """The step map of a (h, w, 3) uint8 frame in float64: every
+    convolution of the plan through reference_conv2d on float64 input
+    and weights, edge-padded as the package pads (the smaller half of a
+    layer's padding on the leading side), then ln(1 + e^x) of the head.
+    The package runs the same plan in float32, so the two differ only by
+    float32 rounding."""
+    def conv(x, layer):
+        s, k = layer.stride, layer.kernel_size
+        h, w = x.shape[1:]
+        out_h, out_w = -(-h // s), -(-w // s)
+        pad_h, pad_w = max((out_h - 1) * s + k - h, 0), max((out_w - 1) * s + k - w, 0)
+        padded = np.pad(x, ((0, 0), (pad_h // 2, pad_h - pad_h // 2),
+                            (pad_w // 2, pad_w - pad_w // 2)), mode="edge")
+        return reference_conv2d(padded, layer.weights.astype(np.float64),
+                                layer.bias.astype(np.float64), s, out_h, out_w)
+
+    x = pixels.transpose(2, 0, 1) / 255.0
+    for layer in weights.layers:
+        if isinstance(layer, ResBlock):
+            x = x + conv(np.maximum(conv(x, layer.conv1), 0.0), layer.conv2)
+        else:
+            x = conv(x, layer)
+    return np.log1p(np.exp(x[0]))
 
 
 def write_qsnw2(path, header_lines, values) -> None:

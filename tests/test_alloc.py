@@ -153,6 +153,13 @@ class TestQpOffset:
     def test_hand_computed_offsets(self, ratio, beta, clamp, expected):
         assert qp_offset(ratio, beta, clamp) == expected
 
+    def test_exact_halves_round_away_from_zero(self):
+        # beta 0.5: raw 1.5 * log2(r) is exactly +-1.5, +-4.5 and +-7.5
+        ratios = np.array([2.0, 0.5, 8.0, 0.125, 32.0, 1 / 32])
+        np.testing.assert_array_equal(qp_offset(ratios, 0.5, 63), [2, -2, 5, -5, 8, -8])
+        np.testing.assert_array_equal(qp_offset(ratios, -0.5, 63), [-2, 2, -5, 5, -8, 8])
+        assert qp_offset(2.0, 0.5, 4) == 2 and qp_offset(0.5, 0.5, 4) == -2
+
     def test_nonpositive_ratio_rejected(self):
         with pytest.raises(ValueError):
             qp_offset(0.0, -1.0, 4)
@@ -282,9 +289,12 @@ class TestAllocConfig:
         np.testing.assert_array_equal(allocation.base_qp + allocation.dqp, [[31, 34]])
 
     def test_overflowing_raw_offset_saturates(self):
-        # 3 * beta overflows to inf; ratio 1 still gives 0
-        d = qp_offset(np.array([0.5, 1.0, 2.0]), 1e308, 4)
-        np.testing.assert_array_equal(d, [-4, 0, 4])
+        # 3 * beta * log2(r) overflows to +-inf and rounds to itself, so
+        # the clamp decides; ratio 1 still gives 0
+        for beta in (1e308, -1e308):
+            for clamp in (0, 4, 63):
+                d = qp_offset(np.array([0.5, 1.0, 2.0]), beta, clamp)
+                np.testing.assert_array_equal(d, np.sign(beta) * np.array([-clamp, 0, clamp]))
 
 
 class TestLinearityFit:

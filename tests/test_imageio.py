@@ -154,8 +154,19 @@ class TestGray:
         assert np.all(rgb_to_gray(img) == 0)
 
     def test_white_maps_to_255(self):
+        # float products and sums are monotone in each channel, so white
+        # gives the largest sum of any triple: no clip is needed below it
         img = RasterImage(pixels=np.full((3, 3, 3), 255, np.uint8))
         assert np.all(rgb_to_gray(img) == 255)
+
+    @pytest.mark.parametrize("rgb,expected", [
+        ((255, 0, 0), 76), ((0, 255, 0), 150), ((0, 0, 255), 29),
+        ((255, 255, 254), 255), ((1, 0, 1), 0), ((0, 36, 12), 22),
+    ], ids=["red", "green", "blue", "near-white", "near-black", "float-tie"])
+    def test_weighted_sum_rounds_half_up(self, rgb, expected):
+        # (0, 36, 12) sums to 22.5 exactly but to just below it in float64
+        img = RasterImage(pixels=np.array(rgb, np.uint8).reshape(1, 1, 3))
+        assert rgb_to_gray(img)[0, 0] == expected
 
     def test_single_channel_passthrough(self):
         plane = np.arange(12, dtype=np.uint8).reshape(3, 4, 1)

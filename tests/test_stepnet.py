@@ -481,9 +481,16 @@ class TestConv2d:
 
 
 
+def _softplus_longdouble(x: np.ndarray) -> np.ndarray:
+    """max(x, 0) + ln(1 + e^-|x|) in extended precision."""
+    x = x.astype(np.longdouble)
+    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+
+
 class TestSoftplus:
     def test_zero(self):
-        assert softplus(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
+        for zero in (0.0, -0.0):
+            assert softplus(zero) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_large_positive_asymptote(self):
         # ln(1 + e^20) to full double precision
@@ -497,8 +504,38 @@ class TestSoftplus:
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_no_overflow_far_out(self):
-        assert softplus(1000.0) == 1000.0
+        for x in (710.0, 1000.0, 1e308):
+            assert softplus(x) == x
         assert softplus(np.array([-50.0, 0.0, 50.0])).shape == (3,)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("x", [
+        -745.0, -0.0, 0.0, np.nextafter(30.0, 0.0), 30.0, np.nextafter(30.0, 31.0),
+        709.8, 710.0, 1e308,
+        np.linspace(-750.0, 750.0, 150_001), np.linspace(-40.0, 40.0, 160_001),
+    ], ids=["-745", "-0", "0", "below-30", "30", "above-30", "709.8", "710", "1e308",
+            "grid-750", "grid-40"])
+    def test_within_one_ulp_of_extended_precision(self, x):
+        # against the double nearest the extended-precision value; both
+        # are positive, so their bit patterns count ulps
+        x = np.atleast_1d(np.asarray(x, np.float64))
+        out = np.atleast_1d(softplus(x))
+        ref = _softplus_longdouble(x).astype(np.float64)
+        assert np.abs(out.view(np.int64) - ref.view(np.int64)).max() <= 1
+
+    @pytest.mark.parametrize("x", [1.5, np.float32(1.5), np.float64(1.5), np.array(1.5)],
+                             ids=["float", "float32", "float64", "0-d"])
+    def test_scalar_gives_a_python_float(self, x):
+        value = softplus(x)
+        assert type(value) is float
+        assert value == softplus(1.5)
+
+    def test_float32_is_promoted_to_float64(self):
+        x = np.array([-3.25, 0.1, 17.0], np.float32)
+        out = softplus(x)
+        assert out.dtype == np.float64
+        assert out.tobytes() == softplus(x.astype(np.float64)).tobytes()
 
 
 def _uniform_head_weights(base: ModelWeights, bias: float) -> ModelWeights:

@@ -276,6 +276,25 @@ class TestReferenceEncode:
         np.testing.assert_array_equal(point.per_block_bits.ravel(), bits)
         np.testing.assert_array_equal(recon, expected)
 
+    def test_exact_ties_round_away_from_zero_as_the_oracle_does(self):
+        # power-of-two steps: constant units put their DC coefficient, and
+        # units of coarse levels some AC coefficients of either sign,
+        # exactly half a step from a level
+        signs = set()
+        for qp in (4, 10, 22, 28, 34, 40):
+            rng = np.random.default_rng(qp)
+            luma = np.where(np.arange(96) < 48,
+                            np.kron(rng.integers(0, 256, (9, 12)), np.ones((8, 8), np.int64)),
+                            32 * rng.integers(0, 8, (72, 96))).astype(np.uint8)
+            ratios = np.concatenate([dct8_forward(luma[y:y + 8, x:x + 8]).ravel()
+                                     for y in range(0, 72, 8) for x in range(0, 96, 8)]) / qstep(qp)
+            signs.update(np.sign(ratios[np.abs(ratios) % 1 == 0.5]))
+            point, recon = encode_image(luma, qp)
+            bits, expected = reference_encode(luma, np.full((2, 2), qp))
+            np.testing.assert_array_equal(point.per_block_bits.ravel(), bits)
+            np.testing.assert_array_equal(recon, expected)
+        assert signs == {-1.0, 1.0}
+
 
 class TestBlockSeparability:
     """Each 8x8 unit is coded from its own (edge-padded) pixels and its own
