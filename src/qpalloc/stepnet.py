@@ -8,9 +8,10 @@ raw little-endian float32. Convolutions run channels-last in float32
 as one matrix product per band of output rows. The bands of a layer are
 dealt round-robin to one lane per CPU the process may run on, lane 0 in
 the caller and the others on worker threads, each lane with its own
-columns buffer; a forward pass allocates one workspace that every layer
-reuses and starts its worker threads once. Each band is the same matrix
-product at any lane count, so the same image and weights give
+columns buffer. One driver runs the layers of both conv2d and
+infer_step_map: it allocates its buffers once, in two blocks that every
+layer reuses, and starts its worker threads once. Each band is the same
+matrix product at any lane count, so the same image and weights give
 byte-identical results run to run on one host. The softplus head runs
 in float64.
 
@@ -112,6 +113,12 @@ class ModelWeights:
     """Ordered layer stack (ConvLayer or ResBlock entries)."""
 
     layers: tuple
+
+
+def _convs(layers) -> list:
+    """The convolutions of layers in order, a ResBlock's two in turn."""
+    return [conv for layer in layers for conv in
+            ((layer,) if isinstance(layer, ConvLayer) else (layer.conv1, layer.conv2))]
 
 
 @dataclass(frozen=True)
@@ -226,17 +233,14 @@ def save_weights(weights: ModelWeights, path: str | os.PathLike) -> None:
     little-endian float32 in the order load_weights reads them. A
     parameter that is not finite as a float32 is a ValueError."""
     lines = ["QSNW2", f"layers {len(weights.layers)}"]
-    params = []
     for layer in weights.layers:
         if isinstance(layer, ConvLayer):
             lines.append(f"conv {layer.in_channels} {layer.out_channels} "
                          f"{layer.kernel_size} {layer.stride}")
-            convs = (layer,)
         else:
             lines.append(f"resblock {layer.conv1.in_channels}")
-            convs = (layer.conv1, layer.conv2)
-        params += [a.reshape(-1) for conv in convs for a in (conv.weights, conv.bias)]
     lines.append("data\n")
+    params = [a.reshape(-1) for c in _convs(weights.layers) for a in (c.weights, c.bias)]
     with np.errstate(over="ignore"):  # a float64 beyond float32 range is refused below
         payload = np.concatenate(params, dtype="<f4")
     if not np.isfinite(payload).all():
@@ -265,10 +269,10 @@ def _plan(convs, h: int, w: int, c: int) -> tuple[int, ...]:
     convolution that does not take the channels reaching it is an
     InferenceError. Returns (padded, cols, act, bands, stride): the
     floats of the largest padded input, columns buffer (one lane's) and
-    activation (the input included) that _conv_into needs, the most
-    bands of any convolution and the strides composed."""
-    padded = cols = bands = 0
-    act, stride = c * h * w, 1
+    convolution output that _conv_into needs, the most bands of any
+    convolution and the strides composed."""
+    padded = cols = act = bands = 0
+    stride = 1
     for conv in convs:
         if conv.in_channels != c:
             raise InferenceError(f"channel mismatch: input has {c} channels, "
@@ -352,6 +356,50 @@ def _conv_into(x: np.ndarray, layer: ConvLayer, padded_buf: np.ndarray,
     return out.reshape(out_h, out_w, layer.out_channels)
 
 
+def _run(x: np.ndarray, layers) -> np.ndarray:
+    """Run layers (ConvLayer or ResBlock entries) over a channels-last
+    float32 x (h, w, c) and return the (h, w, c) view of the last
+    layer's output.
+
+    The run allocates two blocks that every layer reuses, a workspace
+    (the largest padded input, one largest columns buffer per lane and,
+    for a plan with a residual block, a scratch activation buffer) and
+    the activation buffer, and starts its lanes' worker threads once,
+    for every layer (lanes: one per CPU the process may run on, at most
+    the most bands of any layer). A plain convolution writes the
+    activation buffer, over its own input when that lies there. A
+    residual block runs its first convolution into the scratch, applies
+    ReLU there in place, runs its second convolution over it in place
+    and adds the result into x, so a plan that starts with a residual
+    block adds into x itself.
+    """
+    padded_n, cols_n, act_n, bands, _ = _plan(_convs(layers), *x.shape)
+    lanes = _lane_count(bands)
+    # One block for the padded input, the residual scratch and every
+    # lane's columns: glibc hands the heap back to the OS on a free once
+    # its free top reaches twice the largest block it freed from mmap,
+    # and the next call faults it back in. Allocated apart, with two
+    # lanes, they took about 1,000 faults per call (64 channels at
+    # 64x64), and so did one lane at 128x128 with the scratch in the
+    # activation buffer's block. The activation buffer, which the result
+    # views, is a block of its own, so that a result does not keep the
+    # workspace alive.
+    scratch_n = act_n if any(isinstance(layer, ResBlock) for layer in layers) else 0
+    ws = np.empty(padded_n + scratch_n + lanes * cols_n, np.float32)
+    padded, scratch = ws[:padded_n], ws[padded_n:padded_n + scratch_n]
+    cols = ws[padded_n + scratch_n:].reshape(lanes, cols_n)
+    act = np.empty(act_n, np.float32)
+    with _workers(lanes) as pool:
+        for layer in layers:
+            if isinstance(layer, ConvLayer):
+                x = _conv_into(x, layer, padded, cols, act, pool)
+            else:
+                y = _conv_into(x, layer.conv1, padded, cols, scratch, pool)
+                np.maximum(y, np.float32(0.0), out=y)
+                x += _conv_into(y, layer.conv2, padded, cols, scratch, pool)
+    return x
+
+
 def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """Strided convolution with same-ceil geometry and replicate padding.
 
@@ -363,31 +411,21 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     step for one float32 GEMM with the weights, and the bias is added.
     The bands run on one lane per CPU the process may run on, each lane
     with its own columns buffer; a layer of one band runs here and
-    starts no thread. Returns an (out, out_h, out_w) view of a
-    channels-last result. Each call allocates its own padded input,
-    columns and output and starts its own worker threads; a forward
-    pass runs the same kernel in one workspace. The same input and
-    layer give byte-identical results run to run on one host, at any
-    lane count. A float32 overflow gives inf or nan and no warning.
+    starts no thread. An x with an empty spatial axis is an
+    InferenceError. Returns an (out, out_h, out_w) view of a
+    channels-last result that holds the output alone. This is the
+    driver of a forward pass run over one layer, so each call allocates
+    its own workspace and starts its own worker threads. The same input
+    and layer give byte-identical results run to run on one host, at
+    any lane count. A float32 overflow gives inf or nan and no warning.
     """
     if np.ndim(x) != 3:
         raise InferenceError("conv2d input must be (channels, height, width), "
                              f"got shape {np.shape(x)}")
-    c, h, w = np.shape(x)
-    padded_n, cols_n, _, bands, _ = _plan((layer,), h, w, c)
-    out_h, out_w = _geometry(layer, h, w)[:2]
+    if 0 in np.shape(x)[1:]:
+        raise InferenceError(f"conv2d input of shape {np.shape(x)} has an empty spatial axis")
     x = np.asarray(x, dtype=np.float32).transpose(1, 2, 0)
-    lanes = _lane_count(bands)
-    # one block for the padded input and every lane's columns: allocated
-    # apart, with two lanes, glibc handed them back to the OS on each
-    # return and the next call faulted about 1,000 pages back in (64
-    # channels at 64x64); the output is its own array, so that the result
-    # does not keep the block alive
-    ws = np.empty(padded_n + lanes * cols_n, np.float32)
-    with _workers(lanes) as pool:
-        out = _conv_into(x, layer, ws[:padded_n], ws[padded_n:].reshape(lanes, cols_n),
-                         np.empty(out_h * out_w * layer.out_channels, np.float32), pool)
-    return out.transpose(2, 0, 1)
+    return _run(x, (layer,)).transpose(2, 0, 1)
 
 
 def softplus(x):
@@ -397,61 +435,32 @@ def softplus(x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _forward(img: RasterImage, weights: ModelWeights) -> np.ndarray:
-    """Pre-activation head output (single channel, float32).
+def infer_step_map(img: RasterImage, weights: ModelWeights) -> StepMap:
+    """Run the network; softplus of the head's output gives the steps.
 
-    Activations run channels-last, (h, w, c), from the pixels to the
-    head. The pass allocates one float32 workspace: the largest padded
-    input, one largest columns buffer per lane and two activation
-    buffers, and starts its lanes' worker threads once, for every layer
-    (lanes: one per CPU the process may run on, at most the most bands
-    of any layer). x lives in the first activation buffer throughout: a
-    plain convolution overwrites its own input there, and a residual
-    block runs its first convolution into the second buffer, applies
-    ReLU there in place, runs its second convolution over it in place
-    and adds the result into x.
-    """
+    The pixels, divided by 255 into a float32 copy of their own, run
+    channels-last through one forward pass of every layer (see _run),
+    and softplus in float64 turns the head's single channel into steps.
+    Weights that do not fit the image raise InferenceError before the
+    pass runs, and weights whose pass gives a step value that is not
+    finite and positive raise it after: a float32 overflow, or a head
+    output so negative that softplus underflows to 0. Neither warns. The
+    convolutions already run one lane per CPU, and BLAS threads
+    multiply with the lanes: a library caller should set
+    OPENBLAS_NUM_THREADS=1 before numpy is first imported, as the CLI
+    does."""
     if img.channels != 3:
         raise InferenceError("inference requires a 3-channel image")
-    convs = [conv for layer in weights.layers for conv in
-             ((layer,) if isinstance(layer, ConvLayer) else (layer.conv1, layer.conv2))]
-    padded_n, cols_n, act_n, bands, stride = _plan(convs, img.height, img.width, 3)
+    convs = _convs(weights.layers)
+    stride = _plan(convs, img.height, img.width, 3)[-1]
     if stride != DOWNSAMPLE_FACTOR:
         raise InferenceError(
             f"layer strides compose to x{stride}, need exactly x{DOWNSAMPLE_FACTOR}")
     if convs[-1].out_channels != 1:
         raise InferenceError("final layer must produce a single channel")
-    lanes = _lane_count(bands)
-    ws = np.empty(padded_n + lanes * cols_n + 2 * act_n, np.float32)
-    padded = ws[:padded_n]
-    cols = ws[padded_n:padded_n + lanes * cols_n].reshape(lanes, cols_n)
-    act, scratch = ws[padded_n + lanes * cols_n:-act_n], ws[-act_n:]
-
-    x = act[:img.height * img.width * 3].reshape(img.height, img.width, 3)
-    np.divide(img.pixels, np.float32(255.0), out=x, dtype=np.float32)
-    with _workers(lanes) as pool:
-        for layer in weights.layers:
-            if isinstance(layer, ConvLayer):
-                x = _conv_into(x, layer, padded, cols, act, pool)
-            else:
-                y = _conv_into(x, layer.conv1, padded, cols, scratch, pool)
-                np.maximum(y, np.float32(0.0), out=y)
-                x += _conv_into(y, layer.conv2, padded, cols, scratch, pool)
-    return x[:, :, 0].copy()
-
-
-def infer_step_map(img: RasterImage, weights: ModelWeights) -> StepMap:
-    """Run the network; softplus of the head's output gives the steps.
-
-    Weights that do not fit the image raise InferenceError, and so do
-    weights whose pass gives a step value that is not finite and
-    positive: a float32 overflow, or a head output so negative that
-    softplus underflows to 0. Neither warns. The convolutions already
-    run one lane per CPU, and BLAS threads multiply with the lanes: a
-    library caller should set OPENBLAS_NUM_THREADS=1 before numpy is
-    first imported, as the CLI does."""
+    x = np.divide(img.pixels, np.float32(255.0), dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = softplus(_forward(img, weights))
+        values = softplus(_run(x, weights.layers)[:, :, 0])
         if not (np.isfinite(values) & (values > 0)).all():
             raise InferenceError("weights give step values that are not finite and positive")
     return StepMap(values=values)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,7 @@ from qpalloc import stepnet
 from qpalloc.errors import FormatError, InferenceError
 from qpalloc.imageio import RasterImage, save_ppm
 from qpalloc.stepnet import (ConvLayer, ModelWeights, ResBlock, StepMap, conv2d,
-                             _forward, infer_step_map, load_weights,
+                             infer_step_map, load_weights,
                              make_random_weights, read_step_map, save_weights,
                              softplus, write_step_map)
 
@@ -394,6 +395,13 @@ class TestConv2d:
                            match=r"must be \(channels, height, width\), got shape \(5, 4\)"):
             conv2d(np.ones((5, 4), np.float32), layer)
 
+    @pytest.mark.parametrize("shape", [(3, 5, 0), (3, 0, 5)], ids=["no-columns", "no-rows"])
+    def test_empty_spatial_axis_is_refused(self, shape):
+        layer = _conv(np.ones((1, 3, 1, 1)), [0.0], stride=1)
+        with pytest.raises(InferenceError,
+                           match=rf"shape {re.escape(str(shape))} has an empty spatial axis"):
+            conv2d(np.zeros(shape, np.float32), layer)
+
     def test_same_ceil_shapes(self):
         rng = np.random.default_rng(1)
         for _ in range(40):
@@ -459,12 +467,14 @@ class TestConv2d:
 
     def test_peak_memory_is_bounded_by_the_band_budget(self):
         # The columns buffers are bounded, so a call holds the padded input
-        # (258 x 258 x 64), the output and little more; the bound allows
-        # the output at the padded width. The band budget is counted once
-        # per lane, for its columns buffer, and twice more: the layer's
-        # weight matrix (147 KB), built on this first call, and the biases
-        # of one output row (64 KB). A per-tap window copy plus its matmul
-        # temporary would add two outputs.
+        # (258 x 258 x 64), the output and little more: the input is the
+        # caller's and sits outside the activation buffer, which holds the
+        # output alone. The bound allows the output at the padded width.
+        # The band budget is counted once per lane, for its columns
+        # buffer, and twice more: the layer's weight matrix (147 KB),
+        # built on this first call, and the biases of one output row
+        # (64 KB). A per-tap window copy plus its matmul temporary would
+        # add two outputs.
         c, n, k = 64, 256, 3
         layer = _conv(np.zeros((c, c, k, k)), np.zeros(c), stride=1)
         x = np.zeros((c, n, n), np.float32)
@@ -478,6 +488,29 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_result_holds_only_its_output_and_leaves_the_input(self, stride):
+        # The padded input and the columns are a block apart from the
+        # output, so they are freed on return. What stays traced is the
+        # output, the layer's weight matrix (147 KB), built on this first
+        # call, and less than the biases of one output row.
+        c, n = 64, 256
+        rng = np.random.default_rng(17)
+        layer = self._random_layer(rng, c, c, 3, stride)
+        x = rng.normal(size=(c, n, n)).astype(np.float32)
+        before = x.copy()
+        # what a first call imports is not the result's
+        conv2d(np.zeros((1, 1, 1), np.float32), _conv(np.ones((1, 1, 1, 1)), [0.0], stride=1))
+        tracemalloc.start()
+        try:
+            out = conv2d(x, layer)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (c, n // stride, n // stride)
+        assert held <= out.nbytes + layer._gemm_matrix.nbytes + 4 * c * out.shape[2]
+        assert x.tobytes() == before.tobytes()
 
 
 
@@ -545,6 +578,19 @@ def _uniform_head_weights(base: ModelWeights, bias: float) -> ModelWeights:
     return ModelWeights(layers=base.layers[:-1] + (zero,))
 
 
+def _resblock_first_plan() -> ModelWeights:
+    """A seeded 3-channel residual block, four stride-2 convolutions and
+    a 1-channel head."""
+    rng = np.random.default_rng(13)
+
+    def conv(c_in, c_out, stride):
+        w = rng.normal(0.0, 1.0 / math.sqrt(9 * c_in), size=(c_out, c_in, 3, 3))
+        return _conv(w, rng.normal(0.0, 0.1, size=c_out), stride)
+
+    return ModelWeights(layers=(ResBlock(conv(3, 3, 1), conv(3, 3, 1)), conv(3, 8, 2),
+                                conv(8, 8, 2), conv(8, 8, 2), conv(8, 8, 2), conv(8, 1, 1)))
+
+
 def _signed_weights(base: ModelWeights, magnitude: float) -> ModelWeights:
     """base with every convolution weight replaced by +-magnitude, its sign kept."""
     def conv(c: ConvLayer) -> ConvLayer:
@@ -594,9 +640,12 @@ class TestInference:
         layer = _conv(rng.normal(size=(1, 3, 3, 3)), [0.0], stride=16)
         weights = ModelWeights(layers=(layer,))
         half = rng.integers(0, 128, (48, 48, 3)).astype(np.uint8)
-        single = _forward(RasterImage(pixels=half), weights)
-        double = _forward(RasterImage(pixels=(half * 2).astype(np.uint8)), weights)
-        np.testing.assert_allclose(double, 2.0 * single, rtol=1e-9)
+
+        def head(pixels):  # the pass of infer_step_map, before softplus
+            x = np.divide(pixels, np.float32(255.0), dtype=np.float32)
+            return stepnet._run(x, weights.layers)
+
+        np.testing.assert_allclose(head(half * 2), 2.0 * head(half), rtol=1e-9)
 
 
     def test_rejects_mismatched_channels_before_running(self):
@@ -633,20 +682,28 @@ class TestInference:
             infer_step_map(img, weights)
 
     # ragged frames: odd sizes, padding on the leading and the trailing
-    # side of both axes, and a frame only one step-map block wide
-    @pytest.mark.parametrize("h,w", [(131, 77), (61, 203), (16, 16)])
-    def test_equals_public_composition(self, reference_plan, h, w):
+    # side of both axes, and a frame only one step-map block wide; and a
+    # plan whose first residual block adds into the pass's float copy of
+    # the pixels
+    @pytest.mark.parametrize("plan,h,w", [
+        ("reference", 131, 77), ("reference", 61, 203), ("reference", 16, 16),
+        ("resblock-first", 131, 77),
+    ], ids=["131-77", "61-203", "16-16", "resblock-first-131-77"])
+    def test_equals_public_composition(self, reference_plan, plan, h, w):
         # pipebench's traced run composes the pass this way to time each
         # convolution; its result must not depend on the workspace
+        weights = reference_plan if plan == "reference" else _resblock_first_plan()
         img = RasterImage(pixels=textured_pixels(h, w, seed=h))
+        pixels = img.pixels.copy()
         x = img.pixels.transpose(2, 0, 1).astype(np.float32) / np.float32(255.0)
-        for layer in reference_plan.layers:
+        for layer in weights.layers:
             if isinstance(layer, ConvLayer):
                 x = conv2d(x, layer)
             else:
                 x = x + conv2d(np.maximum(conv2d(x, layer.conv1), np.float32(0.0)),
                                layer.conv2)
-        values = infer_step_map(img, reference_plan).values
+        values = infer_step_map(img, weights).values
+        assert np.array_equal(img.pixels, pixels)
         assert values.tobytes() == softplus(x[0]).tobytes()
 
     def test_forward_peak_is_two_activations_one_padded_input_and_the_bands(
@@ -655,9 +712,12 @@ class TestInference:
         # padded input (130 x 130 x 64), two 128 x 128 x 64 activations,
         # which the bound allows at the 130-column padded width, and one
         # columns buffer per lane. The band budget is counted once more
-        # for the biases of one output row (32 KB). The layers' weight
-        # matrices (147 KB each) are built by a first pass and kept.
-        # Fresh arrays per layer held three outputs at once.
+        # for the biases of one output row (32 KB). The input, the
+        # pixels' float copy (256 x 256 x 3, 768 KB), sits outside the
+        # activation buffers, in what that count and the padded width
+        # leave over. The layers' weight matrices (147 KB each) are built
+        # by a first pass and kept. Fresh arrays per layer held three
+        # outputs at once.
         img = RasterImage(pixels=textured_pixels(256, 256, seed=9))
         infer_step_map(img, reference_plan)
         c, n, pad = 64, 128, 130
