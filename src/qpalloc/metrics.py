@@ -23,8 +23,11 @@ power, as TensorFlow's ``ssim_multiscale`` does, so anti-correlated
 images score 0 rather than a negative number. SSIM is the mean of
 lum * cs over the same full-resolution maps, so metric_report filters
 scale 0 once for both. Three-channel images score each channel and
-average. SSIM needs at least 11 px per side (one window), MS-SSIM at
-least 176 px per side (one window at the fifth scale).
+average. Every score takes its plane pairs from one gate, _pairs: the
+two images must share a shape, and then every side must reach the
+score's least size, 11 px for SSIM (one window) and 176 px for MS-SSIM
+and metric_report (one window at the fifth scale); anything else is a
+ValueError. PSNR only needs the shared shape.
 """
 
 from __future__ import annotations
@@ -88,6 +91,16 @@ def _check_pair(a: RasterImage, b: RasterImage) -> None:
         raise ValueError(
             f"dimension mismatch: {a.width}x{a.height}x{a.channels} vs "
             f"{b.width}x{b.height}x{b.channels}")
+
+
+def _pairs(a: RasterImage, b: RasterImage, least: int, score: str):
+    """The channel plane pairs of a and b, once they share a shape and
+    every side is at least least px; anything else is a ValueError."""
+    _check_pair(a, b)
+    if min(a.width, a.height) < least:
+        raise ValueError(f"image {a.width}x{a.height} too small for {score} "
+                         f"(needs at least {least}px per side)")
+    return zip(np.moveaxis(a.pixels, 2, 0), np.moveaxis(b.pixels, 2, 0))
 
 
 def psnr(a: RasterImage, b: RasterImage) -> float:
@@ -207,18 +220,10 @@ def _down2(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _planes(img: RasterImage):
-    return (img.pixels[:, :, c] for c in range(img.channels))
-
-
 def ssim(a: RasterImage, b: RasterImage) -> float:
     """Single-scale SSIM, averaged over channels for color images."""
-    _check_pair(a, b)
-    if min(a.width, a.height) < _WINDOW_SIZE:
-        raise ValueError(
-            f"image {a.width}x{a.height} smaller than the {_WINDOW_SIZE}px window")
     return float(np.mean([_ssim_means(x, y, lum=True)[1]
-                          for x, y in zip(_planes(a), _planes(b))]))
+                          for x, y in _pairs(a, b, _WINDOW_SIZE, "one SSIM window")]))
 
 
 def _ms_ssim_plane(x: np.ndarray, y: np.ndarray, cs0: float) -> float:
@@ -232,31 +237,21 @@ def _ms_ssim_plane(x: np.ndarray, y: np.ndarray, cs0: float) -> float:
     return value * means[2] ** _MSSSIM_WEIGHTS[coarsest]
 
 
-def _check_ms_ssim_pair(a: RasterImage, b: RasterImage) -> None:
-    _check_pair(a, b)
-    if min(a.width, a.height) < _MSSSIM_MIN_DIM:
-        raise ValueError(
-            f"image {a.width}x{a.height} too small for 5 scales "
-            f"(needs at least {_MSSSIM_MIN_DIM}px per side)")
-
-
 def ms_ssim(a: RasterImage, b: RasterImage) -> float:
     """Five-scale MS-SSIM in [0, 1], averaged over channels for color images.
 
     A negative contrast-structure mean at any scale is clamped to 0, so
     the score of that plane is 0.
     """
-    _check_ms_ssim_pair(a, b)
     return float(np.mean([_ms_ssim_plane(x, y, _ssim_means(x, y)[0])
-                          for x, y in zip(_planes(a), _planes(b))]))
+                          for x, y in _pairs(a, b, _MSSSIM_MIN_DIM, "5 MS-SSIM scales")]))
 
 
 def metric_report(a: RasterImage, b: RasterImage) -> MetricReport:
     """PSNR, SSIM and MS-SSIM of a pair, each equal to its standalone
     function; SSIM and scale 0 of MS-SSIM share one filter pass per plane."""
-    _check_ms_ssim_pair(a, b)
     ssims, ms_ssims = [], []
-    for x, y in zip(_planes(a), _planes(b)):
+    for x, y in _pairs(a, b, _MSSSIM_MIN_DIM, "5 MS-SSIM scales"):
         cs0, plane_ssim, _ = _ssim_means(x, y, lum=True)
         ssims.append(plane_ssim)
         ms_ssims.append(_ms_ssim_plane(x, y, cs0))

@@ -412,13 +412,16 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     The bands run on one lane per CPU the process may run on, each lane
     with its own columns buffer; a layer of one band runs here and
     starts no thread. An x with an empty spatial axis is an
-    InferenceError. Returns an (out, out_h, out_w) view of a
-    channels-last result that holds the output alone. This is the
-    driver of a forward pass run over one layer, so each call allocates
-    its own workspace and starts its own worker threads. The same input
+    InferenceError, and a layer that is not a ConvLayer a TypeError.
+    Returns an (out, out_h, out_w) view of a channels-last result that
+    holds the output alone. This is the driver of a forward pass run
+    over one layer, so each call allocates its own workspace and starts
+    its own worker threads. The same input
     and layer give byte-identical results run to run on one host, at
     any lane count. A float32 overflow gives inf or nan and no warning.
     """
+    if not isinstance(layer, ConvLayer):
+        raise TypeError(f"conv2d runs one ConvLayer, got {type(layer).__name__}")
     if np.ndim(x) != 3:
         raise InferenceError("conv2d input must be (channels, height, width), "
                              f"got shape {np.shape(x)}")

@@ -77,6 +77,20 @@ def test_column_filter_gives_each_tile_the_bits_of_its_own_product(n, w):
         assert np.array_equal(out[:, j:j + r], rows[:, j:j + r + 10] @ _BAND[:r + 10, :r])
 
 
+@pytest.mark.parametrize("score", [psnr, ssim, ms_ssim, metric_report],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("shapes", [((8, 8, 3), (9, 9, 3)), ((176, 176, 3), (176, 176, 1))],
+                         ids=["below-every-minimum", "channels"])
+def test_shape_mismatch_is_reported_before_size(score, shapes):
+    # 8x8 is below SSIM's and MS-SSIM's least sides too, so every score
+    # must check the shapes before the size
+    a, b = (constant_image(0, shape) for shape in shapes)
+    (h, w, c), (h2, w2, c2) = shapes
+    with pytest.raises(ValueError) as raised:
+        score(a, b)
+    assert str(raised.value) == f"dimension mismatch: {w}x{h}x{c} vs {w2}x{h2}x{c2}"
+
+
 class TestPsnr:
     def test_identical_is_infinite(self, textured_image):
         assert psnr(textured_image, textured_image) == math.inf
@@ -130,6 +144,18 @@ class TestSsim:
     def test_window_precondition(self):
         with pytest.raises(ValueError, match="window"):
             ssim(constant_image(0, (8, 8, 3)), constant_image(0, (8, 8, 3)))
+
+    @pytest.mark.parametrize("shape", [(10, 300, 1), (300, 10, 3), (10, 10, 1)])
+    def test_window_precondition_at_ten_px(self, shape):
+        img = constant_image(0, shape)
+        with pytest.raises(ValueError, match="window"):
+            ssim(img, img)
+
+    @pytest.mark.parametrize("shape", [(11, 11, 1), (11, 300, 3)])
+    def test_one_window_per_side_is_enough(self, shape):
+        h, w, c = shape
+        img = RasterImage(pixels=np.ascontiguousarray(textured_pixels(h, w, seed=4)[:, :, :c]))
+        assert ssim(img, img) == 1.0
 
     def test_against_reference_implementation(self):
         for a, b in oracle_pairs():

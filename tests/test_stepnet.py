@@ -402,6 +402,16 @@ class TestConv2d:
                            match=rf"shape {re.escape(str(shape))} has an empty spatial axis"):
             conv2d(np.zeros(shape, np.float32), layer)
 
+    def test_only_a_conv_layer_runs(self):
+        # a residual block would run through the driver and add its
+        # result into the caller's array in place
+        c = _conv(np.ones((2, 2, 3, 3)), [0.0, 0.0], stride=1)
+        x = np.ones((2, 4, 4), np.float32)
+        before = x.tobytes()
+        with pytest.raises(TypeError, match="ConvLayer, got ResBlock"):
+            conv2d(x, ResBlock(c, c))
+        assert x.tobytes() == before
+
     def test_same_ceil_shapes(self):
         rng = np.random.default_rng(1)
         for _ in range(40):
